@@ -206,8 +206,8 @@ BENCHMARK(BM_TuneEndToEnd)
 //
 // Emits a JSON document with one row per (stage, variant): the encoder /
 // message-passing / readout GNN blocks on a 128-row batch, and the
-// end-to-end batched scoring path over 128 distinct candidates, each
-// under the scalar, simd, fp32 and int8 kernel configurations.
+// end-to-end batched scoring path over 128 distinct candidates, each on
+// the fp32 engine under the scalar and simd kernel implementations.
 //
 // Methodology (the committed numbers must be trustworthy):
 //   - reps per sample are auto-calibrated so one sample spans at least a
@@ -268,7 +268,7 @@ TimingStats MeasureNs(Clock* clock, const std::function<void()>& fn,
 
 struct TrajectoryRow {
   std::string stage;
-  std::string variant;  // scalar | simd | fp32 | int8
+  std::string variant;  // scalar | simd
   std::string isa;      // ISA actually dispatched while timing
   double items = 1.0;   // batch rows (stages) or candidates (end-to-end)
   TimingStats t;
@@ -288,24 +288,28 @@ int RunTrajectory() {
   const auto plans = CandidateSet(kCandidates);
   ZT_CHECK_OK(core::PredictBatch(model, plans).status());
 
-  // Stage inputs. The encoder sees real featurized operator rows (sparse
-  // one-hots matter to the scalar GEMM's zero-skip); the deeper blocks
-  // see dense activations, modeled here as Gaussian values.
+  // Stage inputs, narrowed to fp32 as the batch engine does. The encoder
+  // sees real featurized operator rows (sparse one-hots matter to the
+  // scalar GEMM's zero-skip); the deeper blocks see dense activations,
+  // modeled here as Gaussian values.
   const core::PlanGraph graph = core::BuildPlanGraph(plans.front());
-  nn::Matrix enc_in(kBatchRows, blocks.op_encoder->in_features());
-  for (size_t r = 0; r < enc_in.rows(); ++r) {
+  const size_t enc_dim = blocks.op_encoder->in_features();
+  nn::FloatBuffer enc_in(kBatchRows * enc_dim);
+  for (size_t r = 0; r < kBatchRows; ++r) {
     const auto& row = graph.operator_features[r % graph.num_operators()];
-    for (size_t c = 0; c < enc_in.cols(); ++c) enc_in(r, c) = row[c];
+    for (size_t c = 0; c < enc_dim; ++c) {
+      enc_in[r * enc_dim + c] = static_cast<float>(row[c]);
+    }
   }
   Rng rng(42);
-  nn::Matrix mp_in(kBatchRows, blocks.flow_update->in_features());
-  for (size_t i = 0; i < mp_in.size(); ++i) {
-    mp_in.data()[i] = rng.Gaussian(0.0, 1.0);
-  }
-  nn::Matrix ro_in(kBatchRows, blocks.readout->in_features());
-  for (size_t i = 0; i < ro_in.size(); ++i) {
-    ro_in.data()[i] = rng.Gaussian(0.0, 1.0);
-  }
+  const auto gaussian_rows = [&rng](size_t cols) {
+    nn::FloatBuffer in(kBatchRows * cols);
+    for (float& v : in) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
+    return in;
+  };
+  const nn::FloatBuffer mp_in =
+      gaussian_rows(blocks.flow_update->in_features());
+  const nn::FloatBuffer ro_in = gaussian_rows(blocks.readout->in_features());
 
   std::vector<TrajectoryRow> rows;
   const auto measure = [&](const char* stage, const char* variant,
@@ -327,28 +331,24 @@ int RunTrajectory() {
   struct StageDef {
     const char* name;
     const nn::Mlp* mlp;
-    const nn::Matrix* in;
+    const nn::FloatBuffer* in;
   };
   const StageDef stages[] = {
       {"encoder", blocks.op_encoder, &enc_in},
       {"message_passing", blocks.flow_update, &mp_in},
       {"readout", blocks.readout, &ro_in},
   };
+  nn::FloatBuffer stage_out;
   for (const StageDef& s : stages) {
-    const double items = static_cast<double>(s.in->rows());
-    const auto fp64 = [&s] {
-      benchmark::DoNotOptimize(s.mlp->ForwardValue(*s.in));
+    const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*s.mlp);
+    const auto fwd = [&] {
+      q.ForwardRows(s.in->data(), kBatchRows, &stage_out);
+      benchmark::DoNotOptimize(stage_out.data());
+      benchmark::ClobberMemory();
     };
-    measure(s.name, "scalar", /*force_scalar=*/true, items, fp64);
-    measure(s.name, "simd", /*force_scalar=*/false, items, fp64);
-    const nn::QuantizedMlp qf =
-        nn::QuantizedMlp::FromMlp(*s.mlp, nn::QuantKind::kFp32);
-    measure(s.name, "fp32", /*force_scalar=*/false, items,
-            [&] { benchmark::DoNotOptimize(qf.ForwardValue(*s.in)); });
-    const nn::QuantizedMlp qi =
-        nn::QuantizedMlp::FromMlp(*s.mlp, nn::QuantKind::kInt8);
-    measure(s.name, "int8", /*force_scalar=*/false, items,
-            [&] { benchmark::DoNotOptimize(qi.ForwardValue(*s.in)); });
+    const double items = static_cast<double>(kBatchRows);
+    measure(s.name, "scalar", /*force_scalar=*/true, items, fwd);
+    measure(s.name, "simd", /*force_scalar=*/false, items, fwd);
   }
 
   // End-to-end batched scoring: featurization + dedup + all eight GNN
@@ -359,11 +359,6 @@ int RunTrajectory() {
   const double n_cand = static_cast<double>(plans.size());
   measure("predict_batch", "scalar", /*force_scalar=*/true, n_cand, e2e);
   measure("predict_batch", "simd", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kFp32);
-  measure("predict_batch", "fp32", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kInt8);
-  measure("predict_batch", "int8", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kFp64);
 
   const auto scalar_median = [&rows](const std::string& stage) {
     for (const TrajectoryRow& r : rows) {

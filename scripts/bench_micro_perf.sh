@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the micro-perf trajectory (encoder / message-passing / readout
-# kernels plus end-to-end PredictBatch, each under scalar / simd / fp32 /
-# int8) and writes bench/BENCH_micro_perf.json.
+# blocks plus end-to-end PredictBatch on the fp32 engine, each under the
+# scalar and simd kernels) and writes bench/BENCH_micro_perf.json.
 #
 # Usage: scripts/bench_micro_perf.sh [build-dir]
 #   scripts/bench_micro_perf.sh          # ./build

@@ -62,7 +62,10 @@ void FakeClock::Advance(int64_t nanos) {
 bool FakeClock::WaitUntil(std::unique_lock<std::mutex>& lock,
                           std::condition_variable& cv, int64_t deadline_nanos,
                           const std::function<bool()>& pred) {
-  (void)cv;  // the fake clock never blocks, so nothing ever signals it
+  // The fake clock never blocks: nothing ever signals `cv`, and `lock`
+  // is never released.
+  (void)lock;
+  (void)cv;
   if (pred()) return true;
   if (deadline_nanos == kNoDeadlineNanos) {
     // No other thread drives fake time; an indefinite wait would deadlock

@@ -1,18 +1,15 @@
 #include "core/batch_inference.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "core/features.h"
 #include "core/plan_graph.h"
 #include "nn/kernels.h"
-#include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/quantized.h"
 #include "obs/metrics.h"
@@ -22,35 +19,35 @@ namespace zerotune::core {
 
 namespace {
 
-using nn::Matrix;
+using nn::FloatBuffer;
 
-// FNV-1a over the byte representation of a double sequence, run as four
-// interleaved streams so the 64-bit multiplies pipeline instead of
-// forming one serial dependency chain (feature rows are ~50 words, and
-// the interner hashes every row of every candidate). Bitwise matching is
-// exactly what the intern/dedup transforms need: identical bytes
-// guarantee identical downstream arithmetic, and featurization is
-// deterministic so equal inputs produce equal bytes. Only dispersion
-// matters — every table that uses this confirms bucket hits by comparing
-// the full key bytes.
-uint64_t HashDoubles(const double* p, size_t n, uint64_t seed) {
+// FNV-1a over the `len` 32-bit words at `key`, taken 64 bits at a time
+// and run as four interleaved streams so the multiplies pipeline instead
+// of forming one serial dependency chain (a feature-row key is ~100
+// words, and the batch interns every row of every candidate). Only
+// dispersion matters: the interner confirms every hash hit by comparing
+// the full key. Reads go through memcpy, so `key` may be any trivially
+// copyable data, e.g. a row of doubles.
+uint64_t HashWords(const void* key, size_t len) {
+  const auto* p = static_cast<const unsigned char*>(key);
   constexpr uint64_t kPrime = 1099511628211ull;
-  uint64_t h0 = seed;
-  uint64_t h1 = seed ^ 0x9E3779B97F4A7C15ull;
-  uint64_t h2 = seed ^ 0xC2B2AE3D27D4EB4Full;
-  uint64_t h3 = seed ^ 0x165667B19E3779F9ull;
+  uint64_t h0 = 1469598103934665603ull;
+  uint64_t h1 = h0 ^ 0x9E3779B97F4A7C15ull;
+  uint64_t h2 = h0 ^ 0xC2B2AE3D27D4EB4Full;
+  uint64_t h3 = h0 ^ 0x165667B19E3779F9ull;
   uint64_t w[4];
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::memcpy(w, p + i, sizeof w);
+  for (; i + 8 <= len; i += 8) {
+    std::memcpy(w, p + 4 * i, sizeof w);
     h0 = (h0 ^ w[0]) * kPrime;
     h1 = (h1 ^ w[1]) * kPrime;
     h2 = (h2 ^ w[2]) * kPrime;
     h3 = (h3 ^ w[3]) * kPrime;
   }
-  for (; i < n; ++i) {
-    std::memcpy(w, p + i, sizeof w[0]);
-    h0 = (h0 ^ w[0]) * kPrime;
+  for (; i < len; ++i) {
+    uint32_t word;
+    std::memcpy(&word, p + 4 * i, sizeof word);
+    h0 = (h0 ^ word) * kPrime;
   }
   h0 = (h0 ^ h1) * kPrime;
   h0 = (h0 ^ h2) * kPrime;
@@ -58,138 +55,22 @@ uint64_t HashDoubles(const double* p, size_t n, uint64_t seed) {
   return h0;
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-uint64_t HashInts(const int* p, size_t n, uint64_t seed) {
-  uint64_t hsh = seed;
-  for (size_t i = 0; i < n; ++i) {
-    hsh ^= static_cast<uint64_t>(static_cast<uint32_t>(p[i]));
-    hsh *= 1099511628211ull;
-  }
-  return hsh;
-}
-
-// Interns feature vectors so each distinct row is pushed through an
-// encoder MLP exactly once per batch. Candidates enumerated for one query
-// share most operator rows (only parallelism features vary) and all
-// resource rows, so the win is large in the optimizer's hot loop. Rows
-// are matched bitwise (hash bucket + memcmp), which is cheaper than the
-// lexicographic compares of an ordered map on this hot path.
-class RowInterner {
- public:
-  size_t Intern(const std::vector<double>& row) {
-    const uint64_t hsh = HashDoubles(row.data(), row.size(), kFnvOffset);
-    auto& bucket = ids_[hsh];
-    for (size_t id : bucket) {
-      const std::vector<double>& have = rows_[id];
-      if (have.size() == row.size() &&
-          std::memcmp(have.data(), row.data(),
-                      row.size() * sizeof(double)) == 0) {
-        return id;
-      }
-    }
-    const size_t id = rows_.size();
-    rows_.push_back(row);
-    bucket.push_back(id);
-    return id;
-  }
-
-  size_t num_unique() const { return rows_.size(); }
-
-  // Unique rows stacked in first-seen order, ready for one batched
-  // encoder call. Empty matrix when nothing was interned.
-  Matrix Stacked() const {
-    if (rows_.empty()) return Matrix();
-    Matrix out(rows_.size(), rows_[0].size());
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      std::memcpy(out.data() + r * out.cols(), rows_[r].data(),
-                  rows_[r].size() * sizeof(double));
-    }
-    return out;
-  }
-
- private:
-  std::unordered_map<uint64_t, std::vector<size_t>> ids_;
-  std::vector<std::vector<double>> rows_;
-};
-
-// Plans whose graphs share topology (operator DAG + sink) and cluster
-// encoding share the resource-exchange stage and are row-batched through
-// every operator-side stage. res_state holds the shared exchange output
-// in the precision the batch runs at (exactly one of the two is filled).
-struct Group {
-  std::vector<size_t> members;       // indices into `plans` / `graphs`
-  std::vector<size_t> res_row_ids;   // interned resource rows
-  const PlanGraph* shape = nullptr;  // representative graph (topology)
-  Matrix res_state;                  // n_res × h (fp64 batches)
-  nn::FloatBuffer res_state_f32;     // n_res × h (quantized batches)
-};
-
-// Pointer to the start of row `r` (Matrix is row-major; the const
-// accessor returns by value, so element addresses go through data()).
-const double* RowPtr(const Matrix& m, size_t r) {
-  return m.data() + r * m.cols();
-}
-
-// Copies `src_cols` doubles from `src` into row `r` of `dst` starting at
-// column `col0` — the value side of nn::ConcatCols.
-void CopyIntoRow(Matrix& dst, size_t r, size_t col0, const double* src,
-                 size_t src_cols) {
-  std::memcpy(dst.data() + r * dst.cols() + col0, src,
-              src_cols * sizeof(double));
-}
-
-// Mean of selected rows, written into row `r` of `dst` at `col0`.
-// kernels::MeanRowsF64 replicates nn::MeanAll's value in both kernel
-// implementations: sum in the given order, then multiply by 1/n —
-// bit-identical to the sequential forward pass.
-void MeanIntoRow(Matrix& dst, size_t r, size_t col0,
-                 const std::vector<const double*>& rows, size_t cols) {
-  nn::kernels::MeanRowsF64(dst.data() + r * dst.cols() + col0, rows.data(),
-                           rows.size(), cols);
-}
-
-// Owns the per-batch quantized conversions when precision != kFp64.
-struct QuantizedBlocks {
-  nn::QuantizedMlp op_encoder;
-  nn::QuantizedMlp res_encoder;
-  nn::QuantizedMlp flow_update;
-  nn::QuantizedMlp res_update;
-  nn::QuantizedMlp map_message;
-  nn::QuantizedMlp map_update;
-  nn::QuantizedMlp flow_update2;
-  nn::QuantizedMlp readout;
-
-  static QuantizedBlocks From(const ZeroTuneModel::GnnBlocks& b,
-                              nn::QuantKind kind) {
-    return QuantizedBlocks{
-        nn::QuantizedMlp::FromMlp(*b.op_encoder, kind),
-        nn::QuantizedMlp::FromMlp(*b.res_encoder, kind),
-        nn::QuantizedMlp::FromMlp(*b.flow_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.res_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.map_message, kind),
-        nn::QuantizedMlp::FromMlp(*b.map_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.flow_update2, kind),
-        nn::QuantizedMlp::FromMlp(*b.readout, kind),
-    };
-  }
-};
-
 // Interns variable-length uint32 keys: equal keys get equal ids, handed
-// out densely in first-seen order. The message-passing stages build keys
-// from content-unique ids (interned encoder rows, previous-stage state
-// ids, unique message ids), so equal keys are *guaranteed* to name
-// bitwise-identical input rows — dedup by key never merges rows that
-// differ. Distinct keys for coincidentally equal rows only cost a
-// redundant MLP row, never a wrong result. Compared with hashing the
-// 2h-double input rows per stage (the previous design), keys are a few
-// words long, and no B-row input assembly or output scatter is needed.
+// out densely in first-seen order. It decides every equality in a batch:
+// feature rows (keyed on their raw fp64 bits), whole candidates and
+// structure groups (keyed on integer signatures), and each message-
+// passing stage of a chunk (keyed on content-unique ids of the stage's
+// inputs). Equal keys therefore name bitwise-identical inputs, so dedup
+// never merges rows that differ; distinct keys for coincidentally equal
+// rows only cost a redundant MLP row.
 class IntKeyInterner {
  public:
-  /// Prepares the table for up to `expected` inserts, discarding all
-  /// previously interned keys. Reuses the slot array across calls (a
-  /// generation counter marks live slots), so a chunk's dozens of
-  /// per-operator dedup rounds cost zero allocations after the first.
+  /// Prepares the table for `expected` Intern() calls, discarding all
+  /// previously interned keys. `expected` must bound the calls exactly:
+  /// the linear probe only terminates while a free slot remains. Reuses
+  /// the slot array across calls (a generation counter marks live
+  /// slots), so a chunk's dozens of per-operator dedup rounds cost zero
+  /// allocations after the first.
   void Reset(size_t expected) {
     size_t cap = 16;
     while (cap < 2 * expected) cap <<= 1;  // load factor ≤ 0.5
@@ -200,27 +81,34 @@ class IntKeyInterner {
       gen_ = 0;
     }
     ++gen_;
+    expected_ = expected;
     keys_.clear();
     spans_.clear();
   }
 
-  uint32_t Intern(const uint32_t* key, size_t len) {
-    uint64_t hsh = kFnvOffset;
-    for (size_t i = 0; i < len; ++i) {
-      hsh = (hsh ^ key[i]) * 1099511628211ull;
-    }
+  uint32_t Intern(const std::vector<uint32_t>& key) {
+    return Intern(key.data(), key.size());
+  }
+
+  /// Interns the `len` 32-bit words at `key` (see HashWords).
+  uint32_t Intern(const void* key, size_t len) {
+    const uint64_t hsh = HashWords(key, len);
     // FNV's low bits are weak for power-of-two tables; fold in the top.
     size_t idx = static_cast<size_t>(hsh ^ (hsh >> 32)) & mask_;
     for (;; idx = (idx + 1) & mask_) {
       Slot& s = slots_[idx];
       if (s.gen != gen_) {  // free slot: first time this key is seen
+        assert(spans_.size() < expected_ &&
+               "more distinct keys than Reset() was sized for");
         const auto uid = static_cast<uint32_t>(spans_.size());
         s.gen = gen_;
         s.hash = hsh;
         s.uid = uid;
-        spans_.push_back(Span{static_cast<uint32_t>(keys_.size()),
+        const size_t off = keys_.size();
+        spans_.push_back(Span{static_cast<uint32_t>(off),
                               static_cast<uint32_t>(len)});
-        keys_.insert(keys_.end(), key, key + len);
+        keys_.resize(off + len);
+        std::memcpy(keys_.data() + off, key, len * sizeof(uint32_t));
         return uid;
       }
       if (s.hash != hsh) continue;
@@ -247,9 +135,121 @@ class IntKeyInterner {
   std::vector<Slot> slots_;  // open addressing, linear probing
   size_t mask_ = 0;
   uint32_t gen_ = 0;
+  size_t expected_ = 0;
   std::vector<uint32_t> keys_;  // interned keys back to back
   std::vector<Span> spans_;
 };
+
+// Appends the raw bits of `n` doubles to `key`, two words each.
+void AppendBits(std::vector<uint32_t>& key, const double* v, size_t n) {
+  const size_t at = key.size();
+  key.resize(at + 2 * n);
+  std::memcpy(key.data() + at, v, n * sizeof(double));
+}
+
+// Interns one feature kind's rows (operator or resource) across the whole
+// batch on their raw fp64 bits: ids[i][j] is the id of graph i's row j.
+// Bitwise equality is exactly what dedup needs: featurization is
+// deterministic, and identical bits guarantee identical downstream
+// arithmetic. Candidates enumerated for one query share most operator
+// rows (only parallelism features vary) and all resource rows, so each
+// distinct row goes through its encoder once. A first-seen row is
+// narrowed to fp32 and appended to `stacked`, so row id u is stacked
+// row u.
+void InternRows(const std::vector<PlanGraph>& graphs,
+                std::vector<std::vector<double>> PlanGraph::*rows,
+                IntKeyInterner& keys, std::vector<std::vector<uint32_t>>& ids,
+                FloatBuffer& stacked) {
+  size_t total = 0;
+  for (const PlanGraph& g : graphs) total += (g.*rows).size();
+  keys.Reset(total);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    ids[i].reserve((graphs[i].*rows).size());
+    for (const std::vector<double>& row : graphs[i].*rows) {
+      const uint32_t id = keys.Intern(row.data(), 2 * row.size());
+      if (stacked.size() == static_cast<size_t>(id) * row.size()) {
+        for (double v : row) stacked.push_back(static_cast<float>(v));
+      }
+      ids[i].push_back(id);
+    }
+  }
+}
+
+// The fp32 snapshot of the GNN's eight blocks that one batch runs on.
+struct QuantizedBlocks {
+  nn::QuantizedMlp op_encoder;
+  nn::QuantizedMlp res_encoder;
+  nn::QuantizedMlp flow_update;
+  nn::QuantizedMlp res_update;
+  nn::QuantizedMlp map_message;
+  nn::QuantizedMlp map_update;
+  nn::QuantizedMlp flow_update2;
+  nn::QuantizedMlp readout;
+
+  static QuantizedBlocks From(const ZeroTuneModel::GnnBlocks& b) {
+    return QuantizedBlocks{
+        nn::QuantizedMlp::FromMlp(*b.op_encoder),
+        nn::QuantizedMlp::FromMlp(*b.res_encoder),
+        nn::QuantizedMlp::FromMlp(*b.flow_update),
+        nn::QuantizedMlp::FromMlp(*b.res_update),
+        nn::QuantizedMlp::FromMlp(*b.map_message),
+        nn::QuantizedMlp::FromMlp(*b.map_update),
+        nn::QuantizedMlp::FromMlp(*b.flow_update2),
+        nn::QuantizedMlp::FromMlp(*b.readout),
+    };
+  }
+};
+
+// Forwards `rows` row-major rows of `in` through one block.
+FloatBuffer Forward(const nn::QuantizedMlp& mlp, const FloatBuffer& in,
+                    size_t rows) {
+  FloatBuffer out;
+  mlp.ForwardRows(in.data(), rows, &out);
+  return out;
+}
+
+// `zero` marks buffers whose ZeroState half is read before being written;
+// everything else is fully overwritten by the assembly loops, so
+// FloatBuffer skips the fill.
+FloatBuffer Alloc(size_t n, bool zero) {
+  return zero ? FloatBuffer(n, 0.0f) : FloatBuffer(n);
+}
+
+// Plans whose graphs share topology (operator DAG + sink) and cluster
+// encoding share the resource-exchange stage and are row-batched through
+// every operator-side stage.
+struct Group {
+  std::vector<size_t> members;        // indices into `plans` / `graphs`
+  std::vector<uint32_t> res_row_ids;  // interned resource rows
+  const PlanGraph* shape = nullptr;   // representative graph (topology)
+  FloatBuffer res_state;              // n_res × h exchange output
+};
+
+// Shared resource-node exchange (Forward() stage 2). Depends only on the
+// cluster encoding, so it runs once per structure group regardless of how
+// many candidates the group holds.
+FloatBuffer ComputeResourceState(const nn::QuantizedMlp& res_update,
+                                 const FloatBuffer& res_encoded,
+                                 const std::vector<uint32_t>& res_row_ids,
+                                 size_t h) {
+  const size_t n_res = res_row_ids.size();
+  // Explicitly zeroed: the peer half stays ZeroState when n_res == 1.
+  FloatBuffer input(n_res * 2 * h, 0.0f);
+  std::vector<const float*> peers;
+  for (size_t i = 0; i < n_res; ++i) {
+    const float* self = res_encoded.data() + res_row_ids[i] * h;
+    std::memcpy(input.data() + i * 2 * h, self, h * sizeof(float));
+    if (n_res > 1) {
+      peers.clear();
+      for (size_t j = 0; j < n_res; ++j) {
+        if (j != i) peers.push_back(res_encoded.data() + res_row_ids[j] * h);
+      }
+      nn::kernels::MeanRowsF32(input.data() + i * 2 * h + h, peers.data(),
+                               peers.size(), h);
+    }
+  }
+  return Forward(res_update, input, n_res);
+}
 
 // One message-passing stage's dedup result for a chunk: candidate b's
 // state is unique row remap[b], and unique row u was first produced by
@@ -261,11 +261,9 @@ struct StageDedup {
 
 // The integer skeleton of one chunk's message passing: which rows are
 // distinct at every stage and how candidates map onto them. Built once
-// per chunk from interned ids only — no floating-point data is touched —
-// and then executed at either precision. Keys are content-unique ids, so
-// equal keys guarantee bitwise-identical stage inputs at fp64 (and
-// identical fp32 inputs after rounding, since rounding is a function of
-// the bits).
+// per chunk from interned ids only — no floating-point data is touched.
+// Keys are content-unique ids, so equal keys guarantee identical stage
+// inputs.
 struct ChunkPlan {
   size_t B = 0;
   std::vector<StageDedup> flow;    // stage 1, per operator
@@ -280,9 +278,19 @@ struct ChunkPlan {
   std::vector<uint32_t> inc_uids;
 };
 
+// Interns `key` as candidate b's key of one stage.
+void InternStageKey(IntKeyInterner& keys, const std::vector<uint32_t>& key,
+                    size_t b, StageDedup& sd) {
+  const uint32_t uid = keys.Intern(key);
+  if (uid == sd.uniq_rep.size()) {
+    sd.uniq_rep.push_back(static_cast<uint32_t>(b));
+  }
+  sd.remap[b] = uid;
+}
+
 ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
                          const std::vector<PlanGraph>& graphs,
-                         const std::vector<std::vector<size_t>>& op_row_ids) {
+                         const std::vector<std::vector<uint32_t>>& op_row_ids) {
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
   const size_t B = end - begin;
@@ -300,46 +308,38 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   // so that integer tuple is the dedup key.
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
-    const size_t klen = 1 + ups.size();
     keys.Reset(B);
     StageDedup& sd = plan.flow[static_cast<size_t>(id)];
     sd.remap.resize(B);
-    key.resize(klen);
     for (size_t b = 0; b < B; ++b) {
-      const size_t pl = group.members[begin + b];
-      key[0] =
-          static_cast<uint32_t>(op_row_ids[pl][static_cast<size_t>(id)]);
-      for (size_t j = 0; j < ups.size(); ++j) {
-        key[1 + j] = plan.flow[static_cast<size_t>(ups[j])].remap[b];
+      key.clear();
+      key.push_back(op_row_ids[group.members[begin + b]]
+                              [static_cast<size_t>(id)]);
+      for (int up : ups) {
+        key.push_back(plan.flow[static_cast<size_t>(up)].remap[b]);
       }
-      const uint32_t uid = keys.Intern(key.data(), klen);
-      if (uid == sd.uniq_rep.size()) {
-        sd.uniq_rep.push_back(static_cast<uint32_t>(b));
-      }
-      sd.remap[b] = uid;
+      InternStageKey(keys, key, b, sd);
     }
   }
 
   // Stage 3a: mapping messages. A message row is determined by the
   // resource index (which names the shared res_state row) and the edge's
-  // feature bytes, so edges dedup on that pair across the whole chunk.
-  // The key packs the index plus the raw feature words — bitwise feature
-  // equality is exactly word equality, so the interner's compare matches
-  // the row-level dedup semantics.
+  // feature bits, so edges dedup on that pair across the whole chunk.
   std::vector<uint32_t> edge_uid;  // per (candidate, edge), in edge order
   std::vector<size_t> edge_off(B + 1, 0);
   {
-    assert(FeatureEncoder::MappingDim() == 2 &&
-           "edge key packing assumes 2 mapping features");
-    keys.Reset(B * 16);
-    uint32_t ekey[1 + 2 * 2];
+    size_t n_edges = 0;
+    for (size_t b = 0; b < B; ++b) {
+      n_edges += graphs[group.members[begin + b]].mapping_edges.size();
+    }
+    keys.Reset(n_edges);
     for (size_t b = 0; b < B; ++b) {
       edge_off[b] = edge_uid.size();
       const PlanGraph& g = graphs[group.members[begin + b]];
       for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
-        ekey[0] = static_cast<uint32_t>(e.resource_index);
-        std::memcpy(ekey + 1, e.features.data(), 2 * sizeof(double));
-        const uint32_t uid = keys.Intern(ekey, 5);
+        key.assign(1, static_cast<uint32_t>(e.resource_index));
+        AppendBits(key, e.features.data(), e.features.size());
+        const uint32_t uid = keys.Intern(key);
         if (uid == plan.uniq_edges.size()) plan.uniq_edges.push_back(&e);
         edge_uid.push_back(uid);
       }
@@ -382,15 +382,10 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
     for (size_t b = 0; b < B; ++b) {
       const uint32_t lo = plan.inc_off[b * n_ops + i];
       const uint32_t hi = plan.inc_off[b * n_ops + i + 1];
-      key.clear();
-      key.push_back(plan.flow[i].remap[b]);
+      key.assign(1, plan.flow[i].remap[b]);
       key.insert(key.end(), plan.inc_uids.begin() + lo,
                  plan.inc_uids.begin() + hi);
-      const uint32_t uid = keys.Intern(key.data(), key.size());
-      if (uid == sd.uniq_rep.size()) {
-        sd.uniq_rep.push_back(static_cast<uint32_t>(b));
-      }
-      sd.remap[b] = uid;
+      InternStageKey(keys, key, b, sd);
     }
   }
 
@@ -398,442 +393,189 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   // mapped ids in place of encoder rows.
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
-    const size_t klen = 1 + ups.size();
     keys.Reset(B);
     StageDedup& sd = plan.flow2[static_cast<size_t>(id)];
     sd.remap.resize(B);
-    key.resize(klen);
     for (size_t b = 0; b < B; ++b) {
-      key[0] = plan.mapped[static_cast<size_t>(id)].remap[b];
-      for (size_t j = 0; j < ups.size(); ++j) {
-        key[1 + j] = plan.flow2[static_cast<size_t>(ups[j])].remap[b];
+      key.assign(1, plan.mapped[static_cast<size_t>(id)].remap[b]);
+      for (int up : ups) {
+        key.push_back(plan.flow2[static_cast<size_t>(up)].remap[b]);
       }
-      const uint32_t uid = keys.Intern(key.data(), klen);
-      if (uid == sd.uniq_rep.size()) {
-        sd.uniq_rep.push_back(static_cast<uint32_t>(b));
-      }
-      sd.remap[b] = uid;
+      InternStageKey(keys, key, b, sd);
     }
   }
 
   return plan;
 }
 
-// The five MLP blocks an executor forwards through (encoders run before
-// chunking, res_update runs per group).
-enum class Block { kFlowUpdate, kMapMessage, kMapUpdate, kFlowUpdate2,
-                   kReadout };
-
-// fp64 execution: nn::Matrix buffers and the model's own Mlps. This path
-// replicates the sequential Forward() arithmetic bit for bit (see the
-// kernel numerics contract), which the exact-equality tests in
-// tests/predict_batch_test.cc pin down.
-struct F64Engine {
-  using Scalar = double;
-  using Buf = Matrix;
-
-  const ZeroTuneModel::GnnBlocks& blocks;
-  const Matrix& op_encoded;
-  const Matrix& res_state;
-
-  static Buf Alloc(size_t rows, size_t cols, bool zero) {
-    return zero ? Matrix(rows, cols) : Matrix::Uninitialized(rows, cols);
-  }
-  static double* Row(Buf& m, size_t r) { return m.data() + r * m.cols(); }
-  static const double* Row(const Buf& m, size_t r) {
-    return m.data() + r * m.cols();
-  }
-  const double* OpRow(size_t row_id) const {
-    return RowPtr(op_encoded, row_id);
-  }
-  const double* ResStateRow(size_t idx) const {
-    return RowPtr(res_state, idx);
-  }
-  static void CopyRow(double* dst, const double* src, size_t n) {
-    std::memcpy(dst, src, n * sizeof(double));
-  }
-  static void LoadMapFeatures(double* dst,
-                              const std::array<double, 2>& f) {
-    dst[0] = f[0];
-    dst[1] = f[1];
-  }
-  static void Mean(double* dst, const double* const* rows, size_t count,
-                   size_t n) {
-    nn::kernels::MeanRowsF64(dst, rows, count, n);
-  }
-  static void Add(double* acc, const double* x, size_t n) {
-    nn::kernels::AddF64(acc, x, n);
-  }
-  Buf Forward(Block blk, Buf&& in) const {
-    switch (blk) {
-      case Block::kFlowUpdate:
-        return blocks.flow_update->ForwardValue(std::move(in));
-      case Block::kMapMessage:
-        return blocks.map_message->ForwardValue(std::move(in));
-      case Block::kMapUpdate:
-        return blocks.map_update->ForwardValue(std::move(in));
-      case Block::kFlowUpdate2:
-        return blocks.flow_update2->ForwardValue(std::move(in));
-      case Block::kReadout:
-        return blocks.readout->ForwardValue(std::move(in));
-    }
-    return Matrix();
-  }
-  static CostPrediction Decode(const ZeroTuneModel& model, const Buf& m,
-                               size_t r) {
-    Matrix row = Matrix::Uninitialized(1, m.cols());
-    CopyRow(row.data(), Row(m, r), m.cols());
-    return model.DecodeOutput(row);
-  }
-};
-
-// fp32 execution: flat float buffers and QuantizedMlp::ForwardRows — the
-// whole message-passing state stays in fp32, so the only fp64 work per
-// chunk is decoding one readout row per distinct sink state. Serves both
-// quantized kinds (kInt8 keeps fp32 activations).
-struct F32Engine {
-  using Scalar = float;
-  struct Buf {
-    nn::FloatBuffer v;
-    size_t cols = 0;
-  };
-
-  const QuantizedBlocks& blocks;
-  const nn::FloatBuffer& op_encoded;  // h floats per unique operator row
-  const nn::FloatBuffer& res_state;   // h floats per resource
-  size_t h = 0;
-
-  static Buf Alloc(size_t rows, size_t cols, bool zero) {
-    // `zero` marks buffers whose ZeroState halves are read before being
-    // written; everything else is fully overwritten by the assembly
-    // loops, so FloatBuffer skips the fill.
-    Buf b;
-    b.cols = cols;
-    if (zero) {
-      b.v.assign(rows * cols, 0.0f);
-    } else {
-      b.v.resize(rows * cols);
-    }
-    return b;
-  }
-  static float* Row(Buf& b, size_t r) { return b.v.data() + r * b.cols; }
-  static const float* Row(const Buf& b, size_t r) {
-    return b.v.data() + r * b.cols;
-  }
-  const float* OpRow(size_t row_id) const {
-    return op_encoded.data() + row_id * h;
-  }
-  const float* ResStateRow(size_t idx) const {
-    return res_state.data() + idx * h;
-  }
-  static void CopyRow(float* dst, const float* src, size_t n) {
-    std::memcpy(dst, src, n * sizeof(float));
-  }
-  static void LoadMapFeatures(float* dst, const std::array<double, 2>& f) {
-    dst[0] = static_cast<float>(f[0]);
-    dst[1] = static_cast<float>(f[1]);
-  }
-  static void Mean(float* dst, const float* const* rows, size_t count,
-                   size_t n) {
-    nn::kernels::MeanRowsF32(dst, rows, count, n);
-  }
-  static void Add(float* acc, const float* x, size_t n) {
-    nn::kernels::AddF32(acc, x, n);
-  }
-  Buf Forward(Block blk, Buf&& in) const {
-    const nn::QuantizedMlp* mlp = nullptr;
-    switch (blk) {
-      case Block::kFlowUpdate:
-        mlp = &blocks.flow_update;
-        break;
-      case Block::kMapMessage:
-        mlp = &blocks.map_message;
-        break;
-      case Block::kMapUpdate:
-        mlp = &blocks.map_update;
-        break;
-      case Block::kFlowUpdate2:
-        mlp = &blocks.flow_update2;
-        break;
-      case Block::kReadout:
-        mlp = &blocks.readout;
-        break;
-    }
-    Buf out;
-    const size_t rows = in.cols > 0 ? in.v.size() / in.cols : 0;
-    mlp->ForwardRows(in.v.data(), rows, &out.v);
-    out.cols = mlp->out_features();
-    return out;
-  }
-  static CostPrediction Decode(const ZeroTuneModel& model, const Buf& b,
-                               size_t r) {
-    Matrix row = Matrix::Uninitialized(1, b.cols);
-    const float* src = Row(b, r);
-    for (size_t c = 0; c < b.cols; ++c) {
-      row.data()[c] = static_cast<double>(src[c]);
-    }
-    return model.DecodeOutput(row);
-  }
-};
-
-// Shared resource-node exchange (Forward() stage 2). Depends only on the
-// cluster encoding, so it runs once per structure group regardless of how
-// many candidates the group holds.
-Matrix ComputeResourceState(const ZeroTuneModel::GnnBlocks& blocks,
-                            const Matrix& res_encoded,
-                            const std::vector<size_t>& res_row_ids,
-                            size_t h) {
-  const size_t n_res = res_row_ids.size();
-  Matrix input(n_res, 2 * h);
-  std::vector<const double*> peers;
-  for (size_t i = 0; i < n_res; ++i) {
-    const double* self = RowPtr(res_encoded, res_row_ids[i]);
-    CopyIntoRow(input, i, 0, self, h);
-    if (n_res > 1) {
-      peers.clear();
-      for (size_t j = 0; j < n_res; ++j) {
-        if (j != i) peers.push_back(RowPtr(res_encoded, res_row_ids[j]));
-      }
-      MeanIntoRow(input, i, h, peers, h);
-    }  // else: peer message stays zero (ZeroState)
-  }
-  return blocks.res_update->ForwardValue(std::move(input));
-}
-
-// fp32 twin of ComputeResourceState over flat buffers.
-nn::FloatBuffer ComputeResourceStateF32(
-    const QuantizedBlocks& blocks, const nn::FloatBuffer& res_encoded,
-    const std::vector<size_t>& res_row_ids, size_t h) {
-  const size_t n_res = res_row_ids.size();
-  // Explicitly zeroed: the peer half stays ZeroState when n_res == 1.
-  nn::FloatBuffer input(n_res * 2 * h, 0.0f);
-  std::vector<const float*> peers;
-  for (size_t i = 0; i < n_res; ++i) {
-    const float* self = res_encoded.data() + res_row_ids[i] * h;
-    std::memcpy(input.data() + i * 2 * h, self, h * sizeof(float));
-    if (n_res > 1) {
-      peers.clear();
-      for (size_t j = 0; j < n_res; ++j) {
-        if (j != i) peers.push_back(res_encoded.data() + res_row_ids[j] * h);
-      }
-      nn::kernels::MeanRowsF32(input.data() + i * 2 * h + h, peers.data(),
-                               peers.size(), h);
-    }
-  }
-  nn::FloatBuffer out;
-  blocks.res_update.ForwardRows(input.data(), n_res, &out);
-  return out;
-}
-
-// Runs one chunk's message passing + readout at the engine's precision,
-// assembling only the distinct rows the ChunkPlan identified. Per-row
-// arithmetic never crosses rows, so results are independent of how
-// members are chunked across threads.
-template <typename Engine>
-void ExecuteChunk(const Engine& eng, const ChunkPlan& plan,
-                  const ZeroTuneModel& model, const Group& group,
-                  size_t begin,
-                  const std::vector<std::vector<size_t>>& op_row_ids,
-                  size_t h, std::vector<CostPrediction>& out) {
-  using Buf = typename Engine::Buf;
-  using T = typename Engine::Scalar;
+// Runs one chunk's message passing in fp32, assembling only the distinct
+// rows the ChunkPlan identified, and returns the sink's final state rows
+// (one per distinct sink state). Per-row arithmetic never crosses rows,
+// so results do not depend on how members are chunked across threads or
+// on which other plans share the batch. The intermediate state is
+// released before the span ends.
+FloatBuffer PassMessages(const QuantizedBlocks& blocks,
+                         const FloatBuffer& op_encoded, const ChunkPlan& plan,
+                         const Group& group, size_t begin,
+                         const std::vector<std::vector<uint32_t>>& op_row_ids,
+                         size_t h) {
+  obs::Span mp_span("batch_inference/message_passing");
+  mp_span.AddArg("candidates", std::to_string(plan.B));
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
-  const size_t B = plan.B;
-
-  // optional<> so the span can end exactly where message passing hands
-  // off to the readout below.
-  std::optional<obs::Span> mp_span;
-  mp_span.emplace("batch_inference/message_passing");
-  mp_span->AddArg("candidates", std::to_string(B));
+  // Row r of an h-wide state buffer.
+  const auto row = [h](const FloatBuffer& buf, size_t r) {
+    return buf.data() + r * h;
+  };
   std::optional<obs::Span> stage_span;
-  std::vector<const T*> rows;  // scratch: mean inputs
+  std::vector<const float*> rows;  // scratch: mean inputs
 
   // Stage 1: bottom-up data-flow pass over the distinct rows.
   stage_span.emplace("batch_inference/mp_flow");
-  std::vector<Buf> state(n_ops);
+  std::vector<FloatBuffer> state(n_ops);
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
     const StageDedup& sd = plan.flow[static_cast<size_t>(id)];
     const size_t uniq = sd.uniq_rep.size();
-    // Sources keep the zero-filled upstream half (ZeroState); with
-    // upstreams every element is written, so skip the fill.
-    Buf input = Engine::Alloc(uniq, 2 * h, ups.empty());
+    // Sources keep the zero-filled upstream half (ZeroState).
+    FloatBuffer input = Alloc(uniq * 2 * h, ups.empty());
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      const size_t pl = group.members[begin + b];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(dst, eng.OpRow(op_row_ids[pl][static_cast<size_t>(id)]),
-                      h);
+      float* dst = input.data() + u * 2 * h;
+      std::memcpy(dst,
+                  row(op_encoded, op_row_ids[group.members[begin + b]]
+                                            [static_cast<size_t>(id)]),
+                  h * sizeof(float));
       if (!ups.empty()) {
         rows.clear();
         for (int up : ups) {
-          rows.push_back(Engine::Row(state[static_cast<size_t>(up)],
-                                     plan.flow[static_cast<size_t>(up)]
-                                         .remap[b]));
+          rows.push_back(row(state[static_cast<size_t>(up)],
+                             plan.flow[static_cast<size_t>(up)].remap[b]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        nn::kernels::MeanRowsF32(dst + h, rows.data(), rows.size(), h);
       }
     }
     obs::Span mlp_span("batch_inference/mp_mlp");
-    state[static_cast<size_t>(id)] =
-        eng.Forward(Block::kFlowUpdate, std::move(input));
+    state[static_cast<size_t>(id)] = Forward(blocks.flow_update, input, uniq);
   }
 
   // Stage 3a: forward each distinct mapping message once.
   stage_span.emplace("batch_inference/mp_map_message");
-  Buf messages{};
+  FloatBuffer messages;
   if (!plan.uniq_edges.empty()) {
-    const size_t map_dim = FeatureEncoder::MappingDim();
-    Buf edge_in = Engine::Alloc(plan.uniq_edges.size(), h + map_dim, false);
+    const size_t width = h + FeatureEncoder::MappingDim();
+    FloatBuffer edge_in(plan.uniq_edges.size() * width);
     for (size_t u = 0; u < plan.uniq_edges.size(); ++u) {
       const PlanGraph::MappingEdge& e = *plan.uniq_edges[u];
-      T* dst = Engine::Row(edge_in, u);
-      Engine::CopyRow(dst,
-                      eng.ResStateRow(static_cast<size_t>(e.resource_index)),
-                      h);
-      Engine::LoadMapFeatures(dst + h, e.features);
+      float* dst = edge_in.data() + u * width;
+      std::memcpy(dst,
+                  row(group.res_state, static_cast<size_t>(e.resource_index)),
+                  h * sizeof(float));
+      for (size_t f = 0; f < e.features.size(); ++f) {
+        dst[h + f] = static_cast<float>(e.features[f]);
+      }
     }
     obs::Span mlp_span("batch_inference/mp_mlp");
-    messages = eng.Forward(Block::kMapMessage, std::move(edge_in));
+    messages = Forward(blocks.map_message, edge_in, plan.uniq_edges.size());
   }
 
-  // Stage 3b: residual map_update per operator.
+  // Stage 3b: residual map_update per operator. The residual adds the
+  // state row into the update in place (fp addition commutes exactly).
   stage_span.emplace("batch_inference/mp_map_update");
-  std::vector<Buf> mapped(n_ops);
+  std::vector<FloatBuffer> mapped(n_ops);
   for (size_t i = 0; i < n_ops; ++i) {
     const StageDedup& sd = plan.mapped[i];
     const size_t uniq = sd.uniq_rep.size();
     // Zero message half when no incoming edges.
-    Buf input = Engine::Alloc(uniq, 2 * h, true);
+    FloatBuffer input(uniq * 2 * h, 0.0f);
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(dst, Engine::Row(state[i], plan.flow[i].remap[b]), h);
+      float* dst = input.data() + u * 2 * h;
+      std::memcpy(dst, row(state[i], plan.flow[i].remap[b]),
+                  h * sizeof(float));
       const uint32_t lo = plan.inc_off[b * n_ops + i];
       const uint32_t hi = plan.inc_off[b * n_ops + i + 1];
       if (lo != hi) {
         rows.clear();
         for (uint32_t e = lo; e < hi; ++e) {
-          rows.push_back(Engine::Row(messages, plan.inc_uids[e]));
+          rows.push_back(row(messages, plan.inc_uids[e]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        nn::kernels::MeanRowsF32(dst + h, rows.data(), rows.size(), h);
       }
     }
-    Buf upd;
     {
       obs::Span mlp_span("batch_inference/mp_mlp");
-      upd = eng.Forward(Block::kMapUpdate, std::move(input));
+      mapped[i] = Forward(blocks.map_update, input, uniq);
     }
-    Buf res = Engine::Alloc(uniq, h, false);
     for (size_t u = 0; u < uniq; ++u) {
-      const size_t b = sd.uniq_rep[u];
-      T* drow = Engine::Row(res, u);
-      Engine::CopyRow(drow, Engine::Row(state[i], plan.flow[i].remap[b]), h);
-      Engine::Add(drow, Engine::Row(upd, u), h);  // residual
+      nn::kernels::AddF32(mapped[i].data() + u * h,
+                          row(state[i], plan.flow[i].remap[sd.uniq_rep[u]]),
+                          h);
     }
-    mapped[i] = std::move(res);
   }
 
   // Stage 4: second bottom-up pass over the resource-aware states.
   stage_span.emplace("batch_inference/mp_flow2");
-  std::vector<Buf> final_state(n_ops);
+  std::vector<FloatBuffer> final_state(n_ops);
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
     const StageDedup& sd = plan.flow2[static_cast<size_t>(id)];
     const size_t uniq = sd.uniq_rep.size();
-    Buf input = Engine::Alloc(uniq, 2 * h, ups.empty());
-    const std::vector<uint32_t>& mp_remap =
+    const FloatBuffer& base = mapped[static_cast<size_t>(id)];
+    const std::vector<uint32_t>& base_remap =
         plan.mapped[static_cast<size_t>(id)].remap;
+    FloatBuffer input = Alloc(uniq * 2 * h, ups.empty());
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(
-          dst, Engine::Row(mapped[static_cast<size_t>(id)], mp_remap[b]), h);
+      float* dst = input.data() + u * 2 * h;
+      std::memcpy(dst, row(base, base_remap[b]), h * sizeof(float));
       if (!ups.empty()) {
         rows.clear();
         for (int up : ups) {
-          rows.push_back(Engine::Row(final_state[static_cast<size_t>(up)],
-                                     plan.flow2[static_cast<size_t>(up)]
-                                         .remap[b]));
+          rows.push_back(row(final_state[static_cast<size_t>(up)],
+                             plan.flow2[static_cast<size_t>(up)].remap[b]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        nn::kernels::MeanRowsF32(dst + h, rows.data(), rows.size(), h);
       }
     }
-    Buf upd;
+    FloatBuffer& res = final_state[static_cast<size_t>(id)];
     {
       obs::Span mlp_span("batch_inference/mp_mlp");
-      upd = eng.Forward(Block::kFlowUpdate2, std::move(input));
+      res = Forward(blocks.flow_update2, input, uniq);
     }
-    Buf res = Engine::Alloc(uniq, h, false);
     for (size_t u = 0; u < uniq; ++u) {
-      const size_t b = sd.uniq_rep[u];
-      T* drow = Engine::Row(res, u);
-      Engine::CopyRow(
-          drow, Engine::Row(mapped[static_cast<size_t>(id)], mp_remap[b]), h);
-      Engine::Add(drow, Engine::Row(upd, u), h);  // residual
+      nn::kernels::AddF32(res.data() + u * h,
+                          row(base, base_remap[sd.uniq_rep[u]]), h);
     }
-    final_state[static_cast<size_t>(id)] = std::move(res);
   }
 
   stage_span.reset();
-  mp_span.reset();
-  obs::Span readout_span("batch_inference/readout");
-  readout_span.AddArg("candidates", std::to_string(B));
+  return std::move(final_state[static_cast<size_t>(shape.sink_index)]);
+}
 
-  // Readout at the sink: forward and decode each distinct sink state
-  // once, then fan the decoded predictions out to the candidates.
-  const StageDedup& sink = plan.flow2[static_cast<size_t>(shape.sink_index)];
-  Buf readout =
-      eng.Forward(Block::kReadout,
-                  std::move(final_state[static_cast<size_t>(shape.sink_index)]));
+// Readout at the sink: forwards and decodes each distinct sink state once
+// (the only fp64 work of a chunk), then fans the decoded predictions out
+// to the chunk's candidates.
+void Readout(const QuantizedBlocks& blocks, const FloatBuffer& sink_state,
+             const StageDedup& sink, const ZeroTuneModel& model,
+             const Group& group, size_t begin,
+             std::vector<CostPrediction>& out) {
+  obs::Span readout_span("batch_inference/readout");
+  readout_span.AddArg("candidates", std::to_string(sink.remap.size()));
+  const FloatBuffer readout =
+      Forward(blocks.readout, sink_state, sink.uniq_rep.size());
+  const size_t out_dim = blocks.readout.out_features();
+  nn::Matrix widened = nn::Matrix::Uninitialized(1, out_dim);
   std::vector<CostPrediction> decoded(sink.uniq_rep.size());
   for (size_t u = 0; u < decoded.size(); ++u) {
-    decoded[u] = Engine::Decode(model, readout, u);
+    for (size_t c = 0; c < out_dim; ++c) {
+      widened.data()[c] = static_cast<double>(readout[u * out_dim + c]);
+    }
+    decoded[u] = model.DecodeOutput(widened);
   }
-  for (size_t b = 0; b < B; ++b) {
+  for (size_t b = 0; b < sink.remap.size(); ++b) {
     out[group.members[begin + b]] = decoded[sink.remap[b]];
   }
-}
-
-// Scores members [begin, end) of one structure group and writes the
-// decoded predictions into `out` at each member's original plan index.
-void ScoreChunk(const ZeroTuneModel& model,
-                const ZeroTuneModel::GnnBlocks& raw,
-                const QuantizedBlocks* quant, const Matrix& op_encoded,
-                const nn::FloatBuffer& op_encoded_f32, const Group& group,
-                size_t begin, size_t end,
-                const std::vector<PlanGraph>& graphs,
-                const std::vector<std::vector<size_t>>& op_row_ids,
-                std::vector<CostPrediction>& out) {
-  const size_t h = model.config().hidden_dim;
-  ChunkPlan plan;
-  {
-    obs::Span span("batch_inference/mp_plan");
-    plan = BuildChunkPlan(group, begin, end, graphs, op_row_ids);
-  }
-  if (quant != nullptr) {
-    const F32Engine eng{*quant, op_encoded_f32, group.res_state_f32, h};
-    ExecuteChunk(eng, plan, model, group, begin, op_row_ids, h, out);
-  } else {
-    const F64Engine eng{raw, op_encoded, group.res_state};
-    ExecuteChunk(eng, plan, model, group, begin, op_row_ids, h, out);
-  }
-}
-
-// Stacks `interner`'s unique rows, narrows them to fp32 and runs them
-// through a quantized encoder in one batched call.
-nn::FloatBuffer EncodeStackedF32(const nn::QuantizedMlp& encoder,
-                                 const RowInterner& interner) {
-  if (interner.num_unique() == 0) return {};
-  const Matrix stacked = interner.Stacked();
-  nn::FloatBuffer in(stacked.size());
-  for (size_t i = 0; i < stacked.size(); ++i) {
-    in[i] = static_cast<float>(stacked.data()[i]);
-  }
-  nn::FloatBuffer out;
-  encoder.ForwardRows(in.data(), stacked.rows(), &out);
-  return out;
 }
 
 }  // namespace
@@ -849,6 +591,7 @@ Result<std::vector<CostPrediction>> BatchedPredict(
 
   obs::Span batch_span("batch_inference/predict");
   batch_span.AddArg("plans", std::to_string(n));
+  batch_span.AddArg("isa", nn::kernels::IsaName(nn::kernels::ActiveIsa()));
   auto* metrics = obs::MetricsRegistry::Global();
   metrics->GetCounter("batch_inference.batches_total")->Increment();
   metrics->GetCounter("batch_inference.plans_total")->Increment(n);
@@ -883,195 +626,96 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     });
   }
 
-  // Intern encoder inputs across the whole batch and encode each unique
-  // row exactly once, in two row-batched MLP calls.
-  RowInterner op_rows, res_rows;
-  std::vector<std::vector<size_t>> op_row_ids(n);
-  std::vector<std::vector<size_t>> res_row_ids(n);
-  size_t op_total = 0, res_total = 0;
+  // Intern encoder inputs across the whole batch; each unique row is
+  // stacked once, in fp32, for the encoders below.
+  IntKeyInterner keys;  // reused by every batch-level dedup below
+  std::vector<std::vector<uint32_t>> op_row_ids(n), res_row_ids(n);
+  FloatBuffer op_rows, res_rows;
+  size_t op_unique = 0, res_unique = 0;
   {
     obs::Span span("batch_inference/intern");
-    for (size_t i = 0; i < n; ++i) {
-      op_row_ids[i].reserve(graphs[i].num_operators());
-      for (const auto& f : graphs[i].operator_features) {
-        op_row_ids[i].push_back(op_rows.Intern(f));
-      }
-      res_row_ids[i].reserve(graphs[i].num_resources());
-      for (const auto& f : graphs[i].resource_features) {
-        res_row_ids[i].push_back(res_rows.Intern(f));
-      }
-      op_total += graphs[i].num_operators();
-      res_total += graphs[i].num_resources();
-    }
+    InternRows(graphs, &PlanGraph::operator_features, keys, op_row_ids,
+               op_rows);
+    op_unique = keys.num_unique();
+    InternRows(graphs, &PlanGraph::resource_features, keys, res_row_ids,
+               res_rows);
+    res_unique = keys.num_unique();
   }
-  // View the blocks at the configured inference precision. Quantized
-  // conversion snapshots the current parameters per batch (~hidden_dim²
-  // floats per block), which is noise next to scoring even one candidate
-  // and keeps the quantized view coherent with online weight updates.
-  const ZeroTuneModel::GnnBlocks raw = model.blocks();
-  const InferencePrecision precision = model.config().precision;
-  std::optional<QuantizedBlocks> quant;
-  if (precision != InferencePrecision::kFp64) {
-    obs::Span span("batch_inference/quantize_blocks");
-    quant.emplace(QuantizedBlocks::From(
-        raw, precision == InferencePrecision::kInt8 ? nn::QuantKind::kInt8
-                                                    : nn::QuantKind::kFp32));
-  }
-  batch_span.AddArg("precision", InferencePrecisionName(precision));
-  batch_span.AddArg("isa", nn::kernels::IsaName(nn::kernels::ActiveIsa()));
 
-  // Encoder outputs in the precision the batch runs at: fp64 matrices
-  // for the exact path, flat fp32 rows for the quantized engines (which
-  // keep all downstream state in fp32 — see F32Engine).
-  Matrix op_encoded, res_encoded;
-  nn::FloatBuffer op_encoded_f32, res_encoded_f32;
+  // Snapshot the current weights in fp32 (~hidden_dim² floats per
+  // block, so online weight updates are always picked up) and encode
+  // each unique row in one row-batched call per encoder.
+  QuantizedBlocks blocks;
+  FloatBuffer op_encoded, res_encoded;
   {
     obs::Span span("batch_inference/encode");
-    if (quant.has_value()) {
-      op_encoded_f32 = EncodeStackedF32(quant->op_encoder, op_rows);
-      res_encoded_f32 = EncodeStackedF32(quant->res_encoder, res_rows);
-    } else {
-      if (op_rows.num_unique() > 0) {
-        op_encoded = raw.op_encoder->ForwardValue(op_rows.Stacked());
+    blocks = QuantizedBlocks::From(model.blocks());
+    op_encoded = Forward(blocks.op_encoder, op_rows, op_unique);
+    res_encoded = Forward(blocks.res_encoder, res_rows, res_unique);
+  }
+
+  // Group plans by structure so each group shares one resource-exchange
+  // pass and row-batches the operator stages. The key is the topology
+  // (sink, topological order, upstream lists, each length-prefixed) plus
+  // the interned resource rows.
+  std::vector<uint32_t> key;  // scratch
+  std::vector<uint32_t> group_of(n);
+  std::vector<Group> groups;
+  {
+    obs::Span span("batch_inference/group");
+    keys.Reset(n);
+    for (size_t i = 0; i < n; ++i) {
+      const PlanGraph& g = graphs[i];
+      key.clear();
+      key.push_back(static_cast<uint32_t>(g.sink_index));
+      key.push_back(static_cast<uint32_t>(g.topo_order.size()));
+      key.insert(key.end(), g.topo_order.begin(), g.topo_order.end());
+      key.push_back(static_cast<uint32_t>(g.operator_upstreams.size()));
+      for (const std::vector<int>& ups : g.operator_upstreams) {
+        key.push_back(static_cast<uint32_t>(ups.size()));
+        key.insert(key.end(), ups.begin(), ups.end());
       }
-      if (res_rows.num_unique() > 0) {
-        res_encoded = raw.res_encoder->ForwardValue(res_rows.Stacked());
+      key.insert(key.end(), res_row_ids[i].begin(), res_row_ids[i].end());
+      group_of[i] = keys.Intern(key);
+      if (group_of[i] == groups.size()) {
+        Group grp;
+        grp.res_row_ids = res_row_ids[i];
+        grp.shape = &g;
+        groups.push_back(std::move(grp));
       }
     }
   }
 
   // Dedup identical candidates wholesale: the prediction is a pure
-  // function of the feature graph, so plans whose graphs match row-for-row
-  // (structure, interned encoder rows, and mapping edges) score once and
-  // the result fans out. Reconfiguration and multi-query scoring re-submit
-  // overlapping candidate sets, where this collapses most of the batch.
-  // Candidates are matched by hashing the full signature (FNV-1a) and
-  // confirming field-by-field on bucket hits; mapping-edge features
-  // compare bitwise, matching the row-level dedup semantics above.
+  // function of the feature graph, so plans of one group whose interned
+  // operator rows and mapping edges (indices plus feature bits) match
+  // score once and the result fans out. Reconfiguration and multi-query
+  // scoring re-submit overlapping candidate sets, where this collapses
+  // most of the batch. Representatives join their group in input order.
   std::vector<size_t> canonical(n);
-  std::vector<size_t> reps;
+  std::vector<size_t> reps;  // unique candidate -> representative plan
   {
     obs::Span span("batch_inference/dedup");
-    auto sig_hash = [&](size_t i) {
-      const PlanGraph& g = graphs[i];
-      uint64_t hsh = kFnvOffset;
-      for (size_t id : op_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      for (size_t id : res_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      hsh = HashInts(g.topo_order.data(), g.topo_order.size(), hsh);
-      for (const auto& ups : g.operator_upstreams) {
-        hsh = (hsh ^ (ups.size() + 1)) * 1099511628211ull;
-        hsh = HashInts(ups.data(), ups.size(), hsh);
-      }
-      hsh = (hsh ^ static_cast<uint64_t>(
-                       static_cast<uint32_t>(g.sink_index))) *
-            1099511628211ull;
-      for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
-        hsh = (hsh ^ static_cast<uint64_t>(
-                         static_cast<uint32_t>(e.operator_index))) *
-              1099511628211ull;
-        hsh = (hsh ^ static_cast<uint64_t>(
-                         static_cast<uint32_t>(e.resource_index))) *
-              1099511628211ull;
-        hsh = HashDoubles(e.features.data(), e.features.size(), hsh);
-      }
-      return hsh;
-    };
-    auto sig_equal = [&](size_t a, size_t b) {
-      const PlanGraph& ga = graphs[a];
-      const PlanGraph& gb = graphs[b];
-      if (op_row_ids[a] != op_row_ids[b] ||
-          res_row_ids[a] != res_row_ids[b] ||
-          ga.sink_index != gb.sink_index || ga.topo_order != gb.topo_order ||
-          ga.operator_upstreams != gb.operator_upstreams ||
-          ga.mapping_edges.size() != gb.mapping_edges.size()) {
-        return false;
-      }
-      for (size_t e = 0; e < ga.mapping_edges.size(); ++e) {
-        const PlanGraph::MappingEdge& ea = ga.mapping_edges[e];
-        const PlanGraph::MappingEdge& eb = gb.mapping_edges[e];
-        if (ea.operator_index != eb.operator_index ||
-            ea.resource_index != eb.resource_index ||
-            std::memcmp(ea.features.data(), eb.features.data(),
-                        ea.features.size() * sizeof(double)) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::unordered_map<uint64_t, std::vector<size_t>> seen;
-    seen.reserve(n);
+    keys.Reset(n);
     for (size_t i = 0; i < n; ++i) {
-      auto& bucket = seen[sig_hash(i)];
-      size_t rep = SIZE_MAX;
-      for (size_t j : bucket) {
-        if (sig_equal(i, j)) {
-          rep = j;
-          break;
-        }
+      key.assign(1, group_of[i]);
+      key.insert(key.end(), op_row_ids[i].begin(), op_row_ids[i].end());
+      for (const PlanGraph::MappingEdge& e : graphs[i].mapping_edges) {
+        key.push_back(static_cast<uint32_t>(e.operator_index));
+        key.push_back(static_cast<uint32_t>(e.resource_index));
+        AppendBits(key, e.features.data(), e.features.size());
       }
-      if (rep == SIZE_MAX) {
-        rep = i;
-        bucket.push_back(i);
+      const uint32_t uid = keys.Intern(key);
+      if (uid == reps.size()) {
         reps.push_back(i);
+        groups[group_of[i]].members.push_back(i);
       }
-      canonical[i] = rep;
+      canonical[i] = reps[uid];
     }
-  }
-
-  // Group the representative plans by structure so each group shares one
-  // resource-exchange pass and row-batches the operator stages. Groups
-  // are matched by hash + field-compare (like the dedup above) — cheaper
-  // than an ordered map keyed on copies of the topology vectors.
-  std::vector<Group> groups;
-  {
-    obs::Span span("batch_inference/group");
-    auto group_hash = [&](size_t i) {
-      const PlanGraph& g = graphs[i];
-      uint64_t hsh = kFnvOffset;
-      hsh = HashInts(g.topo_order.data(), g.topo_order.size(), hsh);
-      for (const auto& ups : g.operator_upstreams) {
-        hsh = (hsh ^ (ups.size() + 1)) * 1099511628211ull;
-        hsh = HashInts(ups.data(), ups.size(), hsh);
-      }
-      hsh = (hsh ^ static_cast<uint64_t>(
-                       static_cast<uint32_t>(g.sink_index))) *
-            1099511628211ull;
-      for (size_t id : res_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      return hsh;
-    };
-    auto group_matches = [&](size_t i, const Group& g) {
-      const PlanGraph& a = graphs[i];
-      const PlanGraph& b = *g.shape;
-      return a.sink_index == b.sink_index && a.topo_order == b.topo_order &&
-             a.operator_upstreams == b.operator_upstreams &&
-             res_row_ids[i] == g.res_row_ids;
-    };
-    std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-    for (size_t i : reps) {
-      auto& bucket = buckets[group_hash(i)];
-      size_t gid = SIZE_MAX;
-      for (size_t c : bucket) {
-        if (group_matches(i, groups[c])) {
-          gid = c;
-          break;
-        }
-      }
-      if (gid == SIZE_MAX) {
-        gid = groups.size();
-        Group g;
-        g.res_row_ids = res_row_ids[i];
-        g.shape = &graphs[i];
-        groups.push_back(std::move(g));
-        bucket.push_back(gid);
-      }
-      groups[gid].members.push_back(i);
-    }
+    metrics->GetCounter("batch_inference.unique_plans_total")
+        ->Increment(reps.size());
+    metrics->GetCounter("batch_inference.dedup_hits_total")
+        ->Increment(n - reps.size());
   }
 
   const size_t h = model.config().hidden_dim;
@@ -1079,19 +723,11 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     obs::Span span("batch_inference/resource_state");
     for (Group& g : groups) {
       if (g.res_row_ids.empty()) continue;
-      if (quant.has_value()) {
-        g.res_state_f32 =
-            ComputeResourceStateF32(*quant, res_encoded_f32, g.res_row_ids, h);
-      } else {
-        g.res_state = ComputeResourceState(raw, res_encoded, g.res_row_ids, h);
-      }
+      g.res_state =
+          ComputeResourceState(blocks.res_update, res_encoded, g.res_row_ids, h);
     }
   }
 
-  metrics->GetCounter("batch_inference.unique_plans_total")
-      ->Increment(reps.size());
-  metrics->GetCounter("batch_inference.dedup_hits_total")
-      ->Increment(n - reps.size());
   batch_span.AddArg("unique_plans", std::to_string(reps.size()));
   batch_span.AddArg("structure_groups", std::to_string(groups.size()));
 
@@ -1099,16 +735,18 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     stats->plans = n;
     stats->unique_plans = reps.size();
     stats->structure_groups = groups.size();
-    stats->operator_rows_encoded = op_rows.num_unique();
-    stats->operator_rows_total = op_total;
-    stats->resource_rows_encoded = res_rows.num_unique();
-    stats->resource_rows_total = res_total;
+    stats->operator_rows_encoded = op_unique;
+    stats->resource_rows_encoded = res_unique;
+    for (size_t i = 0; i < n; ++i) {
+      stats->operator_rows_total += op_row_ids[i].size();
+      stats->resource_rows_total += res_row_ids[i].size();
+    }
   }
 
   // Shard each group's candidates into contiguous chunks. Without a pool
   // one chunk per group maximizes row-batch width; with a pool, chunks
   // target the worker count. Chunking never changes results — per-row
-  // arithmetic is independent of which rows share a matrix.
+  // arithmetic is independent of which rows share a buffer.
   struct Chunk {
     size_t group, begin, end;
   };
@@ -1125,9 +763,17 @@ Result<std::vector<CostPrediction>> BatchedPredict(
   }
   ParallelFor(pool, chunks.size(), [&](size_t c) {
     const Chunk& chunk = chunks[c];
-    ScoreChunk(model, raw, quant.has_value() ? &*quant : nullptr, op_encoded,
-               op_encoded_f32, groups[chunk.group], chunk.begin, chunk.end,
-               graphs, op_row_ids, out);
+    const Group& group = groups[chunk.group];
+    ChunkPlan plan;
+    {
+      obs::Span span("batch_inference/mp_plan");
+      plan = BuildChunkPlan(group, chunk.begin, chunk.end, graphs, op_row_ids);
+    }
+    const FloatBuffer sink_state = PassMessages(
+        blocks, op_encoded, plan, group, chunk.begin, op_row_ids, h);
+    Readout(blocks, sink_state,
+            plan.flow2[static_cast<size_t>(group.shape->sink_index)], model,
+            group, chunk.begin, out);
   });
 
   // Fan scored representatives out to their duplicates.

@@ -44,8 +44,10 @@ struct BatchInferenceStats {
 ///    passing stage runs as row-batched matrix ops across the group's
 ///    candidates (sharded over `pool` in deterministic chunks).
 ///
-/// Predictions are bit-identical to ZeroTuneModel::Predict on each plan,
-/// independent of batch composition, chunking, and thread count.
+/// Inference runs on an fp32 snapshot of the weights, so predictions are
+/// within 1e-3 relative of the fp64 ZeroTuneModel::Predict on each plan.
+/// They are bit-identical to scoring each plan alone, independent of
+/// batch composition, chunking and thread count.
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,
     std::span<const dsp::ParallelQueryPlan* const> plans,

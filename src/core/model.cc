@@ -22,18 +22,6 @@ NodePtr ZeroState(size_t dim) { return Constant(Matrix(1, dim)); }
 
 }  // namespace
 
-const char* InferencePrecisionName(InferencePrecision p) {
-  switch (p) {
-    case InferencePrecision::kFp64:
-      return "fp64";
-    case InferencePrecision::kFp32:
-      return "fp32";
-    case InferencePrecision::kInt8:
-      return "int8";
-  }
-  return "fp64";
-}
-
 ZeroTuneModel::ZeroTuneModel(ModelConfig config) : config_(config) {
   Rng rng(config_.seed);
   const size_t h = config_.hidden_dim;

@@ -16,18 +16,6 @@ class ThreadPool;
 
 namespace zerotune::core {
 
-/// Numeric precision of the batched inference path (PredictBatch).
-/// kFp64 is the reference path; kFp32 and kInt8 trade bounded accuracy
-/// (~1e-6 / ~1e-2 relative, see nn/quantized.h) for throughput. The
-/// sequential Predict() and all training always run in fp64.
-enum class InferencePrecision {
-  kFp64,
-  kFp32,
-  kInt8,
-};
-
-const char* InferencePrecisionName(InferencePrecision p);
-
 /// Hyperparameters and feature configuration of the ZeroTune GNN.
 struct ModelConfig {
   /// Width of every hidden state in the graph network.
@@ -36,10 +24,6 @@ struct ModelConfig {
   FeatureConfig features;
   /// Parameter initialization seed.
   uint64_t seed = 1;
-  /// Batched-inference precision. A runtime knob, not part of the
-  /// architecture: it is not serialized by Save/Load and may be flipped
-  /// on a loaded model via set_inference_precision().
-  InferencePrecision precision = InferencePrecision::kFp64;
 };
 
 /// Normalization statistics of the (log-transformed) training targets.
@@ -85,11 +69,10 @@ class ZeroTuneModel : public CostPredictor {
 
   /// Batched inference (core/batch_inference.h): featurizes all plans
   /// once, deduplicates shared operator/resource encodings, runs the MLP
-  /// blocks as row-batched matrix ops, and shards candidate scoring over
-  /// the configured thread pool. Bit-identical to per-plan Predict()
-  /// under the scalar kernels at fp64; under SIMD the results differ
-  /// from Predict() only by FMA rounding in the dot products, and under
-  /// kFp32/kInt8 by the quantization bounds in nn/quantized.h.
+  /// blocks as row-batched fp32 matrix ops, and shards candidate scoring
+  /// over the configured thread pool. Within 1e-3 relative of per-plan
+  /// Predict() (which runs fp64), and bit-identical to scoring each plan
+  /// alone in its own batch.
   Result<std::vector<CostPrediction>> PredictBatch(
       std::span<const dsp::ParallelQueryPlan* const> plans) const override;
 
@@ -111,9 +94,6 @@ class ZeroTuneModel : public CostPredictor {
   void set_target_stats(const TargetStats& stats) { stats_ = stats; }
   const TargetStats& target_stats() const { return stats_; }
   const ModelConfig& config() const { return config_; }
-
-  /// Switches the precision PredictBatch runs at (see InferencePrecision).
-  void set_inference_precision(InferencePrecision p) { config_.precision = p; }
 
   /// Registry version of this artifact (core/registry/model_registry.h).
   /// 0 = unversioned (a model that never went through a registry). The

@@ -8,19 +8,9 @@ namespace zerotune::nn::kernels {
 #if ZEROTUNE_SIMD_AVX2
 namespace avx2 {
 // Implemented in kernels_avx2.cc (the only TU built with -mavx2 -mfma).
-void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
-                     size_t n, double* out);
-void MacF64(double* acc, const double* x, double s, size_t n);
-double DotF64(const double* a, const double* b, size_t n);
 void AddF64(double* acc, const double* x, size_t n);
-void MeanRowsF64(double* dst, const double* const* rows, size_t count,
-                 size_t n);
-void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
-                    FusedAct act);
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
                      size_t n, float* out);
-float DotF32(const float* a, const float* b, size_t n);
-float DotF32I8(const float* a, const int8_t* w, size_t n);
 void AddF32(float* acc, const float* x, size_t n);
 void MeanRowsF32(float* dst, const float* const* rows, size_t count,
                  size_t n);
@@ -47,70 +37,13 @@ inline bool UseSimd() {
 }
 
 // -------------------------------------------------------------------
-// Scalar reference implementations. These replicate the historical
-// nn::Matrix arithmetic exactly (same loop structure and summation
-// order as Matrix::MatMul and the pre-kernel batch-engine helpers), so
-// a ZEROTUNE_DISABLE_SIMD build keeps bit-identical outputs.
+// Scalar reference implementations: plain loops in the summation order
+// the numerics contract in kernels.h documents, with no fused rounding.
 // -------------------------------------------------------------------
 namespace scalar {
 
-void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
-                     size_t n, double* out) {
-  std::memset(out, 0, m * n * sizeof(double));
-  for (size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* orow = out + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const double aik = arow[kk];
-      if (aik == 0.0) continue;  // feature rows are sparse; 0·x adds ±0
-      const double* brow = b + kk * n;
-      for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
-}
-
-void MacF64(double* acc, const double* x, double s, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += s * x[i];
-}
-
-double DotF64(const double* a, const double* b, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 void AddF64(double* acc, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
-void MeanRowsF64(double* dst, const double* const* rows, size_t count,
-                 size_t n) {
-  const double inv = 1.0 / static_cast<double>(count);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = rows[0][i];
-    for (size_t r = 1; r < count; ++r) acc += rows[r][i];
-    dst[i] = acc * inv;
-  }
-}
-
-void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
-                    FusedAct act) {
-  for (size_t r = 0; r < rows; ++r) {
-    double* row = x + r * n;
-    for (size_t i = 0; i < n; ++i) row[i] += bias[i];
-    switch (act) {
-      case FusedAct::kNone:
-        break;
-      case FusedAct::kRelu:
-        for (size_t i = 0; i < n; ++i) row[i] = row[i] > 0.0 ? row[i] : 0.0;
-        break;
-      case FusedAct::kLeakyRelu:
-        for (size_t i = 0; i < n; ++i) {
-          row[i] = row[i] > 0.0 ? row[i] : 0.01 * row[i];
-        }
-        break;
-    }
-  }
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
@@ -126,18 +59,6 @@ void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
       for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
     }
   }
-}
-
-float DotF32(const float* a, const float* b, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-float DotF32I8(const float* a, const int8_t* w, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += a[i] * static_cast<float>(w[i]);
-  return s;
 }
 
 void AddF32(float* acc, const float* x, size_t n) {
@@ -203,44 +124,13 @@ void ForceScalar(bool on) {
 #define ZT_KERNEL_DISPATCH(fn, ...) return scalar::fn(__VA_ARGS__)
 #endif
 
-void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
-                     size_t n, double* out) {
-  ZT_KERNEL_DISPATCH(GemmRowMajorF64, a, m, k, b, n, out);
-}
-
-void MacF64(double* acc, const double* x, double s, size_t n) {
-  ZT_KERNEL_DISPATCH(MacF64, acc, x, s, n);
-}
-
-double DotF64(const double* a, const double* b, size_t n) {
-  ZT_KERNEL_DISPATCH(DotF64, a, b, n);
-}
-
 void AddF64(double* acc, const double* x, size_t n) {
   ZT_KERNEL_DISPATCH(AddF64, acc, x, n);
-}
-
-void MeanRowsF64(double* dst, const double* const* rows, size_t count,
-                 size_t n) {
-  ZT_KERNEL_DISPATCH(MeanRowsF64, dst, rows, count, n);
-}
-
-void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
-                    FusedAct act) {
-  ZT_KERNEL_DISPATCH(BiasActRowsF64, x, bias, rows, n, act);
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
                      size_t n, float* out) {
   ZT_KERNEL_DISPATCH(GemmRowMajorF32, a, m, k, b, n, out);
-}
-
-float DotF32(const float* a, const float* b, size_t n) {
-  ZT_KERNEL_DISPATCH(DotF32, a, b, n);
-}
-
-float DotF32I8(const float* a, const int8_t* w, size_t n) {
-  ZT_KERNEL_DISPATCH(DotF32I8, a, w, n);
 }
 
 void AddF32(float* acc, const float* x, size_t n) {

@@ -2,39 +2,35 @@
 #define ZEROTUNE_NN_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace zerotune::nn::kernels {
 
-/// The low-level compute kernels behind every inference-path matrix
-/// operation (Linear/Mlp::ForwardValue and the batch-engine
-/// aggregations). Two implementations exist behind one API:
+/// The low-level compute kernels behind batched inference (the fp32
+/// QuantizedMlp blocks and the batch engine's aggregations) plus the one
+/// fp64 element-wise kernel training uses (Matrix::Add). Two
+/// implementations exist behind one API:
 ///
-///   - a portable scalar implementation that replicates the historical
-///     arithmetic of nn::Matrix bit for bit (same summation order, no
-///     fused rounding), and
+///   - a portable scalar implementation (plain loops, no fused rounding),
+///     and
 ///   - an AVX2+FMA implementation (kernels_avx2.cc, compiled with
 ///     -mavx2 -mfma) selected at runtime when the CPU supports both.
 ///
 /// Numerics contract: every kernel processes rows independently, so
-/// results never depend on how callers batch rows. GemmRowMajorF64 uses
-/// the broadcast formulation under SIMD, so each output element still
-/// sums its k terms in ascending order — its only SIMD-vs-scalar
-/// difference is FMA's fused rounding (each multiply-add keeps its
-/// infinitely precise product, perturbing a length-k sum by O(k·2⁻⁵³)
-/// relative). MacF64 applies one FMA per element (no reassociation).
-/// The explicit reduction kernels (DotF64/DotF32/DotF32I8) additionally
-/// split the sum across vector lanes and reduce at the end, which
-/// reassociates; callers must treat them as tolerance-equal, not
-/// bit-equal, across implementations. Element-wise kernels (bias,
-/// activation, mean, add) reassociate nothing, use no FMA, and are
-/// bit-identical across implementations.
+/// results never depend on how callers batch rows. The kernels fall into
+/// two classes:
+///   - element-wise kernels (add, mean, bias + activation) reassociate
+///     nothing, use no FMA, and are bit-identical across
+///     implementations;
+///   - GemmRowMajorF32 uses the broadcast formulation under SIMD, so each
+///     output element still sums its k terms in ascending order — its
+///     only SIMD-vs-scalar difference is FMA's fused rounding (each
+///     multiply-add keeps its infinitely precise product, perturbing a
+///     length-k sum by O(k·2⁻²⁴) relative).
 ///
-/// Alignment contract: nn::Matrix heap storage has no alignment
-/// guarantee beyond operator new, and callers may pass pointers at any
-/// 8-byte offset (e.g. a row at an odd column). Every SIMD kernel uses
-/// unaligned loads/stores; none may assume 32-byte alignment. The
-/// misaligned-row tests in tests/kernels_test.cc enforce this.
+/// Alignment contract: callers may pass pointers at any element offset
+/// (e.g. a row at an odd column). Every SIMD kernel uses unaligned
+/// loads/stores; none may assume 32-byte alignment. The misaligned-row
+/// tests in tests/kernels_test.cc enforce this.
 ///
 /// Dispatch: the AVX2 path requires (a) it was compiled in (x86-64
 /// gcc/clang build without -DZEROTUNE_DISABLE_SIMD=ON), (b) the CPU
@@ -71,68 +67,32 @@ void ForceScalar(bool on);
 enum class FusedAct {
   kNone,
   kRelu,
-  kLeakyRelu,  // x > 0 ? x : 0.01·x, matching nn::ActivateValue
+  kLeakyRelu,  // x > 0 ? x : 0.01·x, matching the autograd LeakyRelu
 };
 
-// ---------------------------------------------------------------------
-// fp64 kernels (the default inference path)
-// ---------------------------------------------------------------------
-
-/// out = a·b for row-major a (m×k), b (k×n), out (m×n). Overwrites out
-/// completely (no zero-initialization required). Summation over k runs
-/// in ascending order; zero a-elements contribute nothing either way.
-void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
-                     size_t n, double* out);
-
-/// Fused multiply-accumulate: acc[i] += s · x[i] for i < n.
-void MacF64(double* acc, const double* x, double s, size_t n);
-
-/// Dot product. Scalar sums in ascending order; SIMD uses lane-split
-/// partial sums (tolerance-equal, see the numerics contract above).
-double DotF64(const double* a, const double* b, size_t n);
-
-/// acc[i] += x[i] (exact in both implementations).
+/// acc[i] += x[i] over fp64 — Matrix::Add, used in training.
+/// Bit-identical across implementations, so training results do not
+/// depend on the ISA.
 void AddF64(double* acc, const double* x, size_t n);
 
-/// dst[i] = (rows[0][i] + rows[1][i] + … + rows[count-1][i]) · (1/count),
-/// summed in row order — the batch engine's mean aggregation. count must
-/// be ≥ 1. Bit-identical across implementations (the reduction runs over
-/// rows per output element, in the same order, without FMA).
-void MeanRowsF64(double* dst, const double* const* rows, size_t count,
-                 size_t n);
-
-/// In place over a row-major rows×n block: x[r][i] += bias[i], then the
-/// fused activation. Bit-identical across implementations.
-void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
-                    FusedAct act);
-
-// ---------------------------------------------------------------------
-// fp32 / int8 kernels (the quantized inference path, nn/quantized.h)
-// ---------------------------------------------------------------------
-
-/// out = a·b for row-major fp32 a (m×k), b (k×n), out (m×n). Same
-/// contract as GemmRowMajorF64: overwrites out completely, sums over k
-/// in ascending order, differs from scalar only by FMA's fused rounding.
+/// out = a·b for row-major fp32 a (m×k), b (k×n), out (m×n). Overwrites
+/// out completely (no zero-initialization required). Summation over k
+/// runs in ascending order; zero a-elements contribute nothing either
+/// way. Differs from scalar only by FMA's fused rounding.
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
                      size_t n, float* out);
 
-/// Dot product over fp32 (lane-split partial sums + FMA when SIMD).
-float DotF32(const float* a, const float* b, size_t n);
-
-/// acc[i] += x[i] over fp32 (exact in both implementations).
+/// acc[i] += x[i] over fp32. Bit-identical across implementations.
 void AddF32(float* acc, const float* x, size_t n);
 
-/// fp32 MeanRowsF64: dst[i] = (Σ_r rows[r][i]) · (1/count), summed in row
-/// order per element, no FMA — bit-identical across implementations. The
-/// fp32-native batch engine uses this for its flow/mapping aggregations.
+/// dst[i] = (rows[0][i] + rows[1][i] + … + rows[count-1][i]) · (1/count),
+/// summed in row order per element, no FMA — the batch engine's mean
+/// aggregation. count must be ≥ 1. Bit-identical across implementations.
 void MeanRowsF32(float* dst, const float* const* rows, size_t count,
                  size_t n);
 
-/// Dot of an fp32 activation row against an int8 weight row; products
-/// accumulate in fp32. The caller applies the per-row scale afterwards.
-float DotF32I8(const float* a, const int8_t* w, size_t n);
-
-/// In place over one fp32 row: x[i] += bias[i], then the activation.
+/// In place over one fp32 row: x[i] += bias[i], then the fused
+/// activation. Bit-identical across implementations.
 void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act);
 
 }  // namespace zerotune::nn::kernels

@@ -1,34 +1,8 @@
 #include "nn/layers.h"
 
 #include <cassert>
-#include <cmath>
-#include <utility>
-
-#include "nn/kernels.h"
 
 namespace zerotune::nn {
-
-namespace {
-
-/// Maps the activations that have a fused kernel form. Returns false for
-/// tanh/sigmoid, which stay on the libm-based ActivateValue path.
-bool ToFusedAct(Activation act, kernels::FusedAct* fused) {
-  switch (act) {
-    case Activation::kNone:
-      *fused = kernels::FusedAct::kNone;
-      return true;
-    case Activation::kRelu:
-      *fused = kernels::FusedAct::kRelu;
-      return true;
-    case Activation::kLeakyRelu:
-      *fused = kernels::FusedAct::kLeakyRelu;
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 NodePtr Activate(const NodePtr& x, Activation act) {
   switch (act) {
@@ -37,36 +11,6 @@ NodePtr Activate(const NodePtr& x, Activation act) {
     case Activation::kLeakyRelu: return LeakyRelu(x);
     case Activation::kTanh: return Tanh(x);
     case Activation::kSigmoid: return Sigmoid(x);
-  }
-  return x;
-}
-
-Matrix ActivateValue(Matrix x, Activation act) {
-  // Formulas mirror the autograd ops in autograd.cc exactly so that the
-  // value-only path stays bit-identical to graph-based inference.
-  switch (act) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      for (size_t i = 0; i < x.size(); ++i) {
-        x.data()[i] = x.data()[i] > 0.0 ? x.data()[i] : 0.0;
-      }
-      return x;
-    case Activation::kLeakyRelu:
-      for (size_t i = 0; i < x.size(); ++i) {
-        x.data()[i] = x.data()[i] > 0.0 ? x.data()[i] : 0.01 * x.data()[i];
-      }
-      return x;
-    case Activation::kTanh:
-      for (size_t i = 0; i < x.size(); ++i) {
-        x.data()[i] = std::tanh(x.data()[i]);
-      }
-      return x;
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < x.size(); ++i) {
-        x.data()[i] = 1.0 / (1.0 + std::exp(-x.data()[i]));
-      }
-      return x;
   }
   return x;
 }
@@ -81,24 +25,6 @@ Linear::Linear(ParameterStore* store, size_t in_features, size_t out_features,
 NodePtr Linear::Forward(const NodePtr& x) const {
   assert(x->value.cols() == in_features_);
   return AddRowBroadcast(MatMul(x, weight_), bias_);
-}
-
-Matrix Linear::ForwardValue(const Matrix& x) const {
-  return ForwardValue(x, Activation::kNone);
-}
-
-Matrix Linear::ForwardValue(const Matrix& x, Activation act) const {
-  assert(x.cols() == in_features_);
-  // GemmRowMajorF64 overwrites every element, so skip the zero-fill.
-  Matrix out = Matrix::Uninitialized(x.rows(), out_features_);
-  kernels::GemmRowMajorF64(x.data(), x.rows(), in_features_,
-                           weight_->value.data(), out_features_, out.data());
-  kernels::FusedAct fused = kernels::FusedAct::kNone;
-  const bool fusable = ToFusedAct(act, &fused);
-  kernels::BiasActRowsF64(out.data(), bias_->value.data(), out.rows(),
-                          out_features_, fused);
-  if (!fusable) out = ActivateValue(std::move(out), act);
-  return out;
 }
 
 Mlp::Mlp(ParameterStore* store, const std::vector<size_t>& layer_sizes,
@@ -121,17 +47,6 @@ NodePtr Mlp::Forward(const NodePtr& x) const {
     }
   }
   return h;
-}
-
-Matrix Mlp::ForwardValue(Matrix x) const {
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool is_last = (i + 1 == layers_.size());
-    const Activation act = (!is_last || options_.activate_output)
-                               ? options_.activation
-                               : Activation::kNone;
-    x = layers_[i].ForwardValue(x, act);
-  }
-  return x;
 }
 
 }  // namespace zerotune::nn

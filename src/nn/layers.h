@@ -20,11 +20,6 @@ enum class Activation {
 /// Applies the activation to a node (identity for kNone).
 NodePtr Activate(const NodePtr& x, Activation act);
 
-/// Value-only activation: applies the same elementwise formulas as
-/// Activate() directly to a matrix, without building graph nodes. Used by
-/// the batched inference path; bit-identical to the autograd version.
-Matrix ActivateValue(Matrix x, Activation act);
-
 /// Fully-connected layer y = x·W + b with parameters owned by a
 /// ParameterStore. Copyable handle; the parameters live in the store.
 class Linear {
@@ -35,20 +30,6 @@ class Linear {
 
   /// x is n×in; returns n×out.
   NodePtr Forward(const NodePtr& x) const;
-
-  /// Inference-only forward on raw values: y = x·W + b with no autograd
-  /// graph, routed through the nn::kernels layer. Row r of the result
-  /// never depends on the other rows, so callers may batch arbitrarily
-  /// many inputs per call. Under the scalar kernels (ZEROTUNE_DISABLE_SIMD
-  /// or ForceScalar) this is bit-identical to Forward() per row; under
-  /// AVX2+FMA it differs only by fused rounding in the dot products (see
-  /// nn/kernels.h for the bound).
-  Matrix ForwardValue(const Matrix& x) const;
-
-  /// ForwardValue with the activation fused into the bias kernel when the
-  /// activation has a fused form (none/relu/leaky-relu); tanh/sigmoid fall
-  /// back to ActivateValue. Same numerics contract as ForwardValue.
-  Matrix ForwardValue(const Matrix& x, Activation act) const;
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -85,12 +66,6 @@ class Mlp {
       zerotune::Rng* rng, Options options);
 
   NodePtr Forward(const NodePtr& x) const;
-
-  /// Inference-only forward on raw values (see Linear::ForwardValue):
-  /// row-batched, no graph allocation. Bit-identical per row to Forward()
-  /// under the scalar kernels; tolerance-equal (FMA rounding only) under
-  /// SIMD.
-  Matrix ForwardValue(Matrix x) const;
 
   size_t in_features() const { return layers_.front().in_features(); }
   size_t out_features() const { return layers_.back().out_features(); }

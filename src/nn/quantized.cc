@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 #include "nn/kernels.h"
 
@@ -10,7 +9,7 @@ namespace zerotune::nn {
 
 namespace {
 
-/// fp32 activation matching the formulas in ActivateValue; only the
+/// fp32 activation matching the autograd Tanh/Sigmoid formulas; only the
 /// libm-backed activations land here — none/relu/leaky-relu are fused
 /// into BiasActRowF32.
 void ActivateRowF32(float* row, size_t n, Activation act) {
@@ -46,51 +45,35 @@ kernels::FusedAct ToFused(Activation act) {
 
 }  // namespace
 
-QuantizedMlp QuantizedMlp::FromMlp(const Mlp& mlp, QuantKind kind) {
+QuantizedMlp QuantizedMlp::FromMlp(const Mlp& mlp) {
   QuantizedMlp q;
-  q.kind_ = kind;
   const std::vector<Linear>& layers = mlp.layers();
+  size_t total = 0;
+  for (const Linear& l : layers) {
+    total += (l.in_features() + 1) * l.out_features();
+  }
+  q.params_.resize(total);
   q.layers_.reserve(layers.size());
+  size_t offset = 0;
   for (size_t li = 0; li < layers.size(); ++li) {
     const Linear& l = layers[li];
-    const Matrix& w = l.weight_value();  // in×out
-    const Matrix& b = l.bias_value();    // 1×out
     Layer layer;
     layer.in = l.in_features();
     layer.out = l.out_features();
-    layer.bias.resize(layer.out);
-    for (size_t o = 0; o < layer.out; ++o) {
-      layer.bias[o] = static_cast<float>(b(0, o));
-    }
-    if (kind == QuantKind::kFp32) {
-      layer.w.resize(layer.in * layer.out);
-      for (size_t i = 0; i < layer.in; ++i) {
-        for (size_t o = 0; o < layer.out; ++o) {
-          layer.w[i * layer.out + o] = static_cast<float>(w(i, o));
-        }
+    layer.offset = offset;
+    // Weights (in×out) then biases (1×out), both row-major.
+    for (const Matrix* m : {&l.weight_value(), &l.bias_value()}) {
+      float* dst = q.params_.data() + offset;
+      for (size_t i = 0; i < m->size(); ++i) {
+        dst[i] = static_cast<float>(m->data()[i]);
       }
-    } else {
-      layer.w_q.resize(layer.out * layer.in);
-      layer.scales.resize(layer.out);
-      for (size_t o = 0; o < layer.out; ++o) {
-        double max_abs = 0.0;
-        for (size_t i = 0; i < layer.in; ++i) {
-          max_abs = std::max(max_abs, std::abs(w(i, o)));
-        }
-        const double scale = max_abs > 0.0 ? max_abs / 127.0 : 1.0;
-        layer.scales[o] = static_cast<float>(scale);
-        for (size_t i = 0; i < layer.in; ++i) {
-          const double v = std::round(w(i, o) / scale);
-          layer.w_q[o * layer.in + i] = static_cast<int8_t>(
-              std::max(-127.0, std::min(127.0, v)));
-        }
-      }
+      offset += m->size();
     }
     const bool is_last = (li + 1 == layers.size());
     layer.act = (!is_last || mlp.options().activate_output)
                     ? mlp.options().activation
                     : Activation::kNone;
-    q.layers_.push_back(std::move(layer));
+    q.layers_.push_back(layer);
   }
   return q;
 }
@@ -98,6 +81,10 @@ QuantizedMlp QuantizedMlp::FromMlp(const Mlp& mlp, QuantKind kind) {
 void QuantizedMlp::ForwardRows(const float* x, size_t rows,
                                FloatBuffer* out) const {
   assert(!layers_.empty());
+  if (rows == 0) {
+    out->clear();
+    return;
+  }
 
   // Ping-pong between `*out` and a scratch buffer; the first layer reads
   // straight from `x` so no input copy or conversion happens.
@@ -107,54 +94,22 @@ void QuantizedMlp::ForwardRows(const float* x, size_t rows,
     const Layer& layer = layers_[li];
     FloatBuffer& dst = (layers_.size() - li) % 2 == 1 ? *out : scratch;
     dst.resize(rows * layer.out);
-    if (kind_ == QuantKind::kFp32) {
-      // One GEMM over the whole row batch (overwrites dst completely).
-      kernels::GemmRowMajorF32(cur, rows, layer.in, layer.w.data(),
-                               layer.out, dst.data());
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        const float* in_row = cur + r * layer.in;
-        float* out_row = dst.data() + r * layer.out;
-        for (size_t o = 0; o < layer.out; ++o) {
-          out_row[o] = layer.scales[o] *
-                       kernels::DotF32I8(
-                           in_row, layer.w_q.data() + o * layer.in, layer.in);
-        }
-      }
-    }
+    const float* w = params_.data() + layer.offset;
+    const float* bias = w + layer.in * layer.out;
+    // One GEMM over the whole row batch (overwrites dst completely).
+    kernels::GemmRowMajorF32(cur, rows, layer.in, w, layer.out, dst.data());
     for (size_t r = 0; r < rows; ++r) {
       float* out_row = dst.data() + r * layer.out;
       if (HasFusedForm(layer.act)) {
-        kernels::BiasActRowF32(out_row, layer.bias.data(), layer.out,
-                               ToFused(layer.act));
+        kernels::BiasActRowF32(out_row, bias, layer.out, ToFused(layer.act));
       } else {
-        kernels::BiasActRowF32(out_row, layer.bias.data(), layer.out,
+        kernels::BiasActRowF32(out_row, bias, layer.out,
                                kernels::FusedAct::kNone);
         ActivateRowF32(out_row, layer.out, layer.act);
       }
     }
     cur = dst.data();
   }
-}
-
-Matrix QuantizedMlp::ForwardValue(const Matrix& x) const {
-  assert(!layers_.empty());
-  assert(x.cols() == layers_.front().in);
-  const size_t rows = x.rows();
-
-  FloatBuffer in(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    in[i] = static_cast<float>(x.data()[i]);
-  }
-  FloatBuffer result;
-  ForwardRows(in.data(), rows, &result);
-
-  const size_t out_cols = layers_.back().out;
-  Matrix out = Matrix::Uninitialized(rows, out_cols);
-  for (size_t i = 0; i < rows * out_cols; ++i) {
-    out.data()[i] = static_cast<double>(result[i]);
-  }
-  return out;
 }
 
 }  // namespace zerotune::nn

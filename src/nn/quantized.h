@@ -1,7 +1,6 @@
 #ifndef ZEROTUNE_NN_QUANTIZED_H_
 #define ZEROTUNE_NN_QUANTIZED_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "nn/layers.h"
@@ -9,50 +8,31 @@
 
 namespace zerotune::nn {
 
-/// Storage format of a quantized inference block.
-enum class QuantKind {
-  /// Weights, biases and activations in fp32. Halves the memory traffic
-  /// of the fp64 path and doubles the SIMD lane count; relative error vs
-  /// fp64 is bounded by fp32 rounding (~1e-6 per operation).
-  kFp32,
-  /// Weights in int8 with one symmetric scale per output row
-  /// (scale = max|w_row| / 127); activations and accumulation stay fp32.
-  /// Weight rounding adds up to scale/2 per element (~0.4% of the row's
-  /// largest weight), so expect ~1e-2 relative output error on trained
-  /// models — see tests/quantized_test.cc for the enforced bounds.
-  kInt8,
-};
-
-/// An Mlp converted for quantized inference. fp32 weights are stored
-/// row-major (in×out) and forwarded through GemmRowMajorF32, one GEMM
-/// per layer over the whole row batch; int8 weights are stored
-/// transposed (out×in) so each output neuron is one contiguous
-/// DotF32I8 against the activation row. Holds a snapshot: conversion
-/// copies values, so later training steps on the source Mlp are not
-/// reflected.
+/// An Mlp converted to fp32 for batched inference. Each layer's weights
+/// are stored row-major (in×out), followed by its biases, in one buffer
+/// for the whole MLP; ForwardRows runs one GemmRowMajorF32 per layer over
+/// the whole row batch. fp32 halves the memory traffic of the fp64
+/// parameters and doubles the SIMD lane count; relative error vs the fp64
+/// Mlp is bounded by fp32 rounding (~1e-6 per operation, see
+/// tests/quantized_test.cc for the enforced bounds). Holds a snapshot:
+/// conversion copies values, so later training steps on the source Mlp
+/// are not reflected.
 ///
-/// Like Mlp::ForwardValue, rows are processed independently: results
-/// never depend on how callers batch rows, which keeps the batch
-/// engine's dedup/chunking transforms valid under quantization.
+/// Rows are processed independently: results never depend on how callers
+/// batch rows, which keeps the batch engine's dedup/chunking transforms
+/// exact.
 class QuantizedMlp {
  public:
   /// Converts all layers of `mlp` (weights, biases, activation plan).
-  static QuantizedMlp FromMlp(const Mlp& mlp, QuantKind kind);
+  static QuantizedMlp FromMlp(const Mlp& mlp);
 
-  /// fp64-boundary forward: converts the input to fp32 once, runs every
-  /// layer in the quantized domain, and widens the final output back to
-  /// fp64 for DecodeOutput and friends.
-  Matrix ForwardValue(const Matrix& x) const;
-
-  /// fp32-native forward: `x` is `rows` row-major rows of in_features()
-  /// floats; `*out` is overwritten with rows×out_features() results. No
-  /// fp64 conversions anywhere — this is the batch engine's hot path,
-  /// which keeps its whole message-passing state in fp32 (FloatBuffer
-  /// avoids zero-filling buffers that are fully overwritten). `out` must
-  /// not alias `x`.
+  /// `x` is `rows` row-major rows of in_features() floats; `*out` is
+  /// overwritten with rows×out_features() results. This is the batch
+  /// engine's hot path, which keeps its whole message-passing state in
+  /// fp32 (FloatBuffer avoids zero-filling buffers that are fully
+  /// overwritten). `out` must not alias `x`.
   void ForwardRows(const float* x, size_t rows, FloatBuffer* out) const;
 
-  QuantKind kind() const { return kind_; }
   size_t in_features() const { return layers_.front().in; }
   size_t out_features() const { return layers_.back().out; }
 
@@ -60,15 +40,12 @@ class QuantizedMlp {
   struct Layer {
     size_t in = 0;
     size_t out = 0;
-    std::vector<float> w;       // kFp32: row-major weights, in×out
-    std::vector<int8_t> w_q;    // kInt8: transposed quantized weights
-    std::vector<float> scales;  // kInt8: per-output-row dequant scale
-    std::vector<float> bias;    // out
+    size_t offset = 0;  // into params_: in×out weights, then out biases
     Activation act = Activation::kNone;  // applied after this layer
   };
 
-  QuantKind kind_ = QuantKind::kFp32;
   std::vector<Layer> layers_;
+  std::vector<float> params_;
 };
 
 }  // namespace zerotune::nn

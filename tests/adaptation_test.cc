@@ -14,6 +14,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/clock.h"
 #include "core/dataset_builder.h"
@@ -359,8 +360,12 @@ class AdaptationWorkerTest : public ::testing::Test {
     ZT_CHECK_OK(core::Trainer(model.get(), topts)
                     .Train(corpus.value(), workload::Dataset())
                     .status());
+    // ctest runs each case in its own process, concurrently under -j:
+    // a per-process name keeps one suite's teardown from deleting the
+    // file another process is about to load.
     model_path_ = new std::string(::testing::TempDir() +
-                                  "/zt_adaptation_live_model.txt");
+                                  "/zt_adaptation_live_model_" +
+                                  std::to_string(::getpid()) + ".txt");
     ZT_CHECK_OK(model->Save(*model_path_));
   }
   static void TearDownTestSuite() {

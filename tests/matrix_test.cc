@@ -61,7 +61,7 @@ TEST(MatrixTest, TransposedMatMulVariantsAgree) {
     EXPECT_NEAR(expected.data()[i], got.data()[i], 1e-12);
   }
 
-  Matrix c(4, 5);
+  Matrix c(5, 4);
   for (size_t i = 0; i < c.size(); ++i) c.data()[i] = rng.Gaussian();
   const Matrix expected2 = Matrix::MatMul(a, c.Transposed());  // (3×4)·(5×4)ᵀ
   const Matrix got2 = Matrix::MatMulTransB(a, c);

@@ -1,16 +1,16 @@
 // PredictBatch parity: the batched inference path must match per-plan
 // Predict() for the GNN (with and without thread-pool sharding) and for
 // every baseline predictor, across empty, single, and mixed-structure
-// batches. "Match" depends on the active kernel implementation: under
-// the scalar kernels (ZEROTUNE_DISABLE_SIMD builds, or any build on a
-// CPU without AVX2+FMA) batched results are bit-identical to sequential
-// Predict(); under the AVX2+FMA kernels the batched path uses fused
-// multiply-adds that the sequential autograd path does not, so parity is
-// a documented relative tolerance instead (see nn/kernels.h).
+// batches. The baselines go through the default sequential PredictBatch
+// and match bit for bit. The GNN's batched engine runs an fp32 snapshot
+// of the fp64 weights, so it matches the fp64 Predict() within a
+// relative bound; what stays exact is batch invariance — a plan scores
+// the same, bit for bit, whichever batch it is part of.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/flat_mlp.h"
@@ -72,6 +72,28 @@ ParallelQueryPlan Deploy(const QueryPlan& q, const Cluster& c,
   return p;
 }
 
+/// source → filter → filter → window aggregate → sink deployed with the
+/// given degrees for the three inner operators.
+ParallelQueryPlan DeployChain(const Cluster& c, int f1_degree, int f2_degree,
+                              int agg_degree) {
+  QueryPlan q;
+  dsp::SourceProperties s;
+  s.event_rate = 200000;
+  s.schema = dsp::TupleSchema::Uniform(3, dsp::DataType::kDouble);
+  const int src = q.AddSource(s);
+  const int f1 = q.AddFilter(src, dsp::FilterProperties{}).value();
+  const int f2 = q.AddFilter(f1, dsp::FilterProperties{}).value();
+  const int a = q.AddWindowAggregate(f2, dsp::AggregateProperties{}).value();
+  ZT_CHECK_OK(q.AddSink(a));
+  ParallelQueryPlan p(q, c);
+  EXPECT_TRUE(p.SetParallelism(f1, f1_degree).ok());
+  EXPECT_TRUE(p.SetParallelism(f2, f2_degree).ok());
+  EXPECT_TRUE(p.SetParallelism(a, agg_degree).ok());
+  p.DerivePartitioning();
+  EXPECT_TRUE(p.PlaceRoundRobin().ok());
+  return p;
+}
+
 /// Many candidates of the same query (one structure group) plus a second
 /// query shape and a second cluster (more groups).
 std::vector<ParallelQueryPlan> MixedBatch() {
@@ -86,8 +108,8 @@ std::vector<ParallelQueryPlan> MixedBatch() {
   return plans;
 }
 
-/// Target stats that keep DecodeOutput away from its clamp-at-zero so a
-/// bitwise comparison is meaningful.
+/// Target stats that keep DecodeOutput away from its clamp-at-zero so
+/// relative and bitwise comparisons are meaningful.
 std::unique_ptr<ZeroTuneModel> MakeModel(
     FeatureConfig features = FeatureConfig::All()) {
   ModelConfig cfg;
@@ -122,31 +144,23 @@ void ExpectBitIdentical(const CostPredictor& predictor,
   }
 }
 
-// Relative-tolerance bound for the GNN's batched-vs-sequential parity
-// under the AVX2+FMA kernels. The sequential path runs scalar autograd
-// arithmetic while the batched path runs FMA-fused dot products; each
-// fused multiply-add perturbs a length-k sum by O(k·2⁻⁵³) relative, and
-// the perturbation passes through ~8 MLP blocks plus the exp() in
-// DecodeOutput. Observed divergence is ~1e-13 relative; 1e-9 leaves four
-// orders of magnitude of headroom without masking real batching bugs
-// (which produce O(1) differences).
-constexpr double kSimdRelTolerance = 1e-9;
+// Relative bound for the GNN's batched-vs-sequential parity: the batch
+// engine runs fp32 weights and activations through ~8 MLP blocks plus
+// the exp() in DecodeOutput, the sequential path fp64 autograd. The
+// test models diverge by at most ~4e-6 relative; 1e-3 is the bound
+// quantized_test asserts on trained weights, and batching bugs produce
+// O(1) differences.
+constexpr double kFp32RelTolerance = 1e-3;
 
 void ExpectRelNear(double a, double b, size_t plan_idx, const char* what) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-300});
-  EXPECT_LE(std::abs(a - b), kSimdRelTolerance * scale)
+  EXPECT_LE(std::abs(a - b), kFp32RelTolerance * scale)
       << what << " diverged on plan #" << plan_idx << ": batched=" << a
       << " sequential=" << b;
 }
 
-// GNN parity: exact under the scalar kernels, relative-tolerance under
-// SIMD (see the file comment).
 void ExpectGnnParity(const CostPredictor& predictor,
                      const std::vector<ParallelQueryPlan>& plans) {
-  if (nn::kernels::ActiveIsa() == nn::kernels::Isa::kScalar) {
-    ExpectBitIdentical(predictor, plans);
-    return;
-  }
   Result<std::vector<CostPrediction>> batched =
       PredictBatch(predictor, plans);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
@@ -161,19 +175,22 @@ void ExpectGnnParity(const CostPredictor& predictor,
   }
 }
 
-TEST(PredictBatchTest, GnnBatchedMatchesSequentialExactly) {
+// Restores the kernel dispatch even when an assertion fails mid-test.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool on) { nn::kernels::ForceScalar(on); }
+  ~ScopedForceScalar() { nn::kernels::ForceScalar(false); }
+};
+
+TEST(PredictBatchTest, GnnBatchedMatchesSequentialWithinFp32Bound) {
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
   ExpectGnnParity(*model, MixedBatch());
 }
 
-// The batched path must stay bit-identical to itself regardless of ISA
-// choice being scalar: forcing the scalar kernels must reproduce the
-// sequential arithmetic exactly even in a SIMD-enabled build.
-TEST(PredictBatchTest, GnnBatchedMatchesSequentialExactlyUnderForcedScalar) {
-  nn::kernels::ForceScalar(true);
+TEST(PredictBatchTest, GnnBatchedMatchesSequentialUnderForcedScalar) {
+  ScopedForceScalar scalar(true);
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
-  ExpectBitIdentical(*model, MixedBatch());
-  nn::kernels::ForceScalar(false);
+  ExpectGnnParity(*model, MixedBatch());
 }
 
 TEST(PredictBatchTest, GnnParityHoldsUnderThreadPoolSharding) {
@@ -191,6 +208,37 @@ TEST(PredictBatchTest, GnnParityHoldsForMaskedFeatureConfigs) {
   }
 }
 
+// Batch invariance is exact: dedup, grouping, chunking and row batching
+// never change a plan's arithmetic, so each plan of a batch scores
+// exactly what it scores alone — under either ISA, with or without a
+// pool (each comparison runs both sides on the same ISA).
+TEST(PredictBatchTest, GnnBatchEqualsEachPlanScoredAlone) {
+  std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const std::vector<ParallelQueryPlan> plans = MixedBatch();
+  ThreadPool pool(4);
+  for (bool force_scalar : {true, false}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(force_scalar ? "scalar" : "default isa") +
+                   (p != nullptr ? ", pooled" : ", no pool"));
+      ScopedForceScalar isa(force_scalar);
+      model->set_thread_pool(p);
+      Result<std::vector<CostPrediction>> batched =
+          PredictBatch(*model, plans);
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      for (size_t i = 0; i < plans.size(); ++i) {
+        Result<std::vector<CostPrediction>> alone =
+            PredictBatch(*model, {plans[i]});
+        ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+        EXPECT_EQ(batched.value()[i].latency_ms, alone.value()[0].latency_ms)
+            << "plan #" << i;
+        EXPECT_EQ(batched.value()[i].throughput_tps,
+                  alone.value()[0].throughput_tps)
+            << "plan #" << i;
+      }
+    }
+  }
+}
+
 TEST(PredictBatchTest, EmptyBatchReturnsEmptyVector) {
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
   const std::vector<ParallelQueryPlan> none;
@@ -203,6 +251,23 @@ TEST(PredictBatchTest, SingleElementBatchMatchesPredict) {
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
   const Cluster c = Cluster::Homogeneous("m510", 4).value();
   ExpectGnnParity(*model, {Deploy(LinearQuery(), c, 2)});
+}
+
+// Wide clusters give a chunk more distinct mapping edges (one per
+// operator instance's node and degree) than a fixed per-candidate
+// allowance: the edge interner must be sized from the edges themselves.
+TEST(PredictBatchTest, WideClusterSinglePlanScores) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const Cluster c = Cluster::Homogeneous("m510", 16).value();
+  ExpectGnnParity(*model, {DeployChain(c, 16, 13, 11)});
+}
+
+TEST(PredictBatchTest, WideClusterBatchScores) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const Cluster c = Cluster::Homogeneous("m510", 24).value();
+  ExpectGnnParity(*model,
+                  {DeployChain(c, 24, 20, 16), DeployChain(c, 22, 18, 14),
+                   DeployChain(c, 21, 17, 13), DeployChain(c, 19, 15, 11)});
 }
 
 TEST(PredictBatchTest, NullPlanFailsWithIndex) {

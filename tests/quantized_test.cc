@@ -1,10 +1,9 @@
-// Quantized inference parity: QuantizedMlp against the fp64 Mlp it was
-// converted from, and the end-to-end PredictBatch precision knob
-// (kFp32/kInt8) against the fp64 reference on a real trained model. The
-// bounds encode the accuracy contract documented in nn/quantized.h:
-// fp32 stays within rounding-level error, int8 within the per-row
-// symmetric quantization error — both far below the model's own
-// prediction error, which is what makes the quantized path usable for
+// fp32 inference parity: QuantizedMlp against the fp64 Mlp it was
+// converted from, and the batched GNN engine (which runs on QuantizedMlp
+// snapshots) against the fp64 sequential Predict() on a real trained
+// model. The bounds encode the accuracy contract documented in
+// nn/quantized.h: fp32 stays within rounding-level error, far below the
+// model's own prediction error, which is what makes fp32 usable for
 // candidate ranking.
 #include "nn/quantized.h"
 
@@ -24,6 +23,7 @@
 namespace zerotune::core {
 namespace {
 
+using nn::FloatBuffer;
 using nn::Matrix;
 
 double RelError(double a, double b) {
@@ -47,68 +47,62 @@ class QuantizedMlpTest : public ::testing::Test {
     }
   }
 
+  // Forwards `rows` rows of `x` (fp64, narrowed to fp32) through `q`.
+  static FloatBuffer Run(const nn::QuantizedMlp& q, const double* x,
+                         size_t rows) {
+    FloatBuffer in(rows * q.in_features());
+    for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(x[i]);
+    FloatBuffer out;
+    q.ForwardRows(in.data(), rows, &out);
+    return out;
+  }
+
   nn::ParameterStore store_;
   std::unique_ptr<nn::Mlp> mlp_;
   Matrix input_;
 };
 
 TEST_F(QuantizedMlpTest, Fp32TracksFp64WithinRoundingError) {
-  const nn::QuantizedMlp q =
-      nn::QuantizedMlp::FromMlp(*mlp_, nn::QuantKind::kFp32);
+  const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*mlp_);
   EXPECT_EQ(q.in_features(), mlp_->in_features());
   EXPECT_EQ(q.out_features(), mlp_->out_features());
-  const Matrix ref = mlp_->ForwardValue(input_);
-  const Matrix got = q.ForwardValue(input_);
-  ASSERT_EQ(got.rows(), ref.rows());
-  ASSERT_EQ(got.cols(), ref.cols());
+  const Matrix ref = mlp_->Forward(nn::Constant(input_))->value;
+  const FloatBuffer got = Run(q, input_.data(), input_.rows());
+  ASSERT_EQ(got.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_LE(RelError(got.data()[i], ref.data()[i]), 1e-5) << "i=" << i;
-  }
-}
-
-TEST_F(QuantizedMlpTest, Int8TracksFp64WithinQuantizationError) {
-  const nn::QuantizedMlp q =
-      nn::QuantizedMlp::FromMlp(*mlp_, nn::QuantKind::kInt8);
-  const Matrix ref = mlp_->ForwardValue(input_);
-  const Matrix got = q.ForwardValue(input_);
-  ASSERT_EQ(got.rows(), ref.rows());
-  ASSERT_EQ(got.cols(), ref.cols());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_LE(RelError(got.data()[i], ref.data()[i]), 0.1) << "i=" << i;
+    EXPECT_LE(RelError(got[i], ref.data()[i]), 1e-5) << "i=" << i;
   }
 }
 
 TEST_F(QuantizedMlpTest, RowsAreIndependent) {
   // Scoring one row alone must equal that row inside a batch — the
   // invariant the batch engine's dedup and chunking rely on.
-  const nn::QuantizedMlp q =
-      nn::QuantizedMlp::FromMlp(*mlp_, nn::QuantKind::kInt8);
-  const Matrix batch = q.ForwardValue(input_);
+  const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*mlp_);
+  const FloatBuffer batch = Run(q, input_.data(), input_.rows());
+  const size_t out = q.out_features();
   for (size_t r = 0; r < input_.rows(); ++r) {
-    Matrix one(1, input_.cols());
-    for (size_t c = 0; c < input_.cols(); ++c) one(0, c) = input_(r, c);
-    const Matrix single = q.ForwardValue(one);
-    for (size_t c = 0; c < batch.cols(); ++c) {
-      EXPECT_EQ(single(0, c), batch(r, c)) << "r=" << r << " c=" << c;
+    const FloatBuffer single =
+        Run(q, input_.data() + r * input_.cols(), 1);
+    for (size_t c = 0; c < out; ++c) {
+      EXPECT_EQ(single[c], batch[r * out + c]) << "r=" << r << " c=" << c;
     }
   }
 }
 
 TEST_F(QuantizedMlpTest, ConversionSnapshotsParameters) {
-  const nn::QuantizedMlp q =
-      nn::QuantizedMlp::FromMlp(*mlp_, nn::QuantKind::kFp32);
-  const Matrix before = q.ForwardValue(input_);
+  const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*mlp_);
+  const FloatBuffer before = Run(q, input_.data(), input_.rows());
   // Perturb the source parameters; the snapshot must not move.
   for (const nn::NodePtr& p : store_.parameters()) {
     p->value.AddScaled(p->value, 0.5);
   }
-  const Matrix after = q.ForwardValue(input_);
+  const FloatBuffer after = Run(q, input_.data(), input_.rows());
   for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before.data()[i], after.data()[i]);
+    EXPECT_EQ(before[i], after[i]);
   }
 }
 
-// --- end-to-end: PredictBatch precision knob on a trained model -------
+// --- end-to-end: batched fp32 GNN vs sequential fp64 on a trained model
 
 class QuantizedPredictTest : public ::testing::Test {
  protected:
@@ -141,16 +135,6 @@ class QuantizedPredictTest : public ::testing::Test {
     plans_ = nullptr;
   }
 
-  static std::vector<CostPrediction> PredictAt(InferencePrecision p) {
-    model_->set_inference_precision(p);
-    std::vector<const dsp::ParallelQueryPlan*> ptrs;
-    for (const auto& plan : *plans_) ptrs.push_back(&plan);
-    auto r = model_->PredictBatch(ptrs);
-    model_->set_inference_precision(InferencePrecision::kFp64);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.value();
-  }
-
   static ZeroTuneModel* model_;
   static std::vector<dsp::ParallelQueryPlan>* plans_;
 };
@@ -159,56 +143,23 @@ ZeroTuneModel* QuantizedPredictTest::model_ = nullptr;
 std::vector<dsp::ParallelQueryPlan>* QuantizedPredictTest::plans_ = nullptr;
 
 TEST_F(QuantizedPredictTest, Fp32PredictionsTrackFp64) {
-  const auto ref = PredictAt(InferencePrecision::kFp64);
-  const auto got = PredictAt(InferencePrecision::kFp32);
-  ASSERT_EQ(ref.size(), got.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(got[i].latency_ms));
-    ASSERT_TRUE(std::isfinite(got[i].throughput_tps));
+  std::vector<const dsp::ParallelQueryPlan*> ptrs;
+  for (const auto& plan : *plans_) ptrs.push_back(&plan);
+  const auto got = model_->PredictBatch(ptrs);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (size_t i = 0; i < plans_->size(); ++i) {
+    const auto ref = model_->Predict((*plans_)[i]);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    const CostPrediction& p = got.value()[i];
+    ASSERT_TRUE(std::isfinite(p.latency_ms));
+    ASSERT_TRUE(std::isfinite(p.throughput_tps));
     // fp32 rounding through the whole GNN plus the exp() decode: well
     // under 0.1% on trained weights.
-    EXPECT_LE(RelError(got[i].latency_ms, ref[i].latency_ms), 1e-3)
+    EXPECT_LE(RelError(p.latency_ms, ref.value().latency_ms), 1e-3)
         << "plan #" << i;
-    EXPECT_LE(RelError(got[i].throughput_tps, ref[i].throughput_tps), 1e-3)
-        << "plan #" << i;
-  }
-}
-
-TEST_F(QuantizedPredictTest, Int8PredictionsTrackFp64) {
-  const auto ref = PredictAt(InferencePrecision::kFp64);
-  const auto got = PredictAt(InferencePrecision::kInt8);
-  ASSERT_EQ(ref.size(), got.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(got[i].latency_ms));
-    ASSERT_TRUE(std::isfinite(got[i].throughput_tps));
-    // Per-row symmetric int8 weights: ≤0.4% weight error per element,
-    // amplified through 8 blocks and the exp() decode. 25% is the
-    // documented ranking-safe envelope (the model's own prediction error
-    // against measurements is larger).
-    EXPECT_LE(RelError(got[i].latency_ms, ref[i].latency_ms), 0.25)
-        << "plan #" << i;
-    EXPECT_LE(RelError(got[i].throughput_tps, ref[i].throughput_tps), 0.25)
+    EXPECT_LE(RelError(p.throughput_tps, ref.value().throughput_tps), 1e-3)
         << "plan #" << i;
   }
-}
-
-TEST_F(QuantizedPredictTest, SequentialPredictIgnoresPrecisionKnob) {
-  // Predict() always runs the fp64 autograd path; the knob only governs
-  // PredictBatch.
-  const auto ref = model_->Predict((*plans_)[0]);
-  ASSERT_TRUE(ref.ok());
-  model_->set_inference_precision(InferencePrecision::kInt8);
-  const auto got = model_->Predict((*plans_)[0]);
-  model_->set_inference_precision(InferencePrecision::kFp64);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().latency_ms, ref.value().latency_ms);
-  EXPECT_EQ(got.value().throughput_tps, ref.value().throughput_tps);
-}
-
-TEST_F(QuantizedPredictTest, PrecisionNamesAreStable) {
-  EXPECT_STREQ(InferencePrecisionName(InferencePrecision::kFp64), "fp64");
-  EXPECT_STREQ(InferencePrecisionName(InferencePrecision::kFp32), "fp32");
-  EXPECT_STREQ(InferencePrecisionName(InferencePrecision::kInt8), "int8");
 }
 
 }  // namespace
