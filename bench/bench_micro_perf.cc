@@ -61,7 +61,7 @@ void BM_ModelForward(benchmark::State& state) {
   const auto plan = MakePlan(workload::QueryStructure::kThreeWayJoin, 8);
   const auto graph = core::BuildPlanGraph(plan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictFromGraph(graph));
+    benchmark::DoNotOptimize(model.Forward(graph));
   }
 }
 BENCHMARK(BM_ModelForward)->Arg(24)->Arg(48)->Arg(96)->MinWarmUpTime(0.1);

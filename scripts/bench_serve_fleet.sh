@@ -3,7 +3,8 @@
 # replica counts and writes bench/BENCH_serve_fleet.json: throughput,
 # latency percentiles, and availability per fleet size, under the same
 # chaos schedule (5% primary failures, a replica killed every 20k
-# requests, controller-driven restarts).
+# requests, controller-driven restarts). Every replica serves a freshly
+# trained ZeroTune GNN at the default hidden width.
 #
 # Usage: scripts/bench_serve_fleet.sh [build-dir] [requests] [tenants]
 #   scripts/bench_serve_fleet.sh                # ./build, 200k, 1000
@@ -24,11 +25,12 @@ trap 'rm -rf "${workdir}"' EXIT
 printf 'source(rate=150000, schema=ddi)\n  | filter(sel=0.6)\n  | sink\n' \
   > "${workdir}/q.dsl"
 "${cli}" compile --dsl "${workdir}/q.dsl" --out "${workdir}/q.plan" >&2
-# serve-sim needs a deployed (parallel) plan; tune one with a small
-# freshly-trained model, same as the CLI workflow tests.
+# Train the served model on a small corpus, then tune the deployed
+# (parallel) plan serve-sim needs with it, as the CLI workflow tests do.
+hidden=48
 "${cli}" collect --count 40 --seed 5 --out "${workdir}/corpus.txt" >&2
 "${cli}" train --corpus "${workdir}/corpus.txt" \
-  --model-out "${workdir}/model.txt" --epochs 3 --hidden 8 >&2
+  --model-out "${workdir}/model.txt" --epochs 3 --hidden "${hidden}" >&2
 "${cli}" tune --model "${workdir}/model.txt" --query "${workdir}/q.plan" \
   --cluster m510:4 --out "${workdir}/deployed.plan" >&2
 
@@ -58,6 +60,7 @@ PY
   printf '  "requests": %s,\n' "${requests}"
   printf '  "tenants": %s,\n' "${tenants}"
   printf '  "threads": %s,\n' "${threads}"
+  printf '  "hidden": %s,\n' "${hidden}"
   printf '  "kill_replica_every": 20000,\n'
   printf '  "fail_rate": 0.05,\n'
   printf '  "seed": 2024,\n'
@@ -65,6 +68,7 @@ PY
   first=1
   for replicas in 1 2 4 8; do
     json="$("${cli}" serve-sim --plan "${workdir}/deployed.plan" \
+      --model "${workdir}/model.txt" \
       --requests "${requests}" --tenants "${tenants}" \
       --replicas "${replicas}" --threads "${threads}" \
       --kill-replica-every 20000 --fail-rate 0.05 --seed 2024 \

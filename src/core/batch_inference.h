@@ -45,9 +45,10 @@ struct BatchInferenceStats {
 ///    candidates (sharded over `pool` in deterministic chunks).
 ///
 /// Inference runs on an fp32 snapshot of the weights, so predictions are
-/// within 1e-3 relative of the fp64 ZeroTuneModel::Predict on each plan.
-/// They are bit-identical to scoring each plan alone, independent of
-/// batch composition, chunking and thread count.
+/// within 1e-3 relative of the fp64 autograd ZeroTuneModel::Forward on
+/// each plan. They are bit-identical to scoring each plan alone,
+/// independent of batch composition, chunking and thread count; a
+/// one-plan call is ZeroTuneModel::Predict.
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,
     std::span<const dsp::ParallelQueryPlan* const> plans,

@@ -38,7 +38,9 @@ class CostPredictor {
   /// operators and cluster, so implementations can amortize featurization
   /// and run batched inference. The default implementation is a
   /// sequential Predict() loop, so baselines and the oracle keep working
-  /// unchanged; predictions must be identical to per-plan Predict().
+  /// unchanged. Every implementation returns exactly (bit for bit) what
+  /// per-plan Predict() returns; ZeroTuneModel gets there by making
+  /// Predict() a one-plan batch.
   ///
   /// An empty batch succeeds with an empty vector. Null entries and
   /// per-plan failures fail the whole batch, with the plan index (and the

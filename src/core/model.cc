@@ -146,9 +146,15 @@ nn::NodePtr ZeroTuneModel::Forward(const PlanGraph& graph) const {
 
 Result<CostPrediction> ZeroTuneModel::Predict(
     const dsp::ParallelQueryPlan& plan) const {
+  // Validate here so an invalid plan reports its own error rather than
+  // the batch's "plan #0 of 1" annotation. A one-plan batch runs inline
+  // (ParallelFor with n = 1), so callers on pool threads never nest
+  // pool waits.
   ZT_RETURN_IF_ERROR(plan.Validate());
-  const PlanGraph graph = BuildPlanGraph(plan, config_.features);
-  return PredictFromGraph(graph);
+  const dsp::ParallelQueryPlan* const one[] = {&plan};
+  ZT_ASSIGN_OR_RETURN(const std::vector<CostPrediction> out,
+                      BatchedPredict(*this, one, pool_));
+  return out.front();
 }
 
 Result<std::vector<CostPrediction>> ZeroTuneModel::PredictBatch(
@@ -161,11 +167,6 @@ ZeroTuneModel::GnnBlocks ZeroTuneModel::blocks() const {
                    flow_update_.get(), res_update_.get(),
                    map_message_.get(), map_update_.get(),
                    flow_update2_.get(), readout_.get()};
-}
-
-CostPrediction ZeroTuneModel::PredictFromGraph(const PlanGraph& graph) const {
-  const NodePtr out = Forward(graph);
-  return DecodeOutput(out->value);
 }
 
 nn::Matrix ZeroTuneModel::EncodeTarget(double latency_ms,

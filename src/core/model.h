@@ -58,21 +58,24 @@ class ZeroTuneModel : public CostPredictor {
   ZeroTuneModel(const ZeroTuneModel&) = delete;
   ZeroTuneModel& operator=(const ZeroTuneModel&) = delete;
 
-  /// Differentiable forward pass: returns the 1×2 output node
-  /// (normalized log latency, normalized log throughput).
+  /// Differentiable fp64 forward pass: returns the 1×2 output node
+  /// (normalized log latency, normalized log throughput). Training, the
+  /// trainer's q-error evaluation and the occlusion explainer run it;
+  /// inference does not. DecodeOutput(Forward(graph)->value) is the
+  /// reference the fp32 engine stays within 1e-3 relative of.
   nn::NodePtr Forward(const PlanGraph& graph) const;
 
-  /// Builds the graph for `plan` with this model's feature config and
-  /// predicts denormalized costs.
+  /// Validates `plan`, then scores it as a one-plan PredictBatch, so
+  /// every prediction the system serves or acts on comes from the one
+  /// fp32 engine.
   Result<CostPrediction> Predict(
       const dsp::ParallelQueryPlan& plan) const override;
 
   /// Batched inference (core/batch_inference.h): featurizes all plans
   /// once, deduplicates shared operator/resource encodings, runs the MLP
   /// blocks as row-batched fp32 matrix ops, and shards candidate scoring
-  /// over the configured thread pool. Within 1e-3 relative of per-plan
-  /// Predict() (which runs fp64), and bit-identical to scoring each plan
-  /// alone in its own batch.
+  /// over the configured thread pool. Bit-identical to per-plan
+  /// Predict() whatever the batch composition.
   Result<std::vector<CostPrediction>> PredictBatch(
       std::span<const dsp::ParallelQueryPlan* const> plans) const override;
 
@@ -82,9 +85,6 @@ class ZeroTuneModel : public CostPredictor {
   zerotune::ThreadPool* thread_pool() const { return pool_; }
 
   std::string name() const override { return "ZeroTune"; }
-
-  /// Prediction from a pre-built graph (the trainer caches graphs).
-  CostPrediction PredictFromGraph(const PlanGraph& graph) const;
 
   /// Normalized 1×2 regression target for a measured (latency_ms, tps).
   nn::Matrix EncodeTarget(double latency_ms, double throughput_tps) const;

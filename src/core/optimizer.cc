@@ -7,7 +7,6 @@
 
 #include "analysis/plan_analyzer.h"
 #include "core/prescreen/analytical.h"
-#include "core/prescreen/gnn_reranker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -109,17 +108,13 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
     return plan;
   };
 
-  // The exact scoring tier: all GNN inference in this function funnels
-  // through the reranker's PredictBatch path.
-  const GnnReranker reranker(predictor_, &logical, &cluster,
-                             options_.weight);
-
   // Scores a set of degree vectors in one CostPredictor::PredictBatch
-  // call and appends them to `evaluated` in input order. Every candidate
-  // first passes through the static plan analyzer; failing ones are
-  // dropped and counted rather than sent to the cost model, so invalid
-  // deployments (bad seeds, over-parallelized operators) never consume
-  // inference budget or win the search.
+  // call and appends them to `evaluated` in input order; this is Tune's
+  // only model inference. Every candidate first passes through the
+  // static plan analyzer; failing ones are dropped and counted rather
+  // than sent to the cost model, so invalid deployments (bad seeds,
+  // over-parallelized operators) never consume inference budget or win
+  // the search.
   auto evaluate_batch =
       [&](const std::vector<std::vector<int>>& batch) -> Status {
     if (batch.empty()) return Status::OK();
@@ -141,7 +136,8 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
       plans.push_back(std::move(plan.value()));
     }
     if (plans.empty()) return Status::OK();
-    Result<std::vector<CostPrediction>> preds = reranker.Predict(plans);
+    Result<std::vector<CostPrediction>> preds =
+        PredictBatch(*predictor_, plans);
     if (!preds.ok()) {
       return preds.status().Annotated(
           "scoring " + std::to_string(plans.size()) +
@@ -283,13 +279,23 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
     return Status::Internal("no parallelism candidate could be evaluated");
   }
 
-  auto best_it = std::min_element(
-      evaluated.begin(), evaluated.end(),
-      [this](const Candidate& a, const Candidate& b) {
-        return Score(a.predicted) < Score(b.predicted);
-      });
-  std::vector<int> best = best_it->degrees;
-  double best_score = Score(best_it->predicted);
+  // The incumbent, as an index into `evaluated`: the first entry with
+  // the best score. Returns whether entries from `first` on improved it.
+  size_t best = 0;
+  double best_score = Score(evaluated[0].predicted);
+  auto adopt_improvements = [&](size_t first) {
+    bool improved = false;
+    for (size_t i = first; i < evaluated.size(); ++i) {
+      const double s = Score(evaluated[i].predicted);
+      if (s < best_score) {
+        best_score = s;
+        best = i;
+        improved = true;
+      }
+    }
+    return improved;
+  };
+  adopt_improvements(1);
 
   // Hill climbing as batched steepest descent: each round scores every
   // untried double/halve neighbor of the incumbent in one batch, then
@@ -307,13 +313,16 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
       break;
     }
     std::vector<std::vector<int>> neighbors;
+    const std::vector<int> incumbent = evaluated[best].degrees;
     for (const Operator& op : logical.operators()) {
       if (op.type == OperatorType::kSink) continue;
       for (const int factor : {2, -2}) {
-        std::vector<int> neighbor = best;
+        std::vector<int> neighbor = incumbent;
         int& d = neighbor[static_cast<size_t>(op.id)];
         d = factor > 0 ? std::min(cap, d * 2) : std::max(1, d / 2);
-        if (neighbor == best || !tried.insert(neighbor).second) continue;
+        if (neighbor == incumbent || !tried.insert(neighbor).second) {
+          continue;
+        }
         neighbors.push_back(std::move(neighbor));
       }
     }
@@ -326,29 +335,15 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
     metrics->GetCounter("optimizer.hill_climb_rounds_total")->Increment();
     const size_t first_new = evaluated.size();
     ZT_RETURN_IF_ERROR(evaluate_batch(neighbors));
-    bool improved = false;
-    for (size_t i = first_new; i < evaluated.size(); ++i) {
-      const double s = Score(evaluated[i].predicted);
-      if (s < best_score) {
-        best_score = s;
-        best = evaluated[i].degrees;
-        improved = true;
-      }
-    }
+    const bool improved = adopt_improvements(first_new);
     round_span.AddArg("improved", improved ? "true" : "false");
     if (!improved) break;
   }
 
-  // Materialize the winner.
-  dsp::ParallelQueryPlan final_plan(logical, cluster);
-  for (const Operator& op : logical.operators()) {
-    ZT_RETURN_IF_ERROR(final_plan.SetParallelism(
-        op.id, best[static_cast<size_t>(op.id)]));
-  }
-  final_plan.DerivePartitioning();
-  ZT_RETURN_IF_ERROR(final_plan.PlaceRoundRobin());
-  ZT_ASSIGN_OR_RETURN(const CostPrediction best_pred,
-                      predictor_->Predict(final_plan));
+  // Materialize the winner. Its prediction is the one its batch
+  // returned, which equals Predict() of the plan exactly.
+  ZT_ASSIGN_OR_RETURN(dsp::ParallelQueryPlan final_plan,
+                      materialize(evaluated[best].degrees));
 
   metrics->GetCounter("optimizer.candidates_scored_total")
       ->Increment(evaluated.size());
@@ -365,9 +360,9 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
   tune_span.AddArg("candidates_prescreened", std::to_string(prescreened));
 
   TuningResult result(std::move(final_plan));
-  result.predicted = best_pred;
+  result.predicted = evaluated[best].predicted;
   result.weighted_cost =
-      WeightedCost(best_pred, evaluated, options_.weight);
+      WeightedCost(result.predicted, evaluated, options_.weight);
   result.candidates_evaluated = evaluated.size();
   result.candidates_rejected = rejected;
   result.candidates_prescreened = prescreened;

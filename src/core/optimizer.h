@@ -24,12 +24,12 @@ namespace zerotune::core {
 /// a pluggable SearchSpace enumerates PlanCandidates; with prescreening
 /// enabled, an AnalyticalPrescreen fitted from a handful of batched GNN
 /// probes ranks the full set in microseconds and only the top-K fraction
-/// reaches the GnnReranker (the existing PredictBatch path); with
-/// prescreening disabled every candidate is GNN-scored directly and the
-/// result is bit-identical to the single-tier optimizer. A bounded
-/// hill-climbing refinement doubles/halves individual operator degrees
-/// while the predicted objective improves, prescreening each round's
-/// neighbor set the same way.
+/// is scored by CostPredictor::PredictBatch; with prescreening disabled
+/// every candidate is GNN-scored directly and the result is
+/// bit-identical to the single-tier optimizer. A bounded hill-climbing
+/// refinement doubles/halves individual operator degrees while the
+/// predicted objective improves, prescreening each round's neighbor set
+/// the same way.
 class ParallelismOptimizer {
  public:
   /// Analytical pre-screen tier configuration (ROADMAP item 5).
@@ -99,7 +99,9 @@ class ParallelismOptimizer {
 
   struct TuningResult {
     dsp::ParallelQueryPlan plan;  // best deployment found
-    CostPrediction predicted;     // its predicted costs
+    /// Its predicted costs: the winner's entry in `candidates`, as its
+    /// PredictBatch call returned it — equal to Predict(plan).
+    CostPrediction predicted;
     /// Eq. 1 objective of the winner, normalized over all evaluated
     /// candidates (0 = best possible among them).
     double weighted_cost = 0.0;
@@ -130,10 +132,10 @@ class ParallelismOptimizer {
       : ParallelismOptimizer(predictor, Options()) {}
 
   /// Finds the best parallelism assignment for `logical` on `cluster`.
-  /// Candidate scoring goes through CostPredictor::PredictBatch: the
-  /// enumeration phases and each hill-climbing round are scored as one
-  /// batch, so batched predictors (ZeroTuneModel) amortize featurization
-  /// and run the MLP stages row-batched.
+  /// All scoring goes through CostPredictor::PredictBatch (Tune never
+  /// calls Predict): the enumeration phases and each hill-climbing round
+  /// are scored as one batch, so batched predictors (ZeroTuneModel)
+  /// amortize featurization and run the MLP stages row-batched.
   Result<TuningResult> Tune(const dsp::QueryPlan& logical,
                             const dsp::Cluster& cluster) const;
 

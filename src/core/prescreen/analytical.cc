@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 
 namespace zerotune::core {
 

@@ -1,12 +1,11 @@
 #ifndef ZEROTUNE_CORE_PRESCREEN_ANALYTICAL_H_
 #define ZEROTUNE_CORE_PRESCREEN_ANALYTICAL_H_
 
-#include <string>
 #include <vector>
 
 #include "analysis/segments.h"
 #include "core/cost_predictor.h"
-#include "core/prescreen/scoring_tier.h"
+#include "core/search_space.h"
 #include "dsp/cluster.h"
 #include "dsp/query_plan.h"
 
@@ -34,7 +33,7 @@ namespace zerotune::core {
 /// *pre-screen*: its job is ordering candidates well enough that the true
 /// optimum survives the top-K cut, not absolute accuracy; survivors are
 /// re-scored by the GNN.
-class AnalyticalPrescreen : public ScoringTier {
+class AnalyticalPrescreen {
  public:
   struct Options {
     /// Eq. 1 weight between log-latency and negated log-throughput in
@@ -65,10 +64,11 @@ class AnalyticalPrescreen : public ScoringTier {
       const std::vector<CostPrediction>& probe_costs, Options options);
 
   /// Ranks candidates by weight·log-latency − (1−weight)·log-throughput
-  /// under the fitted closures. Microseconds per candidate.
+  /// under the fitted closures, in input order, lower = better. The
+  /// scores only order candidates; they are not comparable with the
+  /// optimizer's GNN score. Microseconds per candidate.
   Result<std::vector<double>> ScoreCandidates(
-      const std::vector<PlanCandidate>& candidates) const override;
-  std::string name() const override { return "analytical-prescreen"; }
+      const std::vector<PlanCandidate>& candidates) const;
 
   /// Indices of the `keep` lowest scores, in ascending index order (so
   /// downstream batches preserve enumeration order). Ties break toward

@@ -552,8 +552,10 @@ void Trainer::QErrors(const ZeroTuneModel& model, const Dataset& test,
   latency_qerrors->clear();
   throughput_qerrors->clear();
   for (const auto& q : test.samples()) {
+    // The fp64 training forward pass, one plan at a time: batching the
+    // whole test set would hold every featurized graph at once.
     const PlanGraph g = BuildPlanGraph(q.plan, model.config().features);
-    const CostPrediction p = model.PredictFromGraph(g);
+    const CostPrediction p = model.DecodeOutput(model.Forward(g)->value);
     latency_qerrors->push_back(QError(q.latency_ms, p.latency_ms));
     throughput_qerrors->push_back(
         QError(q.throughput_tps, p.throughput_tps));

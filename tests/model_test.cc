@@ -158,7 +158,13 @@ TEST(ZeroTuneModelTest, PredictFailsOnInvalidPlan) {
   q.AddSource(s);  // no sink
   ParallelQueryPlan p(q, Cluster::Homogeneous("m510", 1).value());
   ZeroTuneModel model;
-  EXPECT_FALSE(model.Predict(p).ok());
+  const Result<CostPrediction> r = model.Predict(p);
+  ASSERT_FALSE(r.ok());
+  // The plan's own validation error, without the batch engine's
+  // "PredictBatch: plan #0 of 1" annotation.
+  const Status invalid = p.Validate();
+  EXPECT_EQ(r.status().code(), invalid.code());
+  EXPECT_EQ(r.status().message(), invalid.message());
 }
 
 TEST(ZeroTuneModelTest, AblationConfigChangesPrediction) {

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/model.h"
 #include "core/oracle_predictor.h"
 #include "workload/generator.h"
 
@@ -175,6 +182,90 @@ TEST(ParallelismOptimizerTest, ValidSeedCandidateIsNotRejected) {
                                Cluster::Homogeneous("m510", 2).value());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().candidates_rejected, 0u);
+}
+
+// Forwards both entry points to `inner` — so it batches exactly when
+// `inner` does — and counts the calls.
+class CountingPredictor : public CostPredictor {
+ public:
+  explicit CountingPredictor(const CostPredictor* inner) : inner_(inner) {}
+
+  Result<CostPrediction> Predict(
+      const dsp::ParallelQueryPlan& plan) const override {
+    ++predict_calls_;
+    return inner_->Predict(plan);
+  }
+  Result<std::vector<CostPrediction>> PredictBatch(
+      std::span<const dsp::ParallelQueryPlan* const> plans) const override {
+    ++batch_calls_;
+    return inner_->PredictBatch(plans);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  size_t predict_calls() const { return predict_calls_; }
+  size_t batch_calls() const { return batch_calls_; }
+
+ private:
+  const CostPredictor* inner_;
+  mutable size_t predict_calls_ = 0;
+  mutable size_t batch_calls_ = 0;
+};
+
+// TuningResult::predicted is the winner's entry in `candidates`, exactly
+// as its batch scored it, and equal to a fresh Predict() of the tuned
+// plan; Tune itself never calls Predict().
+void ExpectPredictedIsWinnersBatchScore(const CostPredictor& predictor) {
+  const QueryPlan q = LoadedLinearPlan(250000);
+  const Cluster cluster = Cluster::Homogeneous("m510", 4).value();
+  for (bool prescreen : {false, true}) {
+    SCOPED_TRACE(prescreen ? "prescreen on" : "prescreen off");
+    const CountingPredictor counting(&predictor);
+    ParallelismOptimizer::Options opts;
+    opts.prescreen.enabled = prescreen;
+    const auto result =
+        ParallelismOptimizer(&counting, opts).Tune(q, cluster);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ParallelismOptimizer::TuningResult& r = result.value();
+    EXPECT_EQ(counting.predict_calls(), 0u);
+    EXPECT_GT(counting.batch_calls(), 0u);
+
+    std::vector<int> degrees(q.num_operators());
+    for (const dsp::Operator& op : q.operators()) {
+      degrees[static_cast<size_t>(op.id)] = r.plan.parallelism(op.id);
+    }
+    const auto entry = std::find_if(
+        r.candidates.begin(), r.candidates.end(),
+        [&](const ParallelismOptimizer::Candidate& c) {
+          return c.degrees == degrees;
+        });
+    ASSERT_NE(entry, r.candidates.end());
+    EXPECT_EQ(r.predicted.latency_ms, entry->predicted.latency_ms);
+    EXPECT_EQ(r.predicted.throughput_tps, entry->predicted.throughput_tps);
+
+    const auto fresh = predictor.Predict(r.plan);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(r.predicted.latency_ms, fresh.value().latency_ms);
+    EXPECT_EQ(r.predicted.throughput_tps, fresh.value().throughput_tps);
+  }
+}
+
+TEST(ParallelismOptimizerTest, ZeroTunePredictedIsWinnersBatchScore) {
+  ModelConfig cfg;
+  cfg.seed = 17;
+  ZeroTuneModel model(cfg);
+  // Keeps DecodeOutput away from its clamp at zero, so the exact
+  // comparisons above compare live values.
+  TargetStats stats;
+  stats.latency_mean = 4.0;
+  stats.latency_std = 1.5;
+  stats.throughput_mean = 7.0;
+  stats.throughput_std = 1.5;
+  model.set_target_stats(stats);
+  ExpectPredictedIsWinnersBatchScore(model);
+}
+
+TEST(ParallelismOptimizerTest, OraclePredictedIsWinnersBatchScore) {
+  ExpectPredictedIsWinnersBatchScore(OraclePredictor());
 }
 
 TEST(OraclePredictorTest, MatchesNoiselessEngine) {

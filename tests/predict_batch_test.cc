@@ -1,16 +1,18 @@
 // PredictBatch parity: the batched inference path must match per-plan
-// Predict() for the GNN (with and without thread-pool sharding) and for
-// every baseline predictor, across empty, single, and mixed-structure
-// batches. The baselines go through the default sequential PredictBatch
-// and match bit for bit. The GNN's batched engine runs an fp32 snapshot
-// of the fp64 weights, so it matches the fp64 Predict() within a
-// relative bound; what stays exact is batch invariance — a plan scores
-// the same, bit for bit, whichever batch it is part of.
+// Predict() bit for bit for the GNN (with and without thread-pool
+// sharding) and for every baseline predictor, across empty, single, and
+// mixed-structure batches. The baselines go through the default
+// sequential PredictBatch; the GNN's Predict() is a one-plan batch, so
+// what its exact checks pin is batch invariance — a plan scores the
+// same whichever batch it is part of. The GNN engine runs an fp32
+// snapshot of the weights, so it matches the fp64 autograd Forward()
+// (the training model) within a relative bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/flat_mlp.h"
@@ -23,6 +25,7 @@
 #include "core/enumeration.h"
 #include "core/model.h"
 #include "core/oracle_predictor.h"
+#include "core/plan_graph.h"
 #include "nn/kernels.h"
 
 namespace zerotune::core {
@@ -144,10 +147,10 @@ void ExpectBitIdentical(const CostPredictor& predictor,
   }
 }
 
-// Relative bound for the GNN's batched-vs-sequential parity: the batch
+// Relative bound between the GNN engine and the fp64 reference: the
 // engine runs fp32 weights and activations through ~8 MLP blocks plus
-// the exp() in DecodeOutput, the sequential path fp64 autograd. The
-// test models diverge by at most ~4e-6 relative; 1e-3 is the bound
+// the exp() in DecodeOutput, the reference fp64 autograd. The test
+// models diverge by at most ~5e-6 relative; 1e-3 is the bound
 // quantized_test asserts on trained weights, and batching bugs produce
 // O(1) differences.
 constexpr double kFp32RelTolerance = 1e-3;
@@ -156,23 +159,31 @@ void ExpectRelNear(double a, double b, size_t plan_idx, const char* what) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-300});
   EXPECT_LE(std::abs(a - b), kFp32RelTolerance * scale)
       << what << " diverged on plan #" << plan_idx << ": batched=" << a
-      << " sequential=" << b;
+      << " fp64=" << b;
 }
 
-void ExpectGnnParity(const CostPredictor& predictor,
+// The fp64 autograd reference: the training forward pass, decoded.
+CostPrediction Fp64Reference(const ZeroTuneModel& model,
+                             const ParallelQueryPlan& plan) {
+  const PlanGraph graph = BuildPlanGraph(plan, model.config().features);
+  return model.DecodeOutput(model.Forward(graph)->value);
+}
+
+// The GNN batch contract: within the fp32 bound of the fp64 reference,
+// and bit-identical to per-plan Predict().
+void ExpectGnnParity(const ZeroTuneModel& model,
                      const std::vector<ParallelQueryPlan>& plans) {
-  Result<std::vector<CostPrediction>> batched =
-      PredictBatch(predictor, plans);
+  Result<std::vector<CostPrediction>> batched = PredictBatch(model, plans);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ASSERT_EQ(batched.value().size(), plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
-    Result<CostPrediction> single = predictor.Predict(plans[i]);
-    ASSERT_TRUE(single.ok()) << single.status().ToString();
-    ExpectRelNear(batched.value()[i].latency_ms, single.value().latency_ms, i,
+    const CostPrediction ref = Fp64Reference(model, plans[i]);
+    ExpectRelNear(batched.value()[i].latency_ms, ref.latency_ms, i,
                   "latency_ms");
-    ExpectRelNear(batched.value()[i].throughput_tps,
-                  single.value().throughput_tps, i, "throughput_tps");
+    ExpectRelNear(batched.value()[i].throughput_tps, ref.throughput_tps, i,
+                  "throughput_tps");
   }
+  ExpectBitIdentical(model, plans);
 }
 
 // Restores the kernel dispatch even when an assertion fails mid-test.
@@ -235,6 +246,46 @@ TEST(PredictBatchTest, GnnBatchEqualsEachPlanScoredAlone) {
                   alone.value()[0].throughput_tps)
             << "plan #" << i;
       }
+    }
+  }
+}
+
+// Predict() answers fleet requests on pool threads, concurrently
+// against one shared model: every answer must equal the single-threaded
+// one bit for bit.
+TEST(PredictBatchTest, ConcurrentPredictIsBitIdentical) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const std::vector<ParallelQueryPlan> plans = MixedBatch();
+  std::vector<CostPrediction> expected;
+  for (const ParallelQueryPlan& p : plans) {
+    Result<CostPrediction> r = model->Predict(p);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(r.value());
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::vector<CostPrediction>> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&model, &plans, &got, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (const ParallelQueryPlan& p : plans) {
+          Result<CostPrediction> r = model->Predict(p);
+          got[t].push_back(r.ok() ? r.value() : CostPrediction{-1.0, -1.0});
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * plans.size());
+    for (size_t k = 0; k < got[t].size(); ++k) {
+      const size_t i = k % plans.size();
+      EXPECT_EQ(got[t][k].latency_ms, expected[i].latency_ms)
+          << "thread " << t << ", plan #" << i;
+      EXPECT_EQ(got[t][k].throughput_tps, expected[i].throughput_tps)
+          << "thread " << t << ", plan #" << i;
     }
   }
 }

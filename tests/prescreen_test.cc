@@ -14,7 +14,6 @@
 #include "analysis/segments.h"
 #include "core/optimizer.h"
 #include "core/oracle_predictor.h"
-#include "core/prescreen/gnn_reranker.h"
 #include "core/search_space.h"
 #include "dsp/parallel_plan.h"
 
@@ -176,6 +175,20 @@ TEST(AnalyticalPrescreenTest, ProbeLadderSpansTheDegreeRange) {
   EXPECT_TRUE(distinct.count({1, 1, cap, 1}));  // map-reduce only
 }
 
+// Deploys `degrees` (indexed by operator id) the way the optimizer does.
+Result<dsp::ParallelQueryPlan> Deploy(const QueryPlan& q,
+                                      const Cluster& cluster,
+                                      const std::vector<int>& degrees) {
+  dsp::ParallelQueryPlan plan(q, cluster);
+  for (const auto& op : q.operators()) {
+    ZT_RETURN_IF_ERROR(
+        plan.SetParallelism(op.id, degrees[static_cast<size_t>(op.id)]));
+  }
+  plan.DerivePartitioning();
+  ZT_RETURN_IF_ERROR(plan.PlaceRoundRobin());
+  return plan;
+}
+
 Result<AnalyticalPrescreen> FitFromOracle(const QueryPlan& q,
                                           const Cluster& cluster) {
   OraclePredictor oracle;
@@ -183,13 +196,8 @@ Result<AnalyticalPrescreen> FitFromOracle(const QueryPlan& q,
                       AnalyticalPrescreen::ProbeLadder(q, cluster, 128, 6));
   std::vector<CostPrediction> costs;
   for (const auto& degrees : probes) {
-    dsp::ParallelQueryPlan plan(q, cluster);
-    for (const auto& op : q.operators()) {
-      ZT_RETURN_IF_ERROR(plan.SetParallelism(
-          op.id, degrees[static_cast<size_t>(op.id)]));
-    }
-    plan.DerivePartitioning();
-    ZT_RETURN_IF_ERROR(plan.PlaceRoundRobin());
+    ZT_ASSIGN_OR_RETURN(const dsp::ParallelQueryPlan plan,
+                        Deploy(q, cluster, degrees));
     ZT_ASSIGN_OR_RETURN(const CostPrediction p, oracle.Predict(plan));
     costs.push_back(p);
   }
@@ -266,12 +274,25 @@ TEST(AnalyticalPrescreenTest, GnnTopCandidateSurvivesDefaultCut) {
     if (seen.insert(c.degrees).second) cands.push_back(c);
   }
 
-  const GnnReranker reranker(&oracle, &q, &cluster, 0.5);
-  const auto gnn_scores = reranker.ScoreCandidates(cands);
-  ASSERT_TRUE(gnn_scores.ok());
+  // Rank every candidate as the optimizer does: one PredictBatch, then
+  // the search score 0.5·log(latency) − 0.5·log(throughput).
+  std::vector<dsp::ParallelQueryPlan> plans;
+  for (const PlanCandidate& c : cands) {
+    auto plan = Deploy(q, cluster, c.degrees);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(plan).value());
+  }
+  const auto preds = PredictBatch(oracle, plans);
+  ASSERT_TRUE(preds.ok()) << preds.status().ToString();
+  const auto score = [](const CostPrediction& p) {
+    return 0.5 * std::log(std::max(p.latency_ms, 1e-6)) -
+           0.5 * std::log(std::max(p.throughput_tps, 1e-6));
+  };
   size_t gnn_best = 0;
-  for (size_t i = 1; i < gnn_scores.value().size(); ++i) {
-    if (gnn_scores.value()[i] < gnn_scores.value()[gnn_best]) gnn_best = i;
+  for (size_t i = 1; i < preds.value().size(); ++i) {
+    if (score(preds.value()[i]) < score(preds.value()[gnn_best])) {
+      gnn_best = i;
+    }
   }
 
   const auto fitted = FitFromOracle(q, cluster);

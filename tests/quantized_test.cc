@@ -1,10 +1,10 @@
 // fp32 inference parity: QuantizedMlp against the fp64 Mlp it was
 // converted from, and the batched GNN engine (which runs on QuantizedMlp
-// snapshots) against the fp64 sequential Predict() on a real trained
+// snapshots) against the fp64 autograd Forward() on a real trained
 // model. The bounds encode the accuracy contract documented in
 // nn/quantized.h: fp32 stays within rounding-level error, far below the
 // model's own prediction error, which is what makes fp32 usable for
-// candidate ranking.
+// serving and candidate ranking.
 #include "nn/quantized.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/dataset_builder.h"
 #include "core/enumeration.h"
+#include "core/plan_graph.h"
 #include "core/trainer.h"
 #include "nn/layers.h"
 
@@ -102,7 +103,7 @@ TEST_F(QuantizedMlpTest, ConversionSnapshotsParameters) {
   }
 }
 
-// --- end-to-end: batched fp32 GNN vs sequential fp64 on a trained model
+// --- end-to-end: batched fp32 GNN vs fp64 autograd on a trained model
 
 class QuantizedPredictTest : public ::testing::Test {
  protected:
@@ -148,16 +149,17 @@ TEST_F(QuantizedPredictTest, Fp32PredictionsTrackFp64) {
   const auto got = model_->PredictBatch(ptrs);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   for (size_t i = 0; i < plans_->size(); ++i) {
-    const auto ref = model_->Predict((*plans_)[i]);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    const PlanGraph graph =
+        BuildPlanGraph((*plans_)[i], model_->config().features);
+    const CostPrediction ref =
+        model_->DecodeOutput(model_->Forward(graph)->value);
     const CostPrediction& p = got.value()[i];
     ASSERT_TRUE(std::isfinite(p.latency_ms));
     ASSERT_TRUE(std::isfinite(p.throughput_tps));
     // fp32 rounding through the whole GNN plus the exp() decode: well
     // under 0.1% on trained weights.
-    EXPECT_LE(RelError(p.latency_ms, ref.value().latency_ms), 1e-3)
-        << "plan #" << i;
-    EXPECT_LE(RelError(p.throughput_tps, ref.value().throughput_tps), 1e-3)
+    EXPECT_LE(RelError(p.latency_ms, ref.latency_ms), 1e-3) << "plan #" << i;
+    EXPECT_LE(RelError(p.throughput_tps, ref.throughput_tps), 1e-3)
         << "plan #" << i;
   }
 }
