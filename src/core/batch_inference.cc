@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -174,31 +175,6 @@ void InternRows(const std::vector<PlanGraph>& graphs,
     }
   }
 }
-
-// The fp32 snapshot of the GNN's eight blocks that one batch runs on.
-struct QuantizedBlocks {
-  nn::QuantizedMlp op_encoder;
-  nn::QuantizedMlp res_encoder;
-  nn::QuantizedMlp flow_update;
-  nn::QuantizedMlp res_update;
-  nn::QuantizedMlp map_message;
-  nn::QuantizedMlp map_update;
-  nn::QuantizedMlp flow_update2;
-  nn::QuantizedMlp readout;
-
-  static QuantizedBlocks From(const ZeroTuneModel::GnnBlocks& b) {
-    return QuantizedBlocks{
-        nn::QuantizedMlp::FromMlp(*b.op_encoder),
-        nn::QuantizedMlp::FromMlp(*b.res_encoder),
-        nn::QuantizedMlp::FromMlp(*b.flow_update),
-        nn::QuantizedMlp::FromMlp(*b.res_update),
-        nn::QuantizedMlp::FromMlp(*b.map_message),
-        nn::QuantizedMlp::FromMlp(*b.map_update),
-        nn::QuantizedMlp::FromMlp(*b.flow_update2),
-        nn::QuantizedMlp::FromMlp(*b.readout),
-    };
-  }
-};
 
 // Forwards `rows` row-major rows of `in` through one block.
 FloatBuffer Forward(const nn::QuantizedMlp& mlp, const FloatBuffer& in,
@@ -580,6 +556,19 @@ void Readout(const QuantizedBlocks& blocks, const FloatBuffer& sink_state,
 
 }  // namespace
 
+QuantizedBlocks QuantizedBlocks::From(const ZeroTuneModel::GnnBlocks& b) {
+  return QuantizedBlocks{
+      nn::QuantizedMlp::FromMlp(*b.op_encoder),
+      nn::QuantizedMlp::FromMlp(*b.res_encoder),
+      nn::QuantizedMlp::FromMlp(*b.flow_update),
+      nn::QuantizedMlp::FromMlp(*b.res_update),
+      nn::QuantizedMlp::FromMlp(*b.map_message),
+      nn::QuantizedMlp::FromMlp(*b.map_update),
+      nn::QuantizedMlp::FromMlp(*b.flow_update2),
+      nn::QuantizedMlp::FromMlp(*b.readout),
+  };
+}
+
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,
     std::span<const dsp::ParallelQueryPlan* const> plans,
@@ -642,17 +631,18 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     res_unique = keys.num_unique();
   }
 
-  // Snapshot the current weights in fp32 (~hidden_dim² floats per
-  // block, so online weight updates are always picked up) and encode
+  // Take the model's fp32 snapshot (rebuilt only after a weight write;
+  // this reference keeps it alive to the end of the batch) and encode
   // each unique row in one row-batched call per encoder.
-  QuantizedBlocks blocks;
+  std::shared_ptr<const QuantizedBlocks> snapshot;
   FloatBuffer op_encoded, res_encoded;
   {
     obs::Span span("batch_inference/encode");
-    blocks = QuantizedBlocks::From(model.blocks());
-    op_encoded = Forward(blocks.op_encoder, op_rows, op_unique);
-    res_encoded = Forward(blocks.res_encoder, res_rows, res_unique);
+    snapshot = model.InferenceBlocks();
+    op_encoded = Forward(snapshot->op_encoder, op_rows, op_unique);
+    res_encoded = Forward(snapshot->res_encoder, res_rows, res_unique);
   }
+  const QuantizedBlocks& blocks = *snapshot;
 
   // Group plans by structure so each group shares one resource-exchange
   // pass and row-batches the operator stages. The key is the topology

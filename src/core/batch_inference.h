@@ -8,8 +8,25 @@
 #include "common/thread_pool.h"
 #include "core/cost_predictor.h"
 #include "core/model.h"
+#include "nn/quantized.h"
 
 namespace zerotune::core {
+
+/// The fp32 snapshot of the GNN's eight blocks that BatchedPredict runs
+/// on. ZeroTuneModel::InferenceBlocks caches one per parameter
+/// generation.
+struct QuantizedBlocks {
+  nn::QuantizedMlp op_encoder;
+  nn::QuantizedMlp res_encoder;
+  nn::QuantizedMlp flow_update;
+  nn::QuantizedMlp res_update;
+  nn::QuantizedMlp map_message;
+  nn::QuantizedMlp map_update;
+  nn::QuantizedMlp flow_update2;
+  nn::QuantizedMlp readout;
+
+  static QuantizedBlocks From(const ZeroTuneModel::GnnBlocks& b);
+};
 
 /// Counters describing how much work one BatchedPredict call amortized;
 /// reported by the perf benchmarks.
@@ -44,11 +61,13 @@ struct BatchInferenceStats {
 ///    passing stage runs as row-batched matrix ops across the group's
 ///    candidates (sharded over `pool` in deterministic chunks).
 ///
-/// Inference runs on an fp32 snapshot of the weights, so predictions are
-/// within 1e-3 relative of the fp64 autograd ZeroTuneModel::Forward on
-/// each plan. They are bit-identical to scoring each plan alone,
-/// independent of batch composition, chunking and thread count; a
-/// one-plan call is ZeroTuneModel::Predict.
+/// Inference runs on the model's fp32 snapshot of the weights
+/// (ZeroTuneModel::InferenceBlocks, built once per parameter generation
+/// and held for the whole call), so predictions are within 1e-3 relative
+/// of the fp64 autograd ZeroTuneModel::Forward on each plan. They are
+/// bit-identical to scoring each plan alone, independent of batch
+/// composition, chunking and thread count; a one-plan call is
+/// ZeroTuneModel::Predict.
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,
     std::span<const dsp::ParallelQueryPlan* const> plans,

@@ -169,6 +169,20 @@ ZeroTuneModel::GnnBlocks ZeroTuneModel::blocks() const {
                    flow_update2_.get(), readout_.get()};
 }
 
+std::shared_ptr<const QuantizedBlocks> ZeroTuneModel::InferenceBlocks()
+    const {
+  // Read the generation before converting, so a snapshot is never keyed
+  // on a generation newer than the values it copied.
+  const uint64_t generation = params_.generation();
+  MutexLock lock(snapshot_mu_);
+  if (snapshot_ == nullptr || snapshot_generation_ != generation) {
+    snapshot_ = std::make_shared<const QuantizedBlocks>(
+        QuantizedBlocks::From(blocks()));
+    snapshot_generation_ = generation;
+  }
+  return snapshot_;
+}
+
 nn::Matrix ZeroTuneModel::EncodeTarget(double latency_ms,
                                        double throughput_tps) const {
   Matrix t(1, 2);
@@ -226,9 +240,6 @@ Status ZeroTuneModel::Load(const std::string& path) {
   if (hidden != config_.hidden_dim) {
     return Status::InvalidArgument("hidden_dim mismatch in model file");
   }
-  config_.features.operator_features = op_f;
-  config_.features.parallelism_features = par_f;
-  config_.features.resource_features = res_f;
   TargetStats stats;
   f >> stats.latency_mean >> stats.latency_std >> stats.throughput_mean >>
       stats.throughput_std;
@@ -269,6 +280,11 @@ Status ZeroTuneModel::Load(const std::string& path) {
   f.clear();
   f.seekg(params_pos);
   ZT_RETURN_IF_ERROR(params_.LoadFromStream(f));
+  // Commit the metadata only with the parameters, so a failed load
+  // leaves the model as it was.
+  config_.features.operator_features = op_f;
+  config_.features.parallelism_features = par_f;
+  config_.features.resource_features = res_f;
   stats_ = stats;
   version_ = version;
   return Status::OK();

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "core/cost_predictor.h"
 #include "core/plan_graph.h"
 #include "nn/layers.h"
@@ -15,6 +17,8 @@ class ThreadPool;
 }
 
 namespace zerotune::core {
+
+struct QuantizedBlocks;  // core/batch_inference.h
 
 /// Hyperparameters and feature configuration of the ZeroTune GNN.
 struct ModelConfig {
@@ -102,11 +106,15 @@ class ZeroTuneModel : public CostPredictor {
   void set_version(uint64_t version) { version_ = version; }
   uint64_t version() const { return version_; }
 
+  /// Every write through the store or an optimizer attached to it moves
+  /// params().generation(), and the next prediction runs on a fresh fp32
+  /// snapshot. A write to a parameter's `value` made any other way is
+  /// not seen by inference.
   nn::ParameterStore* mutable_params() { return &params_; }
   const nn::ParameterStore& params() const { return params_; }
 
-  /// Read-only handles to the architecture blocks, consumed by the
-  /// batched inference engine (core/batch_inference.h).
+  /// Handles to the architecture blocks, from which the batched
+  /// inference engine builds its fp32 snapshot (core/batch_inference.h).
   struct GnnBlocks {
     const nn::Mlp* op_encoder;
     const nn::Mlp* res_encoder;
@@ -119,10 +127,19 @@ class ZeroTuneModel : public CostPredictor {
   };
   GnnBlocks blocks() const;
 
+  /// The fp32 snapshot of the eight blocks that BatchedPredict runs on.
+  /// Built on first use and rebuilt only when params().generation() has
+  /// moved since, so serving and tuning convert the weights once per
+  /// weight change. A caller holds the returned reference for its whole
+  /// batch: the batch never sees weights change mid-call, and a rebuild
+  /// cannot free blocks it still reads.
+  std::shared_ptr<const QuantizedBlocks> InferenceBlocks() const;
+
   /// Serializes config, target stats and all parameters to one file.
   Status Save(const std::string& path) const;
   /// Loads a model saved by Save(); the config in the file must match
-  /// this model's architecture-relevant fields.
+  /// this model's architecture-relevant fields. On error the model is
+  /// unchanged.
   Status Load(const std::string& path);
 
   /// Constructs a model with the configuration stored in the file, then
@@ -147,6 +164,12 @@ class ZeroTuneModel : public CostPredictor {
   std::unique_ptr<nn::Mlp> map_update_;
   std::unique_ptr<nn::Mlp> flow_update2_;
   std::unique_ptr<nn::Mlp> readout_;
+
+  mutable Mutex snapshot_mu_;
+  mutable std::shared_ptr<const QuantizedBlocks> snapshot_
+      ZT_GUARDED_BY(snapshot_mu_);
+  // params_.generation() when snapshot_ was built.
+  mutable uint64_t snapshot_generation_ ZT_GUARDED_BY(snapshot_mu_) = 0;
 };
 
 }  // namespace zerotune::core

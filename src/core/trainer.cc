@@ -20,21 +20,6 @@ namespace {
 
 using workload::Dataset;
 
-/// Snapshot of parameter values for best-epoch restoration.
-std::vector<nn::Matrix> SnapshotParams(const nn::ParameterStore& store) {
-  std::vector<nn::Matrix> snap;
-  snap.reserve(store.parameters().size());
-  for (const auto& p : store.parameters()) snap.push_back(p->value);
-  return snap;
-}
-
-void RestoreParams(nn::ParameterStore* store,
-                   const std::vector<nn::Matrix>& snap) {
-  for (size_t i = 0; i < snap.size(); ++i) {
-    store->parameters()[i]->value = snap[i];
-  }
-}
-
 TargetStats FitTargetStats(const Dataset& train) {
   std::vector<double> lat, tpt;
   lat.reserve(train.size());
@@ -356,7 +341,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
     val_targets.push_back(model_->EncodeTarget(q.latency_ms, q.throughput_tps));
   }
 
-  if (!resumed) best_params = SnapshotParams(model_->params());
+  if (!resumed) best_params = model_->params().Snapshot();
 
   // Checkpoint = everything the epoch loop mutates, written atomically so
   // a crash mid-write leaves the previous checkpoint intact. `epochs_done`
@@ -400,13 +385,13 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
   // Divergence recovery: roll the model back to the best parameters seen,
   // back the learning rate off, and reset Adam's moments. Returns false
   // once the attempt budget is exhausted.
-  auto recover = [&]() -> bool {
+  auto recover = [&]() -> Result<bool> {
     if (report.recovery_attempts >= options_.max_recovery_attempts) {
       // Budget exhausted: give up (the caller stops training; the final
-      // RestoreParams below still rolls back to the best snapshot).
+      // Restore below still rolls back to the best snapshot).
       return false;
     }
-    RestoreParams(model_->mutable_params(), best_params);
+    ZT_RETURN_IF_ERROR(model_->mutable_params()->Restore(best_params));
     adam.options().learning_rate *= options_.lr_backoff;
     adam.Reset();
     ++report.recovery_attempts;
@@ -479,7 +464,8 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       if (!std::isfinite(batch_loss) || !total.AllFinite()) {
         ++report.nonfinite_batches;
         nonfinite_total->Increment();
-        if (!recover()) {
+        ZT_ASSIGN_OR_RETURN(const bool recovered, recover());
+        if (!recovered) {
           stop_training = true;
           break;
         }
@@ -512,7 +498,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
     }
     if (val_loss < best_val - 1e-6) {
       best_val = val_loss;
-      best_params = SnapshotParams(model_->params());
+      best_params = model_->params().Snapshot();
       since_best = 0;
     } else {
       ++since_best;
@@ -535,7 +521,8 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
     if (early_stop) break;
   }
 
-  RestoreParams(model_->mutable_params(), best_params);
+  ZT_RETURN_IF_ERROR(
+      model_->mutable_params()->Restore(std::move(best_params)));
   report.final_learning_rate = adam.options().learning_rate;
   report.best_val_loss = best_val;
   report.final_train_loss = report.epoch_train_losses.empty()

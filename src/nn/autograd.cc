@@ -359,6 +359,7 @@ NodePtr ParameterStore::CreateParameter(size_t rows, size_t cols,
   n->value = std::move(value);
   n->param_id = static_cast<int>(params_.size());
   params_.push_back(n);
+  BumpGeneration();
   return n;
 }
 
@@ -409,7 +410,8 @@ zerotune::Status ParameterStore::LoadFromStream(std::istream& is) {
         ", store has " + std::to_string(params_.size()));
   }
   // Parse into scratch buffers and commit only after the whole stream
-  // validated, so a failed load leaves the live parameters untouched.
+  // validated, so a failed load leaves the live parameters (and the
+  // generation) untouched.
   std::vector<Matrix> loaded;
   loaded.reserve(params_.size());
   for (size_t pi = 0; pi < params_.size(); ++pi) {
@@ -444,22 +446,36 @@ zerotune::Status ParameterStore::LoadFromStream(std::istream& is) {
     loaded.push_back(std::move(scratch));
   }
   if (!is) return zerotune::Status::IOError("truncated parameter stream");
-  for (size_t pi = 0; pi < params_.size(); ++pi) {
-    params_[pi]->value = std::move(loaded[pi]);
-  }
-  return zerotune::Status::OK();
+  return Restore(std::move(loaded));
 }
 
 zerotune::Status ParameterStore::CopyFrom(const ParameterStore& other) {
-  if (other.params_.size() != params_.size()) {
-    return zerotune::Status::InvalidArgument("parameter count mismatch");
+  return Restore(other.Snapshot());
+}
+
+std::vector<Matrix> ParameterStore::Snapshot() const {
+  std::vector<Matrix> values;
+  values.reserve(params_.size());
+  for (const NodePtr& p : params_) values.push_back(p->value);
+  return values;
+}
+
+zerotune::Status ParameterStore::Restore(std::vector<Matrix> values) {
+  if (values.size() != params_.size()) {
+    return zerotune::Status::InvalidArgument(
+        "parameter count mismatch: got " + std::to_string(values.size()) +
+        ", store has " + std::to_string(params_.size()));
   }
   for (size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i]->value.SameShape(other.params_[i]->value)) {
-      return zerotune::Status::InvalidArgument("parameter shape mismatch");
+    if (!params_[i]->value.SameShape(values[i])) {
+      return zerotune::Status::InvalidArgument(
+          "parameter " + std::to_string(i) + " shape mismatch");
     }
-    params_[i]->value = other.params_[i]->value;
   }
+  for (size_t i = 0; i < params_.size(); ++i) {
+    params_[i]->value = std::move(values[i]);
+  }
+  BumpGeneration();
   return zerotune::Status::OK();
 }
 

@@ -1,6 +1,8 @@
 #ifndef ZEROTUNE_NN_AUTOGRAD_H_
 #define ZEROTUNE_NN_AUTOGRAD_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -118,6 +120,13 @@ void Backward(const NodePtr& loss, GradStore* grads);
 /// Owns the trainable parameters of a model. Layers allocate parameters
 /// here; optimizers update them in place; Save/Load serialize them in
 /// creation order.
+///
+/// Generation contract: every write to a parameter value goes through
+/// this store or an optimizer attached to it (Adam, Sgd), and each moves
+/// generation(). Caches derived from the values, such as the fp32
+/// inference snapshot ZeroTuneModel keeps, rebuild when it has moved. A
+/// write through a parameter node's `value` anywhere else is not seen by
+/// those caches.
 class ParameterStore {
  public:
   ParameterStore() = default;
@@ -131,6 +140,14 @@ class ParameterStore {
 
   const std::vector<NodePtr>& parameters() const { return params_; }
   size_t num_parameters() const;  // total scalar count
+
+  /// Moves on every write to the parameter values: CreateParameter, a
+  /// successful Load/LoadFromStream/CopyFrom/Restore, Adam::Step and
+  /// Sgd::Step. A failed write does not move it. Reading a generation
+  /// (acquire) makes the writes that moved it visible.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
   /// Serializes parameter values to a text file (shape-checked on load).
   zerotune::Status Save(const std::string& path) const;
@@ -146,8 +163,26 @@ class ParameterStore {
   /// Copies all parameter values from another store with identical layout.
   zerotune::Status CopyFrom(const ParameterStore& other);
 
+  /// Copies of every parameter value in creation order, e.g. the
+  /// trainer's best-epoch weights.
+  std::vector<Matrix> Snapshot() const;
+  /// Writes `values` (one per parameter, in creation order) back. Every
+  /// shape is checked before the first value is written, so on error the
+  /// store is untouched. Load, LoadFromStream and CopyFrom commit
+  /// through here.
+  zerotune::Status Restore(std::vector<Matrix> values);
+
  private:
+  // The optimizers update values in place and then call BumpGeneration().
+  friend class Adam;
+  friend class Sgd;
+
+  void BumpGeneration() {
+    generation_.fetch_add(1, std::memory_order_release);
+  }
+
   std::vector<NodePtr> params_;
+  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace zerotune::nn

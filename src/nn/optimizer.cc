@@ -50,6 +50,7 @@ void Adam::Step(const GradStore& grads) {
       value.data()[k] -= options_.learning_rate * update;
     }
   }
+  store_->BumpGeneration();
 }
 
 Status Adam::SaveState(std::ostream& os) const {
@@ -143,6 +144,7 @@ void Sgd::Step(const GradStore& grads) {
       value.AddScaled(*g, -options_.learning_rate);
     }
   }
+  store_->BumpGeneration();
 }
 
 }  // namespace zerotune::nn

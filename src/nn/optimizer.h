@@ -23,8 +23,9 @@ class Adam {
   explicit Adam(ParameterStore* store) : Adam(store, Options()) {}
   Adam(ParameterStore* store, Options options);
 
-  /// Applies one update using the accumulated gradients. Parameters with no
-  /// gradient entry are left untouched.
+  /// Applies one update using the accumulated gradients and moves the
+  /// store's generation. Parameters with no gradient entry are left
+  /// untouched.
   void Step(const GradStore& grads);
 
   /// Resets moment estimates (used when fine-tuning restarts).
@@ -59,6 +60,7 @@ class Sgd {
   explicit Sgd(ParameterStore* store) : Sgd(store, Options()) {}
   Sgd(ParameterStore* store, Options options);
 
+  /// Applies one update and moves the store's generation.
   void Step(const GradStore& grads);
 
  private:

@@ -16,7 +16,8 @@ namespace zerotune::nn {
 /// Mlp is bounded by fp32 rounding (~1e-6 per operation, see
 /// tests/quantized_test.cc for the enforced bounds). Holds a snapshot:
 /// conversion copies values, so later training steps on the source Mlp
-/// are not reflected.
+/// are not reflected. ZeroTuneModel rebuilds its snapshot when its
+/// ParameterStore's generation() moves (core/batch_inference.h).
 ///
 /// Rows are processed independently: results never depend on how callers
 /// batch rows, which keeps the batch engine's dedup/chunking transforms

@@ -1,10 +1,13 @@
 #include "nn/autograd.h"
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <gtest/gtest.h>
+#include <sstream>
 
 #include "common/rng.h"
+#include "nn/optimizer.h"
 
 namespace zerotune::nn {
 namespace {
@@ -223,6 +226,87 @@ TEST(ParameterStoreTest, CopyFromChecksLayout) {
   EXPECT_DOUBLE_EQ(b.parameters()[0]->value(0, 0),
                    a.parameters()[0]->value(0, 0));
   EXPECT_FALSE(c.CopyFrom(a).ok());
+
+  // The first parameters match and the second do not: every shape is
+  // checked before anything is copied, so the first stays untouched.
+  ParameterStore src, dst;
+  src.CreateParameter(2, 2, &rng);
+  src.CreateParameter(1, 3, &rng);
+  dst.CreateParameter(2, 2, &rng);
+  dst.CreateParameter(3, 1, &rng);
+  const Matrix before = dst.parameters()[0]->value;
+  EXPECT_FALSE(dst.CopyFrom(src).ok());
+  for (size_t k = 0; k < before.size(); ++k) {
+    EXPECT_EQ(dst.parameters()[0]->value.data()[k], before.data()[k])
+        << "element " << k;
+  }
+}
+
+// Every write path moves the generation that inference caches key on;
+// reads and failed writes do not.
+TEST(ParameterStoreTest, GenerationMovesOnEveryWrite) {
+  zerotune::Rng rng(6);
+  ParameterStore s;
+  uint64_t last = s.generation();
+  const auto moved = [&s, &last] {
+    const uint64_t now = s.generation();
+    const bool changed = now != last;
+    last = now;
+    return changed;
+  };
+  s.CreateParameter(2, 3, &rng);
+  EXPECT_TRUE(moved()) << "CreateParameter";
+  s.CreateParameter(1, 3, &rng, /*zero_init=*/true);
+  EXPECT_TRUE(moved()) << "CreateParameter (zero_init)";
+
+  const std::string path = ::testing::TempDir() + "/zt_params_generation.txt";
+  ASSERT_TRUE(s.Save(path).ok());
+  EXPECT_FALSE(moved()) << "Save";
+  ASSERT_TRUE(s.Load(path).ok());
+  EXPECT_TRUE(moved()) << "Load";
+  std::stringstream stream;
+  ASSERT_TRUE(s.SaveToStream(stream).ok());
+  ASSERT_TRUE(s.LoadFromStream(stream).ok());
+  EXPECT_TRUE(moved()) << "LoadFromStream";
+
+  ParameterStore same;
+  same.CreateParameter(2, 3, &rng);
+  same.CreateParameter(1, 3, &rng);
+  ASSERT_TRUE(s.CopyFrom(same).ok());
+  EXPECT_TRUE(moved()) << "CopyFrom";
+  const std::vector<Matrix> snapshot = s.Snapshot();
+  EXPECT_FALSE(moved()) << "Snapshot";
+  ASSERT_TRUE(s.Restore(snapshot).ok());
+  EXPECT_TRUE(moved()) << "Restore";
+
+  GradStore grads;
+  grads.Accumulate(0, Matrix(2, 3, 1.0));
+  Adam adam(&s);
+  adam.Step(grads);
+  EXPECT_TRUE(moved()) << "Adam::Step";
+  Sgd sgd(&s);
+  sgd.Step(grads);
+  EXPECT_TRUE(moved()) << "Sgd::Step";
+
+  ParameterStore other_layout;
+  other_layout.CreateParameter(2, 3, &rng);
+  other_layout.CreateParameter(3, 1, &rng);
+  EXPECT_FALSE(s.CopyFrom(other_layout).ok());
+  EXPECT_FALSE(moved()) << "failed CopyFrom";
+  const std::string wrong_path =
+      ::testing::TempDir() + "/zt_params_generation_wrong.txt";
+  ASSERT_TRUE(other_layout.Save(wrong_path).ok());
+  EXPECT_FALSE(s.Load(wrong_path).ok());
+  EXPECT_FALSE(moved()) << "failed Load (shape mismatch)";
+  EXPECT_FALSE(s.Load(wrong_path + ".missing").ok());
+  EXPECT_FALSE(moved()) << "failed Load (no file)";
+  std::istringstream truncated("zerotune-params-v1 2\n2 3 0.5 0.25");
+  EXPECT_FALSE(s.LoadFromStream(truncated).ok());
+  EXPECT_FALSE(moved()) << "failed LoadFromStream (truncated)";
+  EXPECT_FALSE(s.Restore({}).ok());
+  EXPECT_FALSE(moved()) << "failed Restore";
+  std::remove(path.c_str());
+  std::remove(wrong_path.c_str());
 }
 
 TEST(ParameterStoreTest, NumParametersCountsScalars) {

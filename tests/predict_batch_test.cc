@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <latch>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +30,9 @@
 #include "core/model.h"
 #include "core/oracle_predictor.h"
 #include "core/plan_graph.h"
+#include "core/trainer.h"
 #include "nn/kernels.h"
+#include "nn/optimizer.h"
 
 namespace zerotune::core {
 namespace {
@@ -126,6 +132,26 @@ std::unique_ptr<ZeroTuneModel> MakeModel(
   stats.throughput_std = 1.5;
   model->set_target_stats(stats);
   return model;
+}
+
+std::vector<CostPrediction> PredictEach(
+    const ZeroTuneModel& model, const std::vector<ParallelQueryPlan>& plans) {
+  std::vector<CostPrediction> out;
+  for (const ParallelQueryPlan& p : plans) {
+    Result<CostPrediction> r = model.Predict(p);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    out.push_back(r.ok() ? r.value() : CostPrediction{-1.0, -1.0});
+  }
+  return out;
+}
+
+void ExpectSamePredictions(const std::vector<CostPrediction>& got,
+                           const std::vector<CostPrediction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].latency_ms, want[i].latency_ms) << "plan #" << i;
+    EXPECT_EQ(got[i].throughput_tps, want[i].throughput_tps) << "plan #" << i;
+  }
 }
 
 void ExpectBitIdentical(const CostPredictor& predictor,
@@ -288,6 +314,131 @@ TEST(PredictBatchTest, ConcurrentPredictIsBitIdentical) {
           << "thread " << t << ", plan #" << i;
     }
   }
+}
+
+// The same on a model that has never predicted, so the threads race the
+// first build of its fp32 snapshot.
+TEST(PredictBatchTest, ConcurrentFirstPredictIsBitIdentical) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const std::vector<ParallelQueryPlan> plans = MixedBatch();
+  const std::vector<CostPrediction> expected = PredictEach(*MakeModel(), plans);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<CostPrediction>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&model, &plans, &got, &start, t] {
+      start.arrive_and_wait();
+      got[t] = PredictEach(*model, plans);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ExpectSamePredictions(got[t], expected);
+  }
+}
+
+// Every weight write reaches inference. After each one, a model whose
+// snapshot is warm predicts exactly what a model that never predicted
+// holding the same weights does, and differs from its answer before.
+TEST(PredictBatchTest, PredictFollowsEveryWeightWrite) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const std::vector<ParallelQueryPlan> plans = MixedBatch();
+  std::vector<CostPrediction> before = PredictEach(*model, plans);
+  const auto expect_follows = [&](const std::string& write) {
+    SCOPED_TRACE(write);
+    const std::vector<CostPrediction> now = PredictEach(*model, plans);
+    ZeroTuneModel cold(model->config());
+    ASSERT_TRUE(cold.mutable_params()->CopyFrom(model->params()).ok());
+    cold.set_target_stats(model->target_stats());
+    ExpectSamePredictions(now, PredictEach(cold, plans));
+    for (size_t i = 0; i < plans.size(); ++i) {
+      EXPECT_TRUE(now[i].latency_ms != before[i].latency_ms ||
+                  now[i].throughput_tps != before[i].throughput_tps)
+          << "plan #" << i << " kept its old prediction";
+    }
+    before = now;
+  };
+  ModelConfig other = model->config();
+
+  nn::GradStore grads;  // a unit gradient on every parameter
+  for (const nn::NodePtr& p : model->params().parameters()) {
+    grads.Accumulate(p->param_id,
+                     nn::Matrix(p->value.rows(), p->value.cols(), 1.0));
+  }
+  nn::Adam adam(model->mutable_params());
+  adam.Step(grads);
+  expect_follows("Adam::Step");
+  nn::Sgd sgd(model->mutable_params());
+  sgd.Step(grads);
+  expect_follows("Sgd::Step");
+
+  other.seed = 41;
+  const ZeroTuneModel donor(other);
+  ASSERT_TRUE(model->mutable_params()->CopyFrom(donor.params()).ok());
+  expect_follows("ParameterStore::CopyFrom");
+
+  other.seed = 43;
+  ZeroTuneModel saved(other);
+  saved.set_target_stats(model->target_stats());
+  const std::string path = ::testing::TempDir() + "/zt_follows_model.txt";
+  ASSERT_TRUE(saved.Save(path).ok());
+  ASSERT_TRUE(model->Load(path).ok());
+  expect_follows("ZeroTuneModel::Load");
+
+  // A file with other feature flags whose weights are cut short fails to
+  // load and leaves every prediction as it was.
+  const std::string bad_path = ::testing::TempDir() + "/zt_follows_bad.txt";
+  {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string bad = text.str();
+    const size_t flags = bad.find(' ', bad.find('\n') + 1) + 1;
+    ASSERT_EQ(bad[flags], '1');
+    bad[flags] = '0';  // operator_features off
+    bad.resize(bad.size() - 100);
+    std::ofstream(bad_path) << bad;
+  }
+  ASSERT_FALSE(model->Load(bad_path).ok());
+  {
+    SCOPED_TRACE("failed ZeroTuneModel::Load");
+    ExpectSamePredictions(PredictEach(*model, plans), before);
+  }
+
+  OptiSampleEnumerator enumerator;
+  DatasetBuilderOptions corpus_opts;
+  corpus_opts.count = 40;
+  corpus_opts.seed = 13;
+  const workload::Dataset corpus =
+      BuildDataset(enumerator, corpus_opts).value();
+  workload::Dataset train, val, test;
+  Rng rng(5);
+  ASSERT_TRUE(corpus.Split(0.8, 0.1, &rng, &train, &val, &test).ok());
+  TrainOptions topt;
+  topt.epochs = 2;
+  topt.batch_size = 8;
+  // Train ends by restoring its best epoch's weights.
+  ASSERT_TRUE(Trainer(model.get(), topt).Train(train, val).ok());
+  expect_follows("Trainer::Train");
+
+  // Resuming a finished run's checkpoint runs no epoch: the checkpoint's
+  // weights and best-epoch weights are the only writes.
+  const std::string ckpt = ::testing::TempDir() + "/zt_follows.ckpt";
+  std::remove(ckpt.c_str());
+  topt.checkpoint_path = ckpt;
+  other.seed = 47;
+  ZeroTuneModel trained(other);
+  ASSERT_TRUE(Trainer(&trained, topt).Train(train, val).ok());
+  topt.resume = true;
+  ASSERT_TRUE(Trainer(model.get(), topt).Train(train, val).ok());
+  expect_follows("trainer checkpoint resume");
+
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+  std::remove(ckpt.c_str());
 }
 
 TEST(PredictBatchTest, EmptyBatchReturnsEmptyVector) {
