@@ -65,7 +65,8 @@ int main() {
     const auto& qa = assignment.queries[i];
     std::string degrees;
     for (int d : qa.plan.ParallelismVector()) {
-      degrees += (degrees.empty() ? "" : ",") + std::to_string(d);
+      if (!degrees.empty()) degrees += ",";
+      degrees += std::to_string(d);
     }
     const auto measured = engine.MeasureNoiseless(qa.plan).value();
     table.AddRow({names[i], std::to_string(qa.node_indices.size()), degrees,

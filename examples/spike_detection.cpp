@@ -79,7 +79,8 @@ int main() {
     const auto m = des.Run(plan).value();
     std::string degrees;
     for (int d : plan.ParallelismVector()) {
-      degrees += (degrees.empty() ? "" : ",") + std::to_string(d);
+      if (!degrees.empty()) degrees += ",";
+      degrees += std::to_string(d);
     }
     table.AddRow({name, degrees, TextTable::Fmt(m.mean_latency_ms),
                   TextTable::Fmt(m.throughput_tps, 0),

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Benchmarks the sharded serving fleet (serve-sim fleet mode) across
 # replica counts and writes bench/BENCH_serve_fleet.json: throughput,
-# latency percentiles, and availability per fleet size, under the same
-# chaos schedule (5% primary failures, a replica killed every 20k
-# requests, controller-driven restarts). Every replica serves a freshly
-# trained ZeroTune GNN at the default hidden width.
+# latency percentiles, availability (answered / received) and the fleet
+# ledger per fleet size, under the same chaos schedule (5% primary
+# failures, a replica killed every 20k requests, controller-driven
+# restarts). Every replica serves a freshly trained ZeroTune GNN at the
+# default hidden width. Exits non-zero, writing nothing, when a row's
+# ledger does not account for every request:
+#   answered + shed_fleet_capacity + shed_tenant_quota + shed_fair_share
+#     + deadline_expired + failed == requests
 #
 # Usage: scripts/bench_serve_fleet.sh [build-dir] [requests] [tenants]
 #   scripts/bench_serve_fleet.sh                # ./build, 200k, 1000
@@ -38,9 +42,16 @@ threads=4
 cat > "${workdir}/row.py" <<'PY'
 import json, sys
 replicas = int(sys.argv[1])
+requests = int(sys.argv[2])
 d = json.load(sys.stdin)
 s = d["stats"]
 lat = s["latency_ms"]
+ledger = ["answered", "shed_fleet_capacity", "shed_tenant_quota",
+          "shed_fair_share", "deadline_expired", "failed"]
+accounted = sum(s[k] for k in ledger)
+if accounted != requests:
+    sys.exit("replicas=%d: %s = %d, not %d requests"
+             % (replicas, " + ".join(ledger), accounted, requests))
 print(json.dumps({
     "replicas": replicas,
     "rps": round(d["rps"], 1),
@@ -48,7 +59,13 @@ print(json.dumps({
     "availability": s["availability"],
     "p50_ms": round(lat.get("p50", 0.0), 4),
     "p99_ms": round(lat.get("p99", 0.0), 4),
+    "received": s["received"],
     "answered": s["answered"],
+    "shed_fleet_capacity": s["shed_fleet_capacity"],
+    "shed_tenant_quota": s["shed_tenant_quota"],
+    "shed_fair_share": s["shed_fair_share"],
+    "deadline_expired": s["deadline_expired"],
+    "failed": s["failed"],
     "failovers": s["failovers"],
     "kills": s["kills"],
     "restarts": s["restarts"],
@@ -73,12 +90,14 @@ PY
       --replicas "${replicas}" --threads "${threads}" \
       --kill-replica-every 20000 --fail-rate 0.05 --seed 2024 \
       --format json)"
-    row="$(python3 "${workdir}/row.py" "${replicas}" <<<"${json}")"
+    row="$(python3 "${workdir}/row.py" "${replicas}" "${requests}" \
+      <<<"${json}")"
     [[ ${first} -eq 1 ]] || printf ',\n'
     first=0
     printf '%s' "${row}" | sed 's/^/    /'
   done
   printf '\n  ]\n}\n'
-} > "${out}"
+} > "${workdir}/out.json"
+python3 -m json.tool "${workdir}/out.json" > /dev/null
+mv "${workdir}/out.json" "${out}"
 echo "wrote ${out}" >&2
-python3 -m json.tool "${out}" > /dev/null

@@ -128,7 +128,10 @@ void CheckStructure(const LintPlan& plan, DiagnosticReport* report) {
     }
     std::sort(cyclic.begin(), cyclic.end());
     std::string ids;
-    for (int id : cyclic) ids += (ids.empty() ? "" : ",") + std::to_string(id);
+    for (int id : cyclic) {
+      if (!ids.empty()) ids += ",";
+      ids += std::to_string(id);
+    }
     report->AddError("ZT-P006",
                      "cycle in the operator graph involving operators {" +
                          ids + "}",
@@ -350,7 +353,8 @@ void CheckSegments(const LintPlan& plan, DiagnosticReport* report) {
     if (!seg.IsDegenerate()) continue;
     std::string ids;
     for (int id : seg.operator_ids) {
-      ids += (ids.empty() ? "" : ",") + std::to_string(id);
+      if (!ids.empty()) ids += ",";
+      ids += std::to_string(id);
     }
     report->AddWarning(
         "ZT-P026",

@@ -64,8 +64,9 @@ class SystemClock : public Clock {
 /// deadline when the predicate cannot be satisfied by the calling thread —
 /// so single-threaded tests of deadline/backoff/breaker logic run in
 /// microseconds of real time. Thread-safe, but designed for tests that
-/// execute service work inline (PredictionService without a pool); it does
-/// not block threads waiting for another thread to advance time.
+/// run service work on the calling thread (PredictionService, or a
+/// PredictionFleet without a pool); it does not block threads waiting for
+/// another thread to advance time.
 class FakeClock : public Clock {
  public:
   explicit FakeClock(int64_t start_nanos = 0) : now_(start_nanos) {}

@@ -68,8 +68,11 @@ std::string LabelsJson(const Labels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(labels[i].first) + "\": \"" +
-           JsonEscape(labels[i].second) + "\"";
+    out += "\"";
+    out += JsonEscape(labels[i].first);
+    out += "\": \"";
+    out += JsonEscape(labels[i].second);
+    out += "\"";
   }
   out += "}";
   return out;

@@ -58,9 +58,9 @@ Status FleetOptions::Validate() const {
 }
 
 double FleetStats::Availability() const {
-  return admitted == 0
+  return received == 0
              ? 1.0
-             : static_cast<double>(answered) / static_cast<double>(admitted);
+             : static_cast<double>(answered) / static_cast<double>(received);
 }
 
 std::string FleetStats::ToText() const {
@@ -81,8 +81,7 @@ std::string FleetStats::ToText() const {
      << ", scale-ups " << scale_ups << ", scale-downs " << scale_downs
      << "; primary swaps " << primary_swaps << " (version "
      << primary_version << ")\n"
-     << "availability: "
-     << (admitted == 0 ? 1.0 : Availability()) * 100.0 << "%\n"
+     << "availability: " << Availability() * 100.0 << "%\n"
      << "latency_ms: " << latency_ms.Summary() << "\n";
   for (const ReplicaStatsEntry& r : replicas) {
     os << "  replica " << r.id << ": "
@@ -230,16 +229,13 @@ Result<uint32_t> PredictionFleet::AddReplicaInternal(bool count_scale_up) {
     return Status::Internal("replica factory returned null for id " +
                             std::to_string(id));
   }
-  // Replica services run inline on the fleet's dispatch threads: handing
-  // them the shared pool would deadlock it (pool tasks blocking on
-  // further pool tasks). New replicas serve the committed fleet version.
+  // New replicas serve the committed fleet version.
   ServeOptions replica_options = options_.replica;
   replica_options.model_version = version;
   replicas_.emplace(
       id, std::make_unique<Replica>(id, std::move(primary), fallback_,
                                     std::move(replica_options),
-                                    options_.health,
-                                    /*pool=*/nullptr, clock_));
+                                    options_.health, clock_));
   ring_.Add(id);
   if (count_scale_up) scale_ups_->Increment();
   lock.Unlock();
@@ -679,7 +675,7 @@ Result<FleetPrediction> PredictionFleet::Predict(const FleetRequest& request) {
       request.tenant.empty() ? "anonymous" : request.tenant;
 
   // Tenant-fair admission in front of everything else; per-replica
-  // queues provide the second, replica-local shedding layer.
+  // admission bounds provide the second, replica-local shedding layer.
   const QuotaDecision decision = quotas_.Admit(tenant, capacity());
   if (decision != QuotaDecision::kAdmit) {
     quotas_.CountOutcome(tenant, /*answered=*/false);

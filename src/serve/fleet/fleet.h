@@ -153,7 +153,8 @@ struct FleetStats {
   Histogram replica_latency_ms;
   std::vector<ReplicaStatsEntry> replicas;
 
-  /// answered / admitted in [0, 1] (1 when nothing was admitted).
+  /// answered / received in [0, 1] (1 when nothing was received): shed,
+  /// expired and failed requests all count against it.
   double Availability() const;
   std::string ToText() const;
   std::string ToJson() const;
@@ -176,8 +177,8 @@ struct FleetStats {
 ///    directly, so single-replica failures never zero availability.
 ///
 /// Threading: with a ThreadPool, Predict() dispatches attempts to the
-/// pool and races them (real hedging); replica services execute inline on
-/// those pool threads. Without a pool, everything runs inline in the
+/// pool and races them (real hedging); replica services run on those
+/// pool threads. Without a pool, everything runs inline in the
 /// caller thread and hedging is *simulated deterministically*: the
 /// primary runs to completion, and if its (virtual) latency exceeded the
 /// hedge budget the hedge target runs too, the winner being whichever

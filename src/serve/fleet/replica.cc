@@ -8,12 +8,10 @@ namespace zerotune::serve::fleet {
 Replica::Replica(uint32_t id,
                  std::unique_ptr<const core::CostPredictor> primary,
                  const core::CostPredictor* fallback, ServeOptions options,
-                 HealthOptions health_options, ThreadPool* pool,
-                 Clock* clock)
+                 HealthOptions health_options, Clock* clock)
     : id_(id),
       fallback_(fallback),
       options_(std::move(options)),
-      pool_(pool),
       clock_(clock != nullptr ? clock : SystemClock::Default()),
       tracker_(health_options, clock) {
   options_.metric_labels.emplace_back("replica", std::to_string(id_));
@@ -28,7 +26,7 @@ std::shared_ptr<PredictionService> Replica::MakeService() {
   ServeOptions opts = options_;
   opts.model_version = version_;
   return std::make_shared<PredictionService>(primary_.get(), fallback_, opts,
-                                             pool_, clock_);
+                                             clock_);
 }
 
 Result<ServedPrediction> Replica::Predict(const dsp::ParallelQueryPlan& plan,

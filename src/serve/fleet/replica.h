@@ -9,7 +9,6 @@
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/cost_predictor.h"
 #include "serve/fleet/health.h"
 #include "serve/prediction_service.h"
@@ -21,12 +20,12 @@ namespace zerotune::serve::fleet {
 ///
 /// The replica owns its primary predictor (typically a per-replica
 /// ChaosPredictor around a shared model) for its whole lifetime; what a
-/// "crash" destroys is the *service incarnation* — queue, breaker state,
-/// stats series. Kill() fails subsequent requests fast with Unavailable
-/// and marks the tracker down; Restart() retires the old incarnation and
-/// brings up a fresh service. Requests already executing inside a killed
-/// incarnation drain normally (the crash takes effect at request
-/// boundaries), so fleet-level accounting never loses a request.
+/// "crash" destroys is the *service incarnation* — admission counters,
+/// breaker state, stats series. Kill() fails subsequent requests fast with
+/// Unavailable and marks the tracker down; Restart() retires the old
+/// incarnation and brings up a fresh service. Requests already executing
+/// inside a killed incarnation drain normally (the crash takes effect at
+/// request boundaries), so fleet-level accounting never loses a request.
 ///
 /// Retired incarnations are kept alive until the replica is destroyed:
 /// their counters may still be incremented by draining requests, and
@@ -36,13 +35,11 @@ class Replica {
  public:
   /// `primary` is owned; `fallback` is borrowed (may be null). The
   /// service's serve.* series carry {"replica", <id>} on top of the
-  /// per-incarnation instance label. `pool` here is the pool handed to
-  /// each PredictionService; the fleet passes null so replica services
-  /// execute inline on the fleet's own dispatch threads (two layers of
-  /// pooling would deadlock a shared pool).
+  /// per-incarnation instance label. Requests run on the thread that calls
+  /// Predict() — in the fleet, its dispatch threads.
   Replica(uint32_t id, std::unique_ptr<const core::CostPredictor> primary,
           const core::CostPredictor* fallback, ServeOptions options,
-          HealthOptions health_options, ThreadPool* pool, Clock* clock);
+          HealthOptions health_options, Clock* clock);
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
@@ -102,7 +99,6 @@ class Replica {
   const uint32_t id_;
   const core::CostPredictor* fallback_;
   ServeOptions options_;
-  ThreadPool* pool_;
   Clock* clock_;
   HealthTracker tracker_;
 

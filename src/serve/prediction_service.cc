@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <sstream>
 
 #include "analysis/plan_analyzer.h"
@@ -101,32 +100,13 @@ std::string ServiceStats::ToJson() const {
   return os.str();
 }
 
-struct PredictionService::Request {
-  const dsp::ParallelQueryPlan* plan = nullptr;
-  int64_t deadline_nanos = kNoDeadlineNanos;
-  int64_t admitted_nanos = 0;
-
-  Mutex mu;
-  std::condition_variable cv;
-  bool started ZT_GUARDED_BY(mu) = false;    // a worker has claimed it
-  bool cancelled ZT_GUARDED_BY(mu) = false;  // deadline expired while queued
-  // Atomic so deadline-wait predicates can poll it without holding `mu`
-  // (the cv wait itself still runs under the lock); written under `mu`
-  // before the notify.
-  std::atomic<bool> done{false};
-  Result<ServedPrediction> result ZT_GUARDED_BY(mu){
-      Status::Internal("pending")};
-};
-
 PredictionService::PredictionService(const core::CostPredictor* primary,
                                      const core::CostPredictor* fallback,
-                                     ServeOptions options, ThreadPool* pool,
-                                     Clock* clock)
+                                     ServeOptions options, Clock* clock)
     : primary_(primary),
       fallback_(fallback),
       options_(options),
       options_status_(options.Validate()),
-      pool_(pool),
       clock_(clock != nullptr ? clock : SystemClock::Default()),
       breaker_(options.breaker, clock_),
       metric_labels_(NextInstanceLabels(options.metric_labels)),
@@ -152,12 +132,6 @@ PredictionService::PredictionService(const core::CostPredictor* primary,
       ->Set(static_cast<double>(options_.model_version));
 }
 
-PredictionService::~PredictionService() {
-  // Queue-cancelled requests leave their drain task pending on the pool;
-  // those tasks touch `this`, so they must finish before we go away.
-  if (pool_ != nullptr) pool_->Wait();
-}
-
 Result<ServedPrediction> PredictionService::Predict(
     const dsp::ParallelQueryPlan& plan) {
   return Predict(plan, options_.default_deadline_ms);
@@ -179,13 +153,13 @@ Result<ServedPrediction> PredictionService::Predict(
     }
   }
 
-  // Bounded admission: beyond max_inflight the request is shed, not
-  // queued — the caller gets explicit backpressure it can react to.
-  // Requests parked in backoff sleep are discounted: they hold no
-  // execution resources, so counting them against the bound would let a
-  // burst of retrying requests starve fresh admissions.
+  // Bounded admission: beyond max_inflight the request is shed — the
+  // caller gets explicit backpressure it can react to. Requests parked in
+  // backoff sleep are discounted: they hold no execution resources, so
+  // counting them against the bound would let a burst of retrying requests
+  // starve fresh admissions.
   {
-    MutexLock g(queue_mu_);
+    MutexLock g(admission_mu_);
     if (inflight_ - backing_off_ >= options_.max_inflight) {
       shed_queue_full_->Increment();
       return Status::ResourceExhausted(
@@ -196,90 +170,27 @@ Result<ServedPrediction> PredictionService::Predict(
   }
   admitted_->Increment();
 
-  auto request = std::make_shared<Request>();
-  request->plan = &plan;
-  request->admitted_nanos = clock_->NowNanos();
-  request->deadline_nanos =
+  const int64_t admitted_nanos = clock_->NowNanos();
+  const int64_t deadline_nanos =
       deadline_ms > 0.0
-          ? request->admitted_nanos + static_cast<int64_t>(deadline_ms * 1e6)
+          ? admitted_nanos + static_cast<int64_t>(deadline_ms * 1e6)
           : kNoDeadlineNanos;
-
-  if (pool_ == nullptr) {
-    // Inline mode: execute in the caller thread. Deterministic — the mode
-    // FakeClock tests use.
-    Execute(request.get());
-    {
-      MutexLock g(queue_mu_);
-      --inflight_;
-    }
-    MutexLock g(request->mu);
-    return request->result;
-  }
-
-  {
-    MutexLock g(queue_mu_);
-    queue_.push_back(request);
-  }
-  pool_->Submit([this] { DrainOne(); });
-
-  MutexLock lock(request->mu);
-  clock_->WaitUntil(lock.unique_lock(), request->cv, request->deadline_nanos,
-                    [&] { return request->done.load(); });
-  if (!request->done.load()) {
-    if (!request->started) {
-      // Deadline passed while still queued: cancel. The worker that
-      // eventually pops it discards it without running (and records the
-      // deadline_expired disposition), so the expired request consumes no
-      // inference budget.
-      request->cancelled = true;
-      return Status::DeadlineExceeded(
-          "deadline (" + std::to_string(deadline_ms) +
-          " ms) expired while queued; request cancelled unexecuted");
-    }
-    // A worker is executing it: attempts are never preempted mid-predict,
-    // so wait for the (attempt-bounded) completion and return its result —
-    // the executor's own budget checks decide whether that is a value or
-    // DeadlineExceeded.
-    while (!request->done.load()) request->cv.wait(lock.unique_lock());
-  }
-  return request->result;
-}
-
-void PredictionService::DrainOne() {
-  std::shared_ptr<Request> request;
-  {
-    MutexLock g(queue_mu_);
-    if (queue_.empty()) return;  // defensive; one task per enqueue
-    request = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  bool cancelled = false;
-  {
-    MutexLock g(request->mu);
-    cancelled = request->cancelled;
-    if (!cancelled) request->started = true;
-  }
-  if (cancelled) {
-    deadline_expired_->Increment();
-  } else {
-    Execute(request.get());
-  }
-  MutexLock g(queue_mu_);
+  Result<ServedPrediction> result =
+      Execute(plan, deadline_nanos, admitted_nanos);
+  MutexLock g(admission_mu_);
   --inflight_;
+  return result;
 }
 
-void PredictionService::Execute(Request* request) {
+Result<ServedPrediction> PredictionService::Execute(
+    const dsp::ParallelQueryPlan& plan, int64_t deadline_nanos,
+    int64_t admitted_nanos) {
   obs::Span span("serve/execute");
-  Result<ServedPrediction> result = ExecuteAttempts(
-      *request->plan, request->deadline_nanos, request->admitted_nanos);
+  Result<ServedPrediction> result =
+      ExecuteAttempts(plan, deadline_nanos, admitted_nanos);
   span.AddArg("ok", result.ok() ? "true" : "false");
   FinishRequest(result);
-  {
-    MutexLock g(request->mu);
-    request->result = std::move(result);
-    request->done.store(true);
-  }
-  request->cv.notify_all();
+  return result;
 }
 
 void PredictionService::FinishRequest(const Result<ServedPrediction>& result) {
@@ -319,11 +230,11 @@ void PredictionService::SleepBackoff(size_t attempt, int64_t deadline_nanos) {
     // max_inflight (bounded by max_inflight * max_attempts); what the
     // bound strictly limits is slots held at admission time.
     {
-      MutexLock g(queue_mu_);
+      MutexLock g(admission_mu_);
       ++backing_off_;
     }
     clock_->SleepFor(static_cast<int64_t>(ms * 1e6));
-    MutexLock g(queue_mu_);
+    MutexLock g(admission_mu_);
     --backing_off_;
   }
 }

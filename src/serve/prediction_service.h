@@ -2,8 +2,6 @@
 #define ZEROTUNE_SERVE_PREDICTION_SERVICE_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 
 #include "common/clock.h"
@@ -12,7 +10,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/cost_predictor.h"
 #include "obs/metrics.h"
 #include "serve/circuit_breaker.h"
@@ -23,11 +20,10 @@ namespace zerotune::serve {
 /// Validate() is checked at service construction and every Predict() call
 /// fails fast with the construction error if the options were bad.
 struct ServeOptions {
-  /// Bound on requests occupying the service (queued + executing, not
-  /// counting requests parked in retry-backoff sleep — those release
-  /// their slot for the duration). Admission beyond this sheds the
-  /// request with ResourceExhausted instead of queueing unboundedly —
-  /// explicit backpressure to the caller.
+  /// Bound on requests executing in the service (not counting requests
+  /// parked in retry-backoff sleep — those release their slot for the
+  /// duration). Admission beyond this sheds the request with
+  /// ResourceExhausted — explicit backpressure to the caller.
   size_t max_inflight = 64;
   /// Deadline budget applied when the caller passes none (0 = none).
   double default_deadline_ms = 0.0;
@@ -115,33 +111,26 @@ struct ServiceStats {
 ///   - bounded admission with load shedding (ResourceExhausted),
 ///   - optional static-analysis gate at admission (InvalidArgument
 ///     carrying the ZT-Pxxx diagnostics),
-///   - per-request deadline budgets via a cancellable work queue
-///     (DeadlineExceeded; a request whose deadline passes while still
-///     queued is cancelled without ever running),
+///   - per-request deadline budgets (DeadlineExceeded),
 ///   - retry with exponential backoff + jitter on transient primary
 ///     failures,
 ///   - a circuit breaker that degrades to a cheap fallback predictor
 ///     (answers tagged degraded=true) and recovers via half-open probes.
 ///
-/// Threading: with a ThreadPool, Predict() enqueues the request on a
-/// bounded queue drained by pool workers and blocks the caller until
-/// completion or deadline; any number of caller threads may call
-/// Predict() concurrently. Without a pool, requests execute inline in the
-/// caller thread (deterministic; the mode FakeClock tests use). The
-/// deadline is enforced at attempt boundaries — an individual predictor
-/// call is never preempted mid-inference, so one in-flight attempt may
-/// overrun its budget but can never hang the service permanently.
+/// Threading: Predict() runs the whole request on the calling thread; any
+/// number of caller threads may call it concurrently, and max_inflight
+/// bounds how many execute at once. The deadline is enforced at attempt
+/// boundaries — an individual predictor call is never preempted
+/// mid-inference, so one in-flight attempt may overrun its budget but can
+/// never hang the service permanently.
 class PredictionService {
  public:
   /// `primary` is required; `fallback` may be null (no degraded mode —
-  /// exhausted attempts surface the primary error). Null `pool` executes
-  /// inline; null `clock` uses the system clock. All pointers are
-  /// borrowed and must outlive the service.
+  /// exhausted attempts surface the primary error). Null `clock` uses the
+  /// system clock. All pointers are borrowed and must outlive the service.
   PredictionService(const core::CostPredictor* primary,
                     const core::CostPredictor* fallback, ServeOptions options,
-                    ThreadPool* pool, Clock* clock);
-
-  ~PredictionService();
+                    Clock* clock);
 
   PredictionService(const PredictionService&) = delete;
   PredictionService& operator=(const PredictionService&) = delete;
@@ -168,13 +157,13 @@ class PredictionService {
   /// against the registry.
   const obs::Labels& metric_labels() const { return metric_labels_; }
 
-  /// Requests currently *occupying an admission slot* (queued + executing,
+  /// Requests currently *occupying an admission slot* (executing,
   /// excluding requests parked in retry backoff); never exceeds
   /// ServeOptions::max_inflight. A request sleeping between attempts
   /// releases its slot so bursts of retrying requests cannot starve
   /// admission — see backing_off().
   size_t inflight() const {
-    MutexLock g(queue_mu_);
+    MutexLock g(admission_mu_);
     return inflight_ - backing_off_;
   }
 
@@ -182,21 +171,18 @@ class PredictionService {
   /// These are inside the service but discounted from the admission bound;
   /// total residency is inflight() + backing_off().
   size_t backing_off() const {
-    MutexLock g(queue_mu_);
+    MutexLock g(admission_mu_);
     return backing_off_;
   }
 
   CircuitBreaker::State breaker_state() { return breaker_.state(); }
 
  private:
-  struct Request;
-
-  /// Pool task: pops and executes (or discards, if cancelled) one queued
-  /// request.
-  void DrainOne();
-  /// Runs the retry/breaker/fallback pipeline for one request and stores
-  /// its result; records the request's disposition in the stats.
-  void Execute(Request* request);
+  /// Runs the retry/breaker/fallback pipeline for one admitted request and
+  /// records its disposition in the stats.
+  Result<ServedPrediction> Execute(const dsp::ParallelQueryPlan& plan,
+                                   int64_t deadline_nanos,
+                                   int64_t admitted_nanos);
   Result<ServedPrediction> ExecuteAttempts(
       const dsp::ParallelQueryPlan& plan, int64_t deadline_nanos,
       int64_t admitted_nanos);
@@ -207,17 +193,15 @@ class PredictionService {
   const core::CostPredictor* fallback_;
   ServeOptions options_;
   Status options_status_;
-  ThreadPool* pool_;
   Clock* clock_;
   CircuitBreaker breaker_;
 
-  mutable Mutex queue_mu_;
-  std::deque<std::shared_ptr<Request>> queue_ ZT_GUARDED_BY(queue_mu_);
-  // queued + executing + backing off
-  size_t inflight_ ZT_GUARDED_BY(queue_mu_) = 0;
+  mutable Mutex admission_mu_;
+  // executing + backing off
+  size_t inflight_ ZT_GUARDED_BY(admission_mu_) = 0;
   // subset of inflight_ asleep between attempts; admission bounds
   // inflight_ - backing_off_
-  size_t backing_off_ ZT_GUARDED_BY(queue_mu_) = 0;
+  size_t backing_off_ ZT_GUARDED_BY(admission_mu_) = 0;
 
   // serve.* series in the global metrics registry, labeled per instance.
   // Handles are resolved once at construction; hot-path increments are

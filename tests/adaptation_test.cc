@@ -219,6 +219,16 @@ RolloutOptions FastRollout() {
   return o;
 }
 
+// "t<a>_<b>", built by appending: GCC 12's -Wrestrict misfires on
+// `"t" + std::to_string(a) + ...` in Release builds.
+std::string TenantName(int a, int b) {
+  std::string name = "t";
+  name += std::to_string(a);
+  name += "_";
+  name += std::to_string(b);
+  return name;
+}
+
 fleet::FleetOptions SmallFleet(size_t replicas) {
   fleet::FleetOptions o;
   o.initial_replicas = replicas;
@@ -310,7 +320,7 @@ TEST(VersionRolloutTest, RollsBackEveryReplicaOnRegression) {
        ++round) {
     for (int j = 0; j < 8; ++j) {
       fleet::FleetRequest req;
-      req.tenant = "t" + std::to_string(round) + "_" + std::to_string(j);
+      req.tenant = TenantName(round, j);
       req.plan = &plan;
       ASSERT_TRUE(fleet.Predict(req).ok());
       ++sent;
@@ -594,7 +604,7 @@ TEST_F(AdaptationWorkerTest, RolledBackPromotionRestoresParentEverywhere) {
        ++round) {
     for (int j = 0; j < 8; ++j) {
       fleet::FleetRequest req;
-      req.tenant = "t" + std::to_string(round) + "_" + std::to_string(j);
+      req.tenant = TenantName(round, j);
       req.plan = &plan;
       ASSERT_TRUE(fleet.Predict(req).ok());
       ++sent;
@@ -664,7 +674,7 @@ TEST(HotSwapRaceTest, ConcurrentSwapsVsInFlightPredictions) {
     threads.emplace_back([&fleet, &plan, t] {
       for (int i = 0; i < kRequestsPerThread; ++i) {
         fleet::FleetRequest req;
-        req.tenant = "t" + std::to_string(t) + "_" + std::to_string(i);
+        req.tenant = TenantName(t, i);
         req.plan = &plan;
         const auto answer = fleet.Predict(req);
         ASSERT_TRUE(answer.ok()) << answer.status().message();

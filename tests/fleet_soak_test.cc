@@ -103,6 +103,14 @@ class FastFallback : public core::CostPredictor {
   std::string name() const override { return "fast-fallback"; }
 };
 
+// "t<n>", built by appending: GCC 12's -Wrestrict misfires on
+// `"t" + std::to_string(n)` in Release builds.
+std::string TenantName(uint64_t n) {
+  std::string name = "t";
+  name += std::to_string(n);
+  return name;
+}
+
 void ExpectExactReconciliation(const FleetStats& s) {
   // Nothing lost, nothing double-counted.
   ASSERT_EQ(s.received, s.admitted + s.shed_fleet_capacity +
@@ -160,7 +168,7 @@ std::string RunInlineChaosDrill(size_t requests, size_t tenants,
   FleetRequest req;
   req.plan = &plan;
   for (size_t i = 0; i < requests; ++i) {
-    req.tenant = "t" + std::to_string(Mix64(tenant_stream ^ i) % tenants);
+    req.tenant = TenantName(Mix64(tenant_stream ^ i) % tenants);
     const auto r = fleet.Predict(req);
     // Inline, within capacity, with a healthy fallback: every single
     // request must be answered.
@@ -318,7 +326,7 @@ TEST(FleetSoakTest, ConcurrentChaosSoakReconcilesAtQuiescence) {
       req.plan = &plan;
       for (size_t i = 0; i < kRequestsPerCaller; ++i) {
         const size_t g = c * kRequestsPerCaller + i;
-        req.tenant = "t" + std::to_string(Mix64(g) % kTenants);
+        req.tenant = TenantName(Mix64(g) % kTenants);
         // Every 13th request carries a hopeless budget to exercise the
         // deadline disposition under concurrency.
         req.deadline_ms = (i % 13 == 12) ? 1e-6 : 0.0;

@@ -97,6 +97,14 @@ class GatedPredictor : public core::CostPredictor {
   bool open_ = false;
 };
 
+// "t<n>", built by appending: GCC 12's -Wrestrict misfires on
+// `"t" + std::to_string(n)` in Release builds.
+std::string TenantName(int n) {
+  std::string name = "t";
+  name += std::to_string(n);
+  return name;
+}
+
 void ExpectFleetInvariants(const FleetStats& s) {
   EXPECT_EQ(s.received, s.admitted + s.shed_fleet_capacity +
                             s.shed_tenant_quota + s.shed_fair_share);
@@ -261,7 +269,7 @@ TEST(ReplicaTest, KillFailsFastAndRestartRecoversWithStatsIntact) {
   const dsp::ParallelQueryPlan plan = ValidPlan();
   Replica replica(7, std::make_unique<StubPredictor>(&clock, 1.0),
                   /*fallback=*/nullptr, ServeOptions{}, HealthOptions{},
-                  /*pool=*/nullptr, &clock);
+                  &clock);
   ASSERT_TRUE(replica.Predict(plan, 0.0).ok());
   ASSERT_TRUE(replica.Predict(plan, 0.0).ok());
   EXPECT_EQ(replica.incarnations(), 1u);
@@ -392,6 +400,60 @@ TEST(FleetTest, TotalOutageIsRescuedByFleetFallback) {
   ExpectFleetInvariants(stats);
 }
 
+// Availability is answered over *received*: a request shed at admission
+// is as unanswered as a failed one.
+TEST(FleetTest, AvailabilityCountsShedRequests) {
+  FakeClock clock;
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  // Each primary call re-enters the fleet as the same tenant while the
+  // outer request still holds that tenant's only slot, so the nested
+  // request is shed by the tenant quota.
+  class ReentrantPredictor : public core::CostPredictor {
+   public:
+    explicit ReentrantPredictor(PredictionFleet* const* fleet)
+        : fleet_(fleet) {}
+    Result<CostPrediction> Predict(
+        const dsp::ParallelQueryPlan& p) const override {
+      FleetRequest nested;
+      nested.plan = &p;
+      nested.tenant = "solo";
+      EXPECT_EQ((*fleet_)->Predict(nested).status().code(),
+                StatusCode::kResourceExhausted);
+      return CostPrediction{12.0, 48000.0};
+    }
+    std::string name() const override { return "reentrant"; }
+
+   private:
+    PredictionFleet* const* fleet_;
+  };
+  PredictionFleet* fleet_ptr = nullptr;
+  auto factory = [&fleet_ptr](uint32_t)
+      -> std::unique_ptr<const core::CostPredictor> {
+    return std::make_unique<ReentrantPredictor>(&fleet_ptr);
+  };
+  FleetOptions opts = InlineFleetOptions(1);
+  opts.replica.max_inflight = 1;  // capacity 1: every tenant's cap is 1
+  PredictionFleet fleet(factory, /*fallback=*/nullptr, opts,
+                        /*pool=*/nullptr, &clock);
+  fleet_ptr = &fleet;
+
+  FleetRequest req;
+  req.plan = &plan;
+  req.tenant = "solo";
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(fleet.Predict(req).ok());
+
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.received, 6u);
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.answered, 3u);
+  EXPECT_EQ(stats.shed_tenant_quota, 3u);
+  EXPECT_DOUBLE_EQ(stats.Availability(),
+                   static_cast<double>(stats.answered) /
+                       static_cast<double>(stats.received));
+  EXPECT_LT(stats.Availability(), 1.0);
+  ExpectFleetInvariants(stats);
+}
+
 TEST(FleetTest, TotalOutageWithoutFallbackFails) {
   FakeClock clock;
   const dsp::ParallelQueryPlan plan = ValidPlan();
@@ -432,7 +494,7 @@ TEST(FleetTest, PrimaryErrorFailsOverToNextReplicaSynchronously) {
   const uint64_t plan_hash = PlanKeyHash(plan);
   std::string tenant = "t0";
   for (int i = 0; i < 1000; ++i) {
-    tenant = "t" + std::to_string(i);
+    tenant = TenantName(i);
     if (ring.Owner(RequestKey(tenant, plan_hash)).value() == 0) break;
   }
   ASSERT_EQ(ring.Owner(RequestKey(tenant, plan_hash)).value(), 0u);
@@ -472,7 +534,7 @@ TEST(FleetTest, InlineHedgingIsDeterministicAndFirstAnswerWins) {
   std::string slow_tenant = "s";
   std::string fast_tenant = "f";
   for (int i = 0; i < 1000; ++i) {
-    const std::string t = "t" + std::to_string(i);
+    const std::string t = TenantName(i);
     (ring.Owner(RequestKey(t, plan_hash)).value() == 0 ? slow_tenant
                                                        : fast_tenant) = t;
   }
@@ -692,7 +754,7 @@ TEST(ControllerTest, UnderutilizationScalesDownToFloor) {
   // Each tick needs traffic in its interval (inline traffic leaves zero
   // utilization behind) and drains exactly one replica, down to the floor.
   for (int tick = 0; tick < 4; ++tick) {
-    req.tenant = "t" + std::to_string(tick);
+    req.tenant = TenantName(tick);
     ASSERT_TRUE(fleet.Predict(req).ok());
     controller.Tick();
   }
@@ -716,7 +778,7 @@ TEST(FleetTest, MixedChaosTrafficReconcilesExactly) {
   FleetRequest req;
   req.plan = &plan;
   for (int i = 0; i < 2000; ++i) {
-    req.tenant = "t" + std::to_string(i % 37);
+    req.tenant = TenantName(i % 37);
     ASSERT_TRUE(fleet.Predict(req).ok());
     clock.AdvanceMillis(0.01);
     if (i % 400 == 199) {

@@ -1,7 +1,8 @@
-// Tests for the resilient serving layer (serve/prediction_service.h) in
-// deterministic inline mode on a FakeClock: admission lint gate, bounded
-// queue backpressure, deadline budgets, retry/backoff accounting,
-// degraded fallback, breaker trip/recovery, and the stats invariants.
+// Tests for the resilient serving layer (serve/prediction_service.h) on a
+// FakeClock: admission lint gate, admission-bound backpressure, deadline
+// budgets, retry/backoff accounting, degraded fallback, breaker
+// trip/recovery, the stats invariants, and that a request runs on the
+// thread that called Predict().
 #include "serve/prediction_service.h"
 
 #include <algorithm>
@@ -139,8 +140,7 @@ TEST(PredictionServiceTest, ServesHealthyPrimary) {
   FakeClock clock;
   ScriptedPredictor primary = AlwaysOk(&clock, {7.0, 9000.0});
   ScriptedPredictor fallback = AlwaysOk(&clock, {99.0, 1.0});
-  PredictionService service(&primary, &fallback, ServeOptions(), nullptr,
-                            &clock);
+  PredictionService service(&primary, &fallback, ServeOptions(), &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
@@ -165,7 +165,7 @@ TEST(PredictionServiceTest, InvalidOptionsFailEveryRequest) {
   ScriptedPredictor primary = AlwaysOk(&clock);
   ServeOptions opts;
   opts.max_attempts = 0;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -175,8 +175,7 @@ TEST(PredictionServiceTest, InvalidOptionsFailEveryRequest) {
 TEST(PredictionServiceTest, LintGateShedsBadPlanWithDiagnosticCode) {
   FakeClock clock;
   ScriptedPredictor primary = AlwaysOk(&clock);
-  PredictionService service(&primary, nullptr, ServeOptions(), nullptr,
-                            &clock);
+  PredictionService service(&primary, nullptr, ServeOptions(), &clock);
   const dsp::ParallelQueryPlan bad = LintBadPlan();
   const auto r = service.Predict(bad);
   ASSERT_FALSE(r.ok());
@@ -199,7 +198,7 @@ TEST(PredictionServiceTest, LintGateCanBeDisabled) {
   ScriptedPredictor primary = AlwaysOk(&clock);
   ServeOptions opts;
   opts.lint_admission = false;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
   const dsp::ParallelQueryPlan bad = LintBadPlan();
   ZT_CHECK_OK(service.Predict(bad).status());
   EXPECT_EQ(primary.calls(), 1u);
@@ -226,7 +225,7 @@ TEST(PredictionServiceTest, AdmissionBoundShedsWithResourceExhausted) {
   ReentrantPredictor primary;
   ServeOptions opts;
   opts.max_inflight = 1;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
   primary.service = &service;
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
@@ -260,7 +259,7 @@ TEST(PredictionServiceTest, BackoffSleepReleasesAdmissionSlot) {
   opts.backoff_base_ms = 300.0;  // long enough for B to run while A sleeps
   opts.backoff_max_ms = 300.0;
   opts.backoff_jitter = 0.0;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
   const dsp::ParallelQueryPlan plan = ValidPlan();
 
   std::thread a([&] { ZT_CHECK_OK(service.Predict(plan).status()); });
@@ -298,7 +297,7 @@ TEST(PredictionServiceTest, RetriesWithBackoffThenSucceeds) {
   ServeOptions opts;
   opts.backoff_base_ms = 1.0;
   opts.backoff_jitter = 0.0;  // deterministic: sleeps are exactly 1ms, 2ms
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
@@ -322,7 +321,7 @@ TEST(PredictionServiceTest, ExhaustedAttemptsDegradeToFallback) {
   ServeOptions opts;
   opts.max_attempts = 3;
   opts.backoff_jitter = 0.0;
-  PredictionService service(&primary, &fallback, opts, nullptr, &clock);
+  PredictionService service(&primary, &fallback, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
@@ -346,7 +345,7 @@ TEST(PredictionServiceTest, NoFallbackSurfacesPrimaryError) {
   ScriptedPredictor primary = AlwaysFail(&clock);
   ServeOptions opts;
   opts.max_attempts = 2;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
@@ -369,7 +368,7 @@ TEST(PredictionServiceTest, FailingFallbackCountsAndSurfacesBothErrors) {
   ScriptedPredictor fallback = AlwaysFail(&clock);
   ServeOptions opts;
   opts.max_attempts = 1;
-  PredictionService service(&primary, &fallback, opts, nullptr, &clock);
+  PredictionService service(&primary, &fallback, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan);
@@ -389,8 +388,7 @@ TEST(PredictionServiceTest, SlowPrimaryExhaustsDeadlineBudget) {
   // gone after the first, so no retry is attempted.
   ScriptedPredictor primary({{true, 10.0}}, &clock);
   ScriptedPredictor fallback = AlwaysOk(&clock);
-  PredictionService service(&primary, &fallback, ServeOptions(), nullptr,
-                            &clock);
+  PredictionService service(&primary, &fallback, ServeOptions(), &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const auto r = service.Predict(plan, /*deadline_ms=*/5.0);
@@ -414,7 +412,7 @@ TEST(PredictionServiceTest, BackoffIsCappedAtTheRemainingBudget) {
   opts.backoff_base_ms = 100.0;  // nominal first backoff far beyond budget
   opts.backoff_max_ms = 100.0;
   opts.backoff_jitter = 0.0;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   const int64_t t0 = clock.NowNanos();
@@ -430,7 +428,7 @@ TEST(PredictionServiceTest, DefaultDeadlineApplies) {
   ScriptedPredictor primary({{true, 10.0}}, &clock);
   ServeOptions opts;
   opts.default_deadline_ms = 5.0;
-  PredictionService service(&primary, nullptr, opts, nullptr, &clock);
+  PredictionService service(&primary, nullptr, opts, &clock);
   const dsp::ParallelQueryPlan plan = ValidPlan();
   EXPECT_EQ(service.Predict(plan).status().code(),
             StatusCode::kDeadlineExceeded);
@@ -451,7 +449,7 @@ TEST(PredictionServiceTest, BreakerTripsShortCircuitsAndRecovers) {
   opts.breaker.error_rate_to_trip = 0.5;
   opts.breaker.open_duration_ms = 100.0;
   opts.breaker.half_open_probes = 1;
-  PredictionService service(&primary, &fallback, opts, nullptr, &clock);
+  PredictionService service(&primary, &fallback, opts, &clock);
 
   const dsp::ParallelQueryPlan plan = ValidPlan();
   // Requests 1-4: primary fails, fallback answers, breaker trips on #4.
@@ -491,8 +489,7 @@ TEST(PredictionServiceTest, BreakerTripsShortCircuitsAndRecovers) {
 TEST(PredictionServiceTest, StatsRenderAsTextAndJson) {
   FakeClock clock;
   ScriptedPredictor primary = AlwaysOk(&clock);
-  PredictionService service(&primary, nullptr, ServeOptions(), nullptr,
-                            &clock);
+  PredictionService service(&primary, nullptr, ServeOptions(), &clock);
   const dsp::ParallelQueryPlan plan = ValidPlan();
   ZT_CHECK_OK(service.Predict(plan).status());
 
@@ -509,11 +506,38 @@ TEST(PredictionServiceTest, StatsRenderAsTextAndJson) {
       << json;
 }
 
+// Records the thread each Predict() runs on.
+class ThreadRecordingPredictor : public core::CostPredictor {
+ public:
+  Result<CostPrediction> Predict(
+      const dsp::ParallelQueryPlan&) const override {
+    thread_id = std::this_thread::get_id();
+    return CostPrediction{1.0, 1.0};
+  }
+  std::string name() const override { return "thread-recording"; }
+
+  mutable std::thread::id thread_id;
+};
+
+TEST(PredictionServiceTest, PredictRunsOnCallingThread) {
+  FakeClock clock;
+  ThreadRecordingPredictor primary;
+  PredictionService service(&primary, nullptr, ServeOptions(), &clock);
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  std::thread::id caller;
+  std::thread t([&] {
+    caller = std::this_thread::get_id();
+    ZT_CHECK_OK(service.Predict(plan).status());
+  });
+  t.join();
+  EXPECT_NE(caller, std::thread::id());
+  EXPECT_EQ(primary.thread_id, caller);
+}
+
 TEST(PredictionServiceTest, InflightReturnsToZeroAtQuiescence) {
   FakeClock clock;
   ScriptedPredictor primary = AlwaysOk(&clock);
-  PredictionService service(&primary, nullptr, ServeOptions(), nullptr,
-                            &clock);
+  PredictionService service(&primary, nullptr, ServeOptions(), &clock);
   const dsp::ParallelQueryPlan plan = ValidPlan();
   for (int i = 0; i < 5; ++i) {
     ZT_CHECK_OK(service.Predict(plan).status());

@@ -137,7 +137,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<size_t>{64, 8, 64}),
     [](const ::testing::TestParamInfo<std::vector<size_t>>& info) {
       std::string name = "L";
-      for (size_t s : info.param) name += "_" + std::to_string(s);
+      for (size_t s : info.param) {
+        name += "_";
+        name += std::to_string(s);
+      }
       return name;
     });
 

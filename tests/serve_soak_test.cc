@@ -1,8 +1,8 @@
 // Soak test for the serving runtime: >= 10k requests from concurrent
-// callers through PredictionService on a real ThreadPool under ~30%
-// injected chaos. Proves liveness (every request gets an answer or a
-// typed rejection — the ctest timeout catches hangs), the admission
-// bound, and that the stats counters stay monotonic and consistent.
+// caller threads through PredictionService under ~30% injected chaos.
+// Proves liveness (every request gets an answer or a typed rejection —
+// the ctest timeout catches hangs), the admission bound, and that the
+// stats counters stay monotonic and consistent.
 #include <atomic>
 #include <map>
 #include <thread>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/oracle_predictor.h"
 #include "obs/metrics.h"
 #include "dsp/cluster.h"
@@ -25,7 +24,6 @@ namespace {
 
 constexpr size_t kCallers = 8;
 constexpr size_t kRequestsPerCaller = 1250;  // 10k total
-constexpr size_t kMaxInflight = 8;
 
 dsp::ParallelQueryPlan SoakPlan() {
   dsp::QueryPlan q;
@@ -42,7 +40,10 @@ dsp::ParallelQueryPlan SoakPlan() {
   return plan;
 }
 
-TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
+// Drives kCallers closed-loop callers through one service bounded at
+// `max_inflight`, checks every liveness and ledger invariant, and stores
+// how many requests were shed at admission in `*shed_out`.
+void RunSoak(size_t max_inflight, uint64_t* shed_out) {
   core::OraclePredictor oracle;
 
   ChaosPredictor::Options chaos_opts;
@@ -55,7 +56,7 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
   core::OraclePredictor fallback;
 
   ServeOptions opts;
-  opts.max_inflight = kMaxInflight;  // < kCallers, so shedding is exercised
+  opts.max_inflight = max_inflight;
   opts.max_attempts = 2;
   opts.backoff_base_ms = 0.0;  // retry immediately; keep the soak fast
   opts.backoff_max_ms = 0.0;
@@ -65,8 +66,7 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
   // this, so the breaker should stay closed the whole run.
   opts.breaker.error_rate_to_trip = 0.9;
 
-  ThreadPool pool(4);
-  PredictionService service(&chaos, &fallback, opts, &pool, nullptr);
+  PredictionService service(&chaos, &fallback, opts, nullptr);
   const dsp::ParallelQueryPlan plan = SoakPlan();
 
   std::atomic<bool> running{true};
@@ -78,7 +78,7 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
   std::thread sampler([&] {
     ServiceStats prev;
     while (running.load()) {
-      if (service.inflight() > kMaxInflight) ++bound_violations;
+      if (service.inflight() > max_inflight) ++bound_violations;
       const ServiceStats s = service.Snapshot();
       if (s.received < prev.received || s.admitted < prev.admitted ||
           s.completed < prev.completed ||
@@ -105,7 +105,7 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
     callers.emplace_back([&, c] {
       for (size_t i = 0; i < kRequestsPerCaller; ++i) {
         // Every 11th request carries an already-hopeless budget to drive
-        // the cancellation / deadline paths; the rest are unbounded.
+        // the deadline path; the rest are unbounded.
         const double deadline_ms = (i % 11 == 10) ? 1e-6 : 0.0;
         const auto r = service.Predict(plan, deadline_ms);
         if (r.ok()) {
@@ -121,9 +121,6 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
     });
   }
   for (std::thread& t : callers) t.join();
-  // Queue-cancelled requests record their disposition when a pool worker
-  // eventually pops them; drain those tasks before the final snapshot.
-  pool.Wait();
   running.store(false);
   sampler.join();
 
@@ -134,6 +131,7 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
     deadline += deadline_counts[c];
     other += other_counts[c];
   }
+  *shed_out = shed;
   const uint64_t total = kCallers * kRequestsPerCaller;
   // Every request was answered: a value or a typed rejection.
   EXPECT_EQ(ok + shed + deadline + other, total);
@@ -186,6 +184,22 @@ TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
   const auto lat = reg->HistogramSnapshot("serve.latency_ms", labels);
   ASSERT_TRUE(lat.has_value());
   EXPECT_EQ(lat->count(), s.completed);
+}
+
+TEST(ServeSoakTest, TenThousandRequestsUnderChaos) {
+  // Each caller holds at most one slot, so with as many slots as callers
+  // a request always finds one free: nothing may be shed.
+  uint64_t shed = 0;
+  RunSoak(/*max_inflight=*/kCallers, &shed);
+  EXPECT_EQ(shed, 0u);
+}
+
+TEST(ServeSoakTest, AdmissionBoundShedsWhenCallersOutnumberSlots) {
+  // Half as many slots as callers: the bound must bite, and RunSoak's
+  // sampler checks that inflight() never exceeds it.
+  uint64_t shed = 0;
+  RunSoak(/*max_inflight=*/kCallers / 2, &shed);
+  EXPECT_GT(shed, 0u);
 }
 
 }  // namespace

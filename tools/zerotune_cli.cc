@@ -981,6 +981,14 @@ struct FleetSimConfig {
   uint64_t root_seed = 7;
 };
 
+/// Tenant id "t<n>" of a simulated request. Built by appending: GCC 12's
+/// -Wrestrict misfires on `"t" + std::to_string(n)` in Release builds.
+std::string TenantName(uint64_t n) {
+  std::string name = "t";
+  name += std::to_string(n);
+  return name;
+}
+
 /// Fleet mode of serve-sim: drives a PredictionFleet instead of a single
 /// PredictionService. Chaos kills a replica every kill_every requests and
 /// the Dhalion-style controller (ticking every 256 requests) restarts it
@@ -1046,8 +1054,7 @@ int RunFleetServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
     for (size_t i = lo; i < hi; ++i) {
       // Tenant assignment hashes the global request index, so the mix is
       // identical whatever the thread count.
-      req.tenant =
-          "t" + std::to_string(Mix64(tenant_stream ^ i) % cfg.tenants);
+      req.tenant = TenantName(Mix64(tenant_stream ^ i) % cfg.tenants);
       (void)fleet.Predict(req);
       if (fake != nullptr) fake->AdvanceMillis(0.05);
       if (caller != 0) continue;
@@ -1227,7 +1234,7 @@ int RunAdaptServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
     }
     const dsp::ParallelQueryPlan& p =
         variants[Mix64(variant_stream ^ i) % variants.size()];
-    req.tenant = "t" + std::to_string(Mix64(tenant_stream ^ i) % cfg.tenants);
+    req.tenant = TenantName(Mix64(tenant_stream ^ i) % cfg.tenants);
     req.plan = &p;
     const Result<serve::fleet::FleetPrediction> answer = fleet.Predict(req);
     if (fake != nullptr) fake->AdvanceMillis(0.05);
@@ -1490,17 +1497,12 @@ int CmdServeSim(const FlagParser& flags) {
   }
 
   serve::ChaosPredictor chaos(inner, copts, /*clock=*/nullptr);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
-  }
-  serve::PredictionService service(&chaos, &fallback, sopts, pool.get(),
+  serve::PredictionService service(&chaos, &fallback, sopts,
                                    /*clock=*/nullptr);
 
-  // Replay: `threads` caller threads (1 when inline) split the trace and
-  // fire back-to-back requests against the same deployment.
-  const size_t callers =
-      pool != nullptr ? static_cast<size_t>(threads) : size_t{1};
+  // Replay: `threads` caller threads (1 when 0) split the trace and fire
+  // back-to-back requests against the same deployment.
+  const size_t callers = threads > 0 ? static_cast<size_t>(threads) : 1;
   const size_t total = static_cast<size_t>(requests);
   auto drive = [&](size_t caller) {
     const size_t share = (total + callers - 1) / callers;
