@@ -3,14 +3,12 @@
 //     the greedy auto-pipelining heuristic, per query structure.
 // (b) Weighted cost (Eq. 1) of ZeroTune vs the Dhalion-style controller.
 // Every selected deployment is executed on the ground-truth engine.
-#include <chrono>
 #include <iostream>
 
 #include "baselines/dhalion.h"
 #include "baselines/greedy.h"
 #include "bench_util.h"
 #include "common/statistics.h"
-#include "core/cost_predictor.h"
 #include "core/optimizer.h"
 #include "workload/generator.h"
 
@@ -117,74 +115,6 @@ int main() {
                    TextTable::Fmt(Mean(zt_costs)),
                    TextTable::Fmt(Mean(dh_costs)),
                    TextTable::Fmt(dh_execs / std::max<size_t>(1, count), 1)});
-  }
-
-  // Scoring-throughput microbenchmark: the optimizer's inner loop scores
-  // hundreds of parallelism candidates per query; PredictBatch amortizes
-  // featurization and encoder work across them and shards scoring over
-  // the thread pool. Report single-plan vs batched throughput.
-  {
-    workload::QueryGenerator gen({}, 0xf10);
-    const auto g =
-        gen.Generate(workload::QueryStructure::kThreeWayJoin).value();
-    std::vector<int> inner;
-    for (const auto& op : g.plan.operators()) {
-      if (op.type != dsp::OperatorType::kSource &&
-          op.type != dsp::OperatorType::kSink) {
-        inner.push_back(op.id);
-      }
-    }
-    // 128 distinct candidates: per-operator degrees vary combinatorially,
-    // mirroring the optimizer's enumeration (no duplicate plans).
-    std::vector<dsp::ParallelQueryPlan> candidates;
-    for (size_t i = 0; candidates.size() < 128 && i < 12800; ++i) {
-      dsp::ParallelQueryPlan cand(g.plan, g.cluster);
-      bool ok = true;
-      size_t x = i;
-      for (int id : inner) {
-        ok = ok && cand.SetParallelism(id, 1 + static_cast<int>(x % 4)).ok();
-        x /= 4;
-      }
-      if (!ok) continue;
-      cand.DerivePartitioning();
-      if (!cand.PlaceRoundRobin().ok() || !cand.Validate().ok()) continue;
-      candidates.push_back(std::move(cand));
-    }
-    const core::ZeroTuneModel& model = *setup.model;
-
-    auto time_s = [](const auto& fn) {
-      const auto start = std::chrono::steady_clock::now();
-      fn();
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-    // Warm both paths once so timing excludes first-touch allocation.
-    (void)model.Predict(candidates.front());
-    (void)core::PredictBatch(model, candidates);
-
-    const double seq_s = time_s([&] {
-      for (const auto& c : candidates) (void)model.Predict(c);
-    });
-    const double batch_s =
-        time_s([&] { (void)core::PredictBatch(model, candidates); });
-    setup.model->set_thread_pool(&pool);
-    const double pooled_s =
-        time_s([&] { (void)core::PredictBatch(model, candidates); });
-    setup.model->set_thread_pool(nullptr);
-
-    const double n = static_cast<double>(candidates.size());
-    TextTable scoring({"Scoring path", "Plans/s", "Speed-up x"});
-    scoring.AddRow({"per-plan Predict", TextTable::Fmt(n / seq_s, 0),
-                    TextTable::Fmt(1.0, 2)});
-    scoring.AddRow({"PredictBatch (1 thread)",
-                    TextTable::Fmt(n / batch_s, 0),
-                    TextTable::Fmt(seq_s / batch_s, 2)});
-    scoring.AddRow({"PredictBatch (pooled)",
-                    TextTable::Fmt(n / pooled_s, 0),
-                    TextTable::Fmt(seq_s / pooled_s, 2)});
-    bench::Banner("Candidate scoring throughput (128 candidates)");
-    bench::EmitTable("fig10_scoring_throughput", scoring);
   }
 
   bench::Banner("Fig. 10a — mean speed-up vs greedy heuristic");

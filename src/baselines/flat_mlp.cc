@@ -11,13 +11,11 @@ namespace zerotune::baselines {
 
 FlatMlpModel::FlatMlpModel(Options options) : options_(options) {
   Rng rng(options_.seed);
-  nn::Mlp::Options mlp_opts;
-  mlp_opts.activation = nn::Activation::kLeakyRelu;
   mlp_ = std::make_unique<nn::Mlp>(
       &params_,
       std::vector<size_t>{FlatVectorEncoder::Dim(), options_.hidden_dim,
                           options_.hidden_dim, 2},
-      &rng, mlp_opts);
+      &rng);
 }
 
 std::vector<double> FlatMlpModel::Standardize(std::vector<double> x) const {

@@ -58,19 +58,19 @@ uint64_t HashWords(const void* key, size_t len) {
 
 // Interns variable-length uint32 keys: equal keys get equal ids, handed
 // out densely in first-seen order. It decides every equality in a batch:
-// feature rows (keyed on their raw fp64 bits), whole candidates and
-// structure groups (keyed on integer signatures), and each message-
-// passing stage of a chunk (keyed on content-unique ids of the stage's
-// inputs). Equal keys therefore name bitwise-identical inputs, so dedup
-// never merges rows that differ; distinct keys for coincidentally equal
-// rows only cost a redundant MLP row.
+// feature rows (keyed on their raw fp64 bits), structure groups (keyed
+// on integer signatures), and each message-passing stage of a group
+// (keyed on content-unique ids of the stage's inputs). Equal keys
+// therefore name bitwise-identical inputs, so dedup never merges rows
+// that differ; distinct keys for coincidentally equal rows only cost a
+// redundant MLP row.
 class IntKeyInterner {
  public:
   /// Prepares the table for `expected` Intern() calls, discarding all
   /// previously interned keys. `expected` must bound the calls exactly:
   /// the linear probe only terminates while a free slot remains. Reuses
   /// the slot array across calls (a generation counter marks live
-  /// slots), so a chunk's dozens of per-operator dedup rounds cost zero
+  /// slots), so a group's dozens of per-operator dedup rounds cost zero
   /// allocations after the first.
   void Reset(size_t expected) {
     size_t cap = 16;
@@ -227,7 +227,7 @@ FloatBuffer ComputeResourceState(const nn::QuantizedMlp& res_update,
   return Forward(res_update, input, n_res);
 }
 
-// One message-passing stage's dedup result for a chunk: candidate b's
+// One message-passing stage's dedup result for a group: candidate b's
 // state is unique row remap[b], and unique row u was first produced by
 // candidate uniq_rep[u] (whose inputs the executor reads to assemble it).
 struct StageDedup {
@@ -235,17 +235,17 @@ struct StageDedup {
   std::vector<uint32_t> uniq_rep;  // unique row -> representative candidate
 };
 
-// The integer skeleton of one chunk's message passing: which rows are
+// The integer skeleton of one group's message passing: which rows are
 // distinct at every stage and how candidates map onto them. Built once
-// per chunk from interned ids only — no floating-point data is touched.
+// per group from interned ids only — no floating-point data is touched.
 // Keys are content-unique ids, so equal keys guarantee identical stage
-// inputs.
-struct ChunkPlan {
+// inputs, and candidates with identical feature graphs share every row.
+struct GroupPlan {
   size_t B = 0;
   std::vector<StageDedup> flow;    // stage 1, per operator
   std::vector<StageDedup> mapped;  // stage 3b, per operator
   std::vector<StageDedup> flow2;   // stage 4, per operator
-  // Unique mapping edges across the chunk (stage 3a) and, per
+  // Unique mapping edges across the group (stage 3a) and, per
   // (candidate, operator) in CSR layout, the incoming unique-message ids
   // in mapping-edge order — the order Forward() pushes them into the
   // mean.
@@ -264,13 +264,13 @@ void InternStageKey(IntKeyInterner& keys, const std::vector<uint32_t>& key,
   sd.remap[b] = uid;
 }
 
-ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
+GroupPlan BuildGroupPlan(const Group& group,
                          const std::vector<PlanGraph>& graphs,
                          const std::vector<std::vector<uint32_t>>& op_row_ids) {
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
-  const size_t B = end - begin;
-  ChunkPlan plan;
+  const size_t B = group.members.size();
+  GroupPlan plan;
   plan.B = B;
   plan.flow.resize(n_ops);
   plan.mapped.resize(n_ops);
@@ -289,8 +289,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
     sd.remap.resize(B);
     for (size_t b = 0; b < B; ++b) {
       key.clear();
-      key.push_back(op_row_ids[group.members[begin + b]]
-                              [static_cast<size_t>(id)]);
+      key.push_back(op_row_ids[group.members[b]][static_cast<size_t>(id)]);
       for (int up : ups) {
         key.push_back(plan.flow[static_cast<size_t>(up)].remap[b]);
       }
@@ -300,18 +299,18 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
 
   // Stage 3a: mapping messages. A message row is determined by the
   // resource index (which names the shared res_state row) and the edge's
-  // feature bits, so edges dedup on that pair across the whole chunk.
+  // feature bits, so edges dedup on that pair across the whole group.
   std::vector<uint32_t> edge_uid;  // per (candidate, edge), in edge order
   std::vector<size_t> edge_off(B + 1, 0);
   {
     size_t n_edges = 0;
     for (size_t b = 0; b < B; ++b) {
-      n_edges += graphs[group.members[begin + b]].mapping_edges.size();
+      n_edges += graphs[group.members[b]].mapping_edges.size();
     }
     keys.Reset(n_edges);
     for (size_t b = 0; b < B; ++b) {
       edge_off[b] = edge_uid.size();
-      const PlanGraph& g = graphs[group.members[begin + b]];
+      const PlanGraph& g = graphs[group.members[b]];
       for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
         key.assign(1, static_cast<uint32_t>(e.resource_index));
         AppendBits(key, e.features.data(), e.features.size());
@@ -328,7 +327,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   plan.inc_uids.resize(edge_uid.size());
   {
     for (size_t b = 0; b < B; ++b) {
-      const PlanGraph& g = graphs[group.members[begin + b]];
+      const PlanGraph& g = graphs[group.members[b]];
       for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
         ++plan.inc_off[b * n_ops + static_cast<size_t>(e.operator_index) + 1];
       }
@@ -338,7 +337,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
     }
     std::vector<uint32_t> cursor(plan.inc_off.begin(), plan.inc_off.end() - 1);
     for (size_t b = 0; b < B; ++b) {
-      const PlanGraph& g = graphs[group.members[begin + b]];
+      const PlanGraph& g = graphs[group.members[b]];
       size_t pos = edge_off[b];
       for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
         plan.inc_uids[cursor[b * n_ops +
@@ -384,15 +383,14 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   return plan;
 }
 
-// Runs one chunk's message passing in fp32, assembling only the distinct
-// rows the ChunkPlan identified, and returns the sink's final state rows
+// Runs one group's message passing in fp32, assembling only the distinct
+// rows the GroupPlan identified, and returns the sink's final state rows
 // (one per distinct sink state). Per-row arithmetic never crosses rows,
-// so results do not depend on how members are chunked across threads or
-// on which other plans share the batch. The intermediate state is
-// released before the span ends.
+// so results do not depend on which other plans share the batch. The
+// intermediate state is released before the span ends.
 FloatBuffer PassMessages(const QuantizedBlocks& blocks,
-                         const FloatBuffer& op_encoded, const ChunkPlan& plan,
-                         const Group& group, size_t begin,
+                         const FloatBuffer& op_encoded, const GroupPlan& plan,
+                         const Group& group,
                          const std::vector<std::vector<uint32_t>>& op_row_ids,
                          size_t h) {
   obs::Span mp_span("batch_inference/message_passing");
@@ -419,8 +417,8 @@ FloatBuffer PassMessages(const QuantizedBlocks& blocks,
       const size_t b = sd.uniq_rep[u];
       float* dst = input.data() + u * 2 * h;
       std::memcpy(dst,
-                  row(op_encoded, op_row_ids[group.members[begin + b]]
-                                            [static_cast<size_t>(id)]),
+                  row(op_encoded,
+                      op_row_ids[group.members[b]][static_cast<size_t>(id)]),
                   h * sizeof(float));
       if (!ups.empty()) {
         rows.clear();
@@ -530,12 +528,11 @@ FloatBuffer PassMessages(const QuantizedBlocks& blocks,
 }
 
 // Readout at the sink: forwards and decodes each distinct sink state once
-// (the only fp64 work of a chunk), then fans the decoded predictions out
-// to the chunk's candidates.
+// (the only fp64 work of a group), then fans the decoded predictions out
+// to the group's candidates.
 void Readout(const QuantizedBlocks& blocks, const FloatBuffer& sink_state,
              const StageDedup& sink, const ZeroTuneModel& model,
-             const Group& group, size_t begin,
-             std::vector<CostPrediction>& out) {
+             const Group& group, std::vector<CostPrediction>& out) {
   obs::Span readout_span("batch_inference/readout");
   readout_span.AddArg("candidates", std::to_string(sink.remap.size()));
   const FloatBuffer readout =
@@ -550,7 +547,7 @@ void Readout(const QuantizedBlocks& blocks, const FloatBuffer& sink_state,
     decoded[u] = model.DecodeOutput(widened);
   }
   for (size_t b = 0; b < sink.remap.size(); ++b) {
-    out[group.members[begin + b]] = decoded[sink.remap[b]];
+    out[group.members[b]] = decoded[sink.remap[b]];
   }
 }
 
@@ -647,9 +644,8 @@ Result<std::vector<CostPrediction>> BatchedPredict(
   // Group plans by structure so each group shares one resource-exchange
   // pass and row-batches the operator stages. The key is the topology
   // (sink, topological order, upstream lists, each length-prefixed) plus
-  // the interned resource rows.
+  // the interned resource rows. Members join their group in input order.
   std::vector<uint32_t> key;  // scratch
-  std::vector<uint32_t> group_of(n);
   std::vector<Group> groups;
   {
     obs::Span span("batch_inference/group");
@@ -666,46 +662,15 @@ Result<std::vector<CostPrediction>> BatchedPredict(
         key.insert(key.end(), ups.begin(), ups.end());
       }
       key.insert(key.end(), res_row_ids[i].begin(), res_row_ids[i].end());
-      group_of[i] = keys.Intern(key);
-      if (group_of[i] == groups.size()) {
+      const uint32_t gid = keys.Intern(key);
+      if (gid == groups.size()) {
         Group grp;
         grp.res_row_ids = res_row_ids[i];
         grp.shape = &g;
         groups.push_back(std::move(grp));
       }
+      groups[gid].members.push_back(i);
     }
-  }
-
-  // Dedup identical candidates wholesale: the prediction is a pure
-  // function of the feature graph, so plans of one group whose interned
-  // operator rows and mapping edges (indices plus feature bits) match
-  // score once and the result fans out. Reconfiguration and multi-query
-  // scoring re-submit overlapping candidate sets, where this collapses
-  // most of the batch. Representatives join their group in input order.
-  std::vector<size_t> canonical(n);
-  std::vector<size_t> reps;  // unique candidate -> representative plan
-  {
-    obs::Span span("batch_inference/dedup");
-    keys.Reset(n);
-    for (size_t i = 0; i < n; ++i) {
-      key.assign(1, group_of[i]);
-      key.insert(key.end(), op_row_ids[i].begin(), op_row_ids[i].end());
-      for (const PlanGraph::MappingEdge& e : graphs[i].mapping_edges) {
-        key.push_back(static_cast<uint32_t>(e.operator_index));
-        key.push_back(static_cast<uint32_t>(e.resource_index));
-        AppendBits(key, e.features.data(), e.features.size());
-      }
-      const uint32_t uid = keys.Intern(key);
-      if (uid == reps.size()) {
-        reps.push_back(i);
-        groups[group_of[i]].members.push_back(i);
-      }
-      canonical[i] = reps[uid];
-    }
-    metrics->GetCounter("batch_inference.unique_plans_total")
-        ->Increment(reps.size());
-    metrics->GetCounter("batch_inference.dedup_hits_total")
-        ->Increment(n - reps.size());
   }
 
   const size_t h = model.config().hidden_dim;
@@ -718,12 +683,37 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     }
   }
 
-  batch_span.AddArg("unique_plans", std::to_string(reps.size()));
+  // Each group's message passing runs as one row batch, independent
+  // groups in parallel. Its GroupPlan's stage dedup collapses duplicate
+  // candidates, so a candidate repeated in the batch reaches the readout
+  // as one distinct sink state.
+  std::vector<size_t> sink_states(groups.size());
+  ParallelFor(pool, groups.size(), [&](size_t gi) {
+    const Group& group = groups[gi];
+    GroupPlan plan;
+    {
+      obs::Span span("batch_inference/mp_plan");
+      plan = BuildGroupPlan(group, graphs, op_row_ids);
+    }
+    const FloatBuffer sink_state =
+        PassMessages(blocks, op_encoded, plan, group, op_row_ids, h);
+    const StageDedup& sink =
+        plan.flow2[static_cast<size_t>(group.shape->sink_index)];
+    Readout(blocks, sink_state, sink, model, group, out);
+    sink_states[gi] = sink.uniq_rep.size();
+  });
+
+  size_t unique = 0;
+  for (size_t count : sink_states) unique += count;
+  metrics->GetCounter("batch_inference.unique_plans_total")->Increment(unique);
+  metrics->GetCounter("batch_inference.dedup_hits_total")
+      ->Increment(n - unique);
+  batch_span.AddArg("unique_plans", std::to_string(unique));
   batch_span.AddArg("structure_groups", std::to_string(groups.size()));
 
   if (stats) {
     stats->plans = n;
-    stats->unique_plans = reps.size();
+    stats->unique_plans = unique;
     stats->structure_groups = groups.size();
     stats->operator_rows_encoded = op_unique;
     stats->resource_rows_encoded = res_unique;
@@ -731,44 +721,6 @@ Result<std::vector<CostPrediction>> BatchedPredict(
       stats->operator_rows_total += op_row_ids[i].size();
       stats->resource_rows_total += res_row_ids[i].size();
     }
-  }
-
-  // Shard each group's candidates into contiguous chunks. Without a pool
-  // one chunk per group maximizes row-batch width; with a pool, chunks
-  // target the worker count. Chunking never changes results — per-row
-  // arithmetic is independent of which rows share a buffer.
-  struct Chunk {
-    size_t group, begin, end;
-  };
-  std::vector<Chunk> chunks;
-  const size_t workers = pool != nullptr ? std::max<size_t>(pool->num_threads(), 1) : 1;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const size_t members = groups[g].members.size();
-    const size_t chunk_size =
-        workers > 1 ? std::max<size_t>((members + workers - 1) / workers, 4)
-                    : members;
-    for (size_t b = 0; b < members; b += chunk_size) {
-      chunks.push_back(Chunk{g, b, std::min(b + chunk_size, members)});
-    }
-  }
-  ParallelFor(pool, chunks.size(), [&](size_t c) {
-    const Chunk& chunk = chunks[c];
-    const Group& group = groups[chunk.group];
-    ChunkPlan plan;
-    {
-      obs::Span span("batch_inference/mp_plan");
-      plan = BuildChunkPlan(group, chunk.begin, chunk.end, graphs, op_row_ids);
-    }
-    const FloatBuffer sink_state = PassMessages(
-        blocks, op_encoded, plan, group, chunk.begin, op_row_ids, h);
-    Readout(blocks, sink_state,
-            plan.flow2[static_cast<size_t>(group.shape->sink_index)], model,
-            group, chunk.begin, out);
-  });
-
-  // Fan scored representatives out to their duplicates.
-  for (size_t i = 0; i < n; ++i) {
-    if (canonical[i] != i) out[i] = out[canonical[i]];
   }
 
   return out;

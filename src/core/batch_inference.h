@@ -32,8 +32,10 @@ struct QuantizedBlocks {
 /// reported by the perf benchmarks.
 struct BatchInferenceStats {
   size_t plans = 0;
-  /// Plans remaining after whole-candidate deduplication (identical
-  /// feature graphs score once and the result fans out).
+  /// Distinct sink states the readout scored: candidates whose message
+  /// passing reaches the same sink state (identical feature graphs, or
+  /// graphs a feature mask makes identical) score once and the result
+  /// fans out.
   size_t unique_plans = 0;
   /// Number of distinct (topology, cluster) structure groups found.
   /// Candidates enumerated for one query all land in one group.
@@ -58,15 +60,16 @@ struct BatchInferenceStats {
 ///    batch and encoded in one row-batched MLP call each,
 ///  * plans with identical topology and cluster are grouped, the
 ///    resource-exchange stage runs once per group, and every message-
-///    passing stage runs as row-batched matrix ops across the group's
-///    candidates (sharded over `pool` in deterministic chunks).
+///    passing stage runs as one row-batched matrix op across the group's
+///    distinct stage inputs, so duplicate candidates score once
+///    (independent groups run in parallel over `pool`).
 ///
 /// Inference runs on the model's fp32 snapshot of the weights
 /// (ZeroTuneModel::InferenceBlocks, built once per parameter generation
 /// and held for the whole call), so predictions are within 1e-3 relative
 /// of the fp64 autograd ZeroTuneModel::Forward on each plan. They are
 /// bit-identical to scoring each plan alone, independent of batch
-/// composition, chunking and thread count; a one-plan call is
+/// composition and thread count; a one-plan call is
 /// ZeroTuneModel::Predict.
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,

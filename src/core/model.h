@@ -76,15 +76,15 @@ class ZeroTuneModel : public CostPredictor {
       const dsp::ParallelQueryPlan& plan) const override;
 
   /// Batched inference (core/batch_inference.h): featurizes all plans
-  /// once, deduplicates shared operator/resource encodings, runs the MLP
-  /// blocks as row-batched fp32 matrix ops, and shards candidate scoring
-  /// over the configured thread pool. Bit-identical to per-plan
-  /// Predict() whatever the batch composition.
+  /// once, deduplicates shared operator/resource encodings and duplicate
+  /// candidates, and runs the MLP blocks as row-batched fp32 matrix ops.
+  /// Bit-identical to per-plan Predict() whatever the batch composition.
   Result<std::vector<CostPrediction>> PredictBatch(
       std::span<const dsp::ParallelQueryPlan* const> plans) const override;
 
-  /// Optional worker pool used by PredictBatch to shard candidate
-  /// scoring (not owned; null = single-threaded batching).
+  /// Optional worker pool PredictBatch shards featurization over and
+  /// runs independent structure groups on (not owned; null = the calling
+  /// thread does all the work).
   void set_thread_pool(zerotune::ThreadPool* pool) { pool_ = pool; }
   zerotune::ThreadPool* thread_pool() const { return pool_; }
 

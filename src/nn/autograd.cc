@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
+#include <istream>
+#include <ostream>
+#include <string>
 #include <unordered_set>
+
+#include "nn/kernels.h"
 
 namespace zerotune::nn {
 
@@ -58,27 +62,6 @@ NodePtr MakeNode(Matrix value, std::vector<NodePtr> parents,
   return n;
 }
 
-/// Applies an elementwise unary op with derivative expressed in terms of
-/// input x and output y.
-NodePtr ElementwiseUnary(const NodePtr& a,
-                         const std::function<double(double)>& f,
-                         const std::function<double(double, double)>& dfdx) {
-  Matrix out = a->value;
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = f(out.data()[i]);
-  return MakeNode(
-      std::move(out), {a},
-      [dfdx](const Matrix& og, const std::vector<Node*>& parents,
-             const std::vector<Matrix*>& pg) {
-        const Matrix& x = parents[0]->value;
-        Matrix& g = *pg[0];
-        for (size_t i = 0; i < x.size(); ++i) {
-          // Recompute y = f(x) lazily via dfdx(x, y); callers pass dfdx that
-          // only needs x where possible.
-          g.data()[i] += og.data()[i] * dfdx(x.data()[i], 0.0);
-        }
-      });
-}
-
 }  // namespace
 
 NodePtr Constant(Matrix value) {
@@ -108,18 +91,6 @@ NodePtr Add(const NodePtr& a, const NodePtr& b) {
                   });
 }
 
-NodePtr Sub(const NodePtr& a, const NodePtr& b) {
-  assert(a->value.SameShape(b->value));
-  Matrix out = a->value;
-  out.AddScaled(b->value, -1.0);
-  return MakeNode(std::move(out), {a, b},
-                  [](const Matrix& og, const std::vector<Node*>&,
-                     const std::vector<Matrix*>& pg) {
-                    pg[0]->Add(og);
-                    pg[1]->AddScaled(og, -1.0);
-                  });
-}
-
 NodePtr AddRowBroadcast(const NodePtr& a, const NodePtr& bias) {
   assert(bias->value.rows() == 1 && bias->value.cols() == a->value.cols());
   Matrix out = a->value;
@@ -139,43 +110,23 @@ NodePtr AddRowBroadcast(const NodePtr& a, const NodePtr& bias) {
                   });
 }
 
-NodePtr Scale(const NodePtr& a, double factor) {
+NodePtr LeakyRelu(const NodePtr& a) {
+  using kernels::kLeakyReluSlope;
   Matrix out = a->value;
-  out.Scale(factor);
-  return MakeNode(std::move(out), {a},
-                  [factor](const Matrix& og, const std::vector<Node*>&,
-                           const std::vector<Matrix*>& pg) {
-                    pg[0]->AddScaled(og, factor);
-                  });
-}
-
-NodePtr Relu(const NodePtr& a) {
-  return ElementwiseUnary(
-      a, [](double x) { return x > 0.0 ? x : 0.0; },
-      [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
-}
-
-NodePtr LeakyRelu(const NodePtr& a, double alpha) {
-  return ElementwiseUnary(
-      a, [alpha](double x) { return x > 0.0 ? x : alpha * x; },
-      [alpha](double x, double) { return x > 0.0 ? 1.0 : alpha; });
-}
-
-NodePtr Tanh(const NodePtr& a) {
-  return ElementwiseUnary(
-      a, [](double x) { return std::tanh(x); },
-      [](double x, double) {
-        const double t = std::tanh(x);
-        return 1.0 - t * t;
-      });
-}
-
-NodePtr Sigmoid(const NodePtr& a) {
-  return ElementwiseUnary(
-      a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
-      [](double x, double) {
-        const double s = 1.0 / (1.0 + std::exp(-x));
-        return s * (1.0 - s);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const double x = out.data()[i];
+    out.data()[i] = x > 0.0 ? x : kLeakyReluSlope * x;
+  }
+  return MakeNode(
+      std::move(out), {a},
+      [](const Matrix& og, const std::vector<Node*>& parents,
+         const std::vector<Matrix*>& pg) {
+        const Matrix& x = parents[0]->value;
+        Matrix& g = *pg[0];
+        for (size_t i = 0; i < x.size(); ++i) {
+          g.data()[i] +=
+              og.data()[i] * (x.data()[i] > 0.0 ? 1.0 : kLeakyReluSlope);
+        }
       });
 }
 
@@ -228,19 +179,6 @@ NodePtr MeanAll(const std::vector<NodePtr>& parts) {
                   });
 }
 
-NodePtr SumAll(const std::vector<NodePtr>& parts) {
-  assert(!parts.empty());
-  Matrix out = parts[0]->value;
-  for (size_t i = 1; i < parts.size(); ++i) out.Add(parts[i]->value);
-  return MakeNode(std::move(out), parts,
-                  [](const Matrix& og, const std::vector<Node*>& parents,
-                     const std::vector<Matrix*>& pg) {
-                    for (size_t i = 0; i < parents.size(); ++i) {
-                      pg[i]->Add(og);
-                    }
-                  });
-}
-
 NodePtr MseLoss(const NodePtr& prediction, const Matrix& target) {
   assert(prediction->value.SameShape(target));
   const size_t n = target.size();
@@ -260,36 +198,6 @@ NodePtr MseLoss(const NodePtr& prediction, const Matrix& target) {
         Matrix& g = *pg[0];
         for (size_t i = 0; i < n; ++i) {
           g.data()[i] += scale * (pred.data()[i] - target_copy.data()[i]);
-        }
-      });
-}
-
-NodePtr HuberLoss(const NodePtr& prediction, const Matrix& target,
-                  double delta) {
-  assert(prediction->value.SameShape(target));
-  const size_t n = target.size();
-  double loss = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = prediction->value.data()[i] - target.data()[i];
-    const double ad = std::abs(d);
-    loss += ad <= delta ? 0.5 * d * d : delta * (ad - 0.5 * delta);
-  }
-  Matrix out(1, 1, loss / static_cast<double>(n));
-  Matrix target_copy = target;
-  return MakeNode(
-      std::move(out), {prediction},
-      [target_copy, n, delta](const Matrix& og,
-                              const std::vector<Node*>& parents,
-                              const std::vector<Matrix*>& pg) {
-        const double scale = og(0, 0) / static_cast<double>(n);
-        const Matrix& pred = parents[0]->value;
-        Matrix& g = *pg[0];
-        for (size_t i = 0; i < n; ++i) {
-          const double d = pred.data()[i] - target_copy.data()[i];
-          const double dd = std::abs(d) <= delta
-                                ? d
-                                : (d > 0.0 ? delta : -delta);
-          g.data()[i] += scale * dd;
         }
       });
 }
@@ -367,20 +275,6 @@ size_t ParameterStore::num_parameters() const {
   size_t total = 0;
   for (const auto& p : params_) total += p->value.size();
   return total;
-}
-
-zerotune::Status ParameterStore::Save(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return zerotune::Status::IOError("cannot open " + path);
-  ZT_RETURN_IF_ERROR(SaveToStream(f));
-  return f ? zerotune::Status::OK()
-           : zerotune::Status::IOError("write failed for " + path);
-}
-
-zerotune::Status ParameterStore::Load(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return zerotune::Status::IOError("cannot open " + path);
-  return LoadFromStream(f);
 }
 
 zerotune::Status ParameterStore::SaveToStream(std::ostream& os) const {

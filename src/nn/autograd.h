@@ -6,7 +6,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -53,8 +52,9 @@ class GradStore {
 };
 
 /// A node in a dynamically-built computation graph. Nodes are created by
-/// the free functions below (MatMul, Add, Relu, ...). The graph is a DAG of
-/// shared_ptrs; calling Backward() walks it in reverse topological order.
+/// the free functions below (MatMul, Add, LeakyRelu, ...). The graph is a
+/// DAG of shared_ptrs; calling Backward() walks it in reverse topological
+/// order.
 ///
 /// Thread-safety: node values are immutable after construction, so a graph
 /// built by one thread over *shared parameter nodes* can run concurrently
@@ -84,33 +84,19 @@ NodePtr Constant(Matrix value);
 NodePtr MatMul(const NodePtr& a, const NodePtr& b);
 /// Elementwise sum (same shape).
 NodePtr Add(const NodePtr& a, const NodePtr& b);
-/// Elementwise difference (same shape).
-NodePtr Sub(const NodePtr& a, const NodePtr& b);
 /// Adds a 1×c bias row to every row of a (n×c).
 NodePtr AddRowBroadcast(const NodePtr& a, const NodePtr& bias);
-/// Scales by a compile-time constant.
-NodePtr Scale(const NodePtr& a, double factor);
-/// max(x, 0).
-NodePtr Relu(const NodePtr& a);
-/// x>0 ? x : alpha*x.
-NodePtr LeakyRelu(const NodePtr& a, double alpha = 0.01);
-/// tanh(x).
-NodePtr Tanh(const NodePtr& a);
-/// 1/(1+e^-x).
-NodePtr Sigmoid(const NodePtr& a);
+/// x > 0 ? x : kernels::kLeakyReluSlope·x, the activation of every
+/// hidden layer.
+NodePtr LeakyRelu(const NodePtr& a);
 /// Horizontal concatenation of row-aligned matrices.
 NodePtr ConcatCols(const std::vector<NodePtr>& parts);
 /// Elementwise mean of same-shape tensors (used to aggregate messages from
 /// a variable number of upstream nodes).
 NodePtr MeanAll(const std::vector<NodePtr>& parts);
-/// Elementwise sum of same-shape tensors.
-NodePtr SumAll(const std::vector<NodePtr>& parts);
 
 /// Mean squared error against a constant target; returns a 1×1 node.
 NodePtr MseLoss(const NodePtr& prediction, const Matrix& target);
-/// Huber (smooth-L1) loss against a constant target; returns a 1×1 node.
-NodePtr HuberLoss(const NodePtr& prediction, const Matrix& target,
-                  double delta = 1.0);
 
 /// Runs reverse-mode differentiation from `loss` (must be 1×1), adding
 /// parameter gradients into `grads`. The graph may be reused for multiple
@@ -118,11 +104,11 @@ NodePtr HuberLoss(const NodePtr& prediction, const Matrix& target,
 void Backward(const NodePtr& loss, GradStore* grads);
 
 /// Owns the trainable parameters of a model. Layers allocate parameters
-/// here; optimizers update them in place; Save/Load serialize them in
-/// creation order.
+/// here; the optimizer updates them in place; SaveToStream/LoadFromStream
+/// serialize them in creation order.
 ///
 /// Generation contract: every write to a parameter value goes through
-/// this store or an optimizer attached to it (Adam, Sgd), and each moves
+/// this store or the Adam optimizer attached to it, and each moves
 /// generation(). Caches derived from the values, such as the fp32
 /// inference snapshot ZeroTuneModel keeps, rebuild when it has moved. A
 /// write through a parameter node's `value` anywhere else is not seen by
@@ -142,22 +128,18 @@ class ParameterStore {
   size_t num_parameters() const;  // total scalar count
 
   /// Moves on every write to the parameter values: CreateParameter, a
-  /// successful Load/LoadFromStream/CopyFrom/Restore, Adam::Step and
-  /// Sgd::Step. A failed write does not move it. Reading a generation
-  /// (acquire) makes the writes that moved it visible.
+  /// successful LoadFromStream/CopyFrom/Restore, and Adam::Step. A failed
+  /// write does not move it. Reading a generation (acquire) makes the
+  /// writes that moved it visible.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Serializes parameter values to a text file (shape-checked on load).
-  zerotune::Status Save(const std::string& path) const;
-  /// Restores values; the store must contain identically-shaped parameters
-  /// created in the same order.
-  zerotune::Status Load(const std::string& path);
-
-  /// Stream variants used when a model embeds its parameters inside a
-  /// larger file together with config/normalization metadata.
+  /// Serializes parameter values as text. Models embed them in a larger
+  /// file together with config/normalization metadata.
   zerotune::Status SaveToStream(std::ostream& os) const;
+  /// Restores values (shape-checked); the store must contain
+  /// identically-shaped parameters created in the same order.
   zerotune::Status LoadFromStream(std::istream& is);
 
   /// Copies all parameter values from another store with identical layout.
@@ -168,14 +150,13 @@ class ParameterStore {
   std::vector<Matrix> Snapshot() const;
   /// Writes `values` (one per parameter, in creation order) back. Every
   /// shape is checked before the first value is written, so on error the
-  /// store is untouched. Load, LoadFromStream and CopyFrom commit
-  /// through here.
+  /// store is untouched. LoadFromStream and CopyFrom commit through
+  /// here.
   zerotune::Status Restore(std::vector<Matrix> values);
 
  private:
-  // The optimizers update values in place and then call BumpGeneration().
+  // The optimizer updates values in place and then calls BumpGeneration().
   friend class Adam;
-  friend class Sgd;
 
   void BumpGeneration() {
     generation_.fetch_add(1, std::memory_order_release);

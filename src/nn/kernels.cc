@@ -77,17 +77,9 @@ void MeanRowsF32(float* dst, const float* const* rows, size_t count,
 
 void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act) {
   for (size_t i = 0; i < n; ++i) x[i] += bias[i];
-  switch (act) {
-    case FusedAct::kNone:
-      break;
-    case FusedAct::kRelu:
-      for (size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      break;
-    case FusedAct::kLeakyRelu:
-      for (size_t i = 0; i < n; ++i) {
-        x[i] = x[i] > 0.0f ? x[i] : 0.01f * x[i];
-      }
-      break;
+  if (act == FusedAct::kLeakyRelu) {
+    const float slope = static_cast<float>(kLeakyReluSlope);
+    for (size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : slope * x[i];
   }
 }
 

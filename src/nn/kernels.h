@@ -62,12 +62,15 @@ Isa ActiveIsa();
 /// between measurements, not during them.
 void ForceScalar(bool on);
 
-/// Activations the fused bias+activation kernel applies in-register.
-/// Tanh/sigmoid stay in the caller (libm calls don't vectorize here).
+/// The LeakyReLU slope for x ≤ 0 — the one definition shared by the
+/// autograd LeakyRelu (fp64) and BiasActRowF32 (fp32, rounded to float).
+inline constexpr double kLeakyReluSlope = 0.01;
+
+/// What BiasActRowF32 applies after the bias: nothing (a regression
+/// head's output layer) or LeakyReLU (every other layer).
 enum class FusedAct {
   kNone,
-  kRelu,
-  kLeakyRelu,  // x > 0 ? x : 0.01·x, matching the autograd LeakyRelu
+  kLeakyRelu,  // x > 0 ? x : kLeakyReluSlope·x
 };
 
 /// acc[i] += x[i] over fp64 — Matrix::Add, used in training.

@@ -235,14 +235,14 @@ void MeanRowsF32(float* dst, const float* const* rows, size_t count,
 }
 
 void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act) {
+  const bool leaky = act == FusedAct::kLeakyRelu;
+  const float slope = static_cast<float>(kLeakyReluSlope);
   const __m256 zero = _mm256_setzero_ps();
-  const __m256 leak = _mm256_set1_ps(0.01f);
+  const __m256 leak = _mm256_set1_ps(slope);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256 v = _mm256_add_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(bias + i));
-    if (act == FusedAct::kRelu) {
-      v = _mm256_max_ps(v, zero);
-    } else if (act == FusedAct::kLeakyRelu) {
+    if (leaky) {
       const __m256 gt = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
       v = _mm256_blendv_ps(_mm256_mul_ps(v, leak), v, gt);
     }
@@ -250,11 +250,7 @@ void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act) {
   }
   for (; i < n; ++i) {
     float v = x[i] + bias[i];
-    if (act == FusedAct::kRelu) {
-      v = v > 0.0f ? v : 0.0f;
-    } else if (act == FusedAct::kLeakyRelu) {
-      v = v > 0.0f ? v : 0.01f * v;
-    }
+    if (leaky) v = v > 0.0f ? v : slope * v;
     x[i] = v;
   }
 }

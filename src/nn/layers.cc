@@ -4,17 +4,6 @@
 
 namespace zerotune::nn {
 
-NodePtr Activate(const NodePtr& x, Activation act) {
-  switch (act) {
-    case Activation::kNone: return x;
-    case Activation::kRelu: return Relu(x);
-    case Activation::kLeakyRelu: return LeakyRelu(x);
-    case Activation::kTanh: return Tanh(x);
-    case Activation::kSigmoid: return Sigmoid(x);
-  }
-  return x;
-}
-
 Linear::Linear(ParameterStore* store, size_t in_features, size_t out_features,
                zerotune::Rng* rng)
     : in_features_(in_features),
@@ -42,9 +31,7 @@ NodePtr Mlp::Forward(const NodePtr& x) const {
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);
     const bool is_last = (i + 1 == layers_.size());
-    if (!is_last || options_.activate_output) {
-      h = Activate(h, options_.activation);
-    }
+    if (!is_last || options_.activate_output) h = LeakyRelu(h);
   }
   return h;
 }

@@ -8,18 +8,6 @@
 
 namespace zerotune::nn {
 
-/// Activation functions supported by the layer helpers.
-enum class Activation {
-  kNone,
-  kRelu,
-  kLeakyRelu,
-  kTanh,
-  kSigmoid,
-};
-
-/// Applies the activation to a node (identity for kNone).
-NodePtr Activate(const NodePtr& x, Activation act);
-
 /// Fully-connected layer y = x·W + b with parameters owned by a
 /// ParameterStore. Copyable handle; the parameters live in the store.
 class Linear {
@@ -45,16 +33,16 @@ class Linear {
   NodePtr bias_;
 };
 
-/// Multi-layer perceptron: Linear→act→…→Linear(→optional act).
+/// Multi-layer perceptron: Linear→LeakyReLU→…→Linear(→optional
+/// LeakyReLU).
 ///
 /// This is the building block the paper uses for every graph node encoder
 /// and for the final readout regression head.
 class Mlp {
  public:
   struct Options {
-    Activation activation = Activation::kLeakyRelu;
-    /// Applies the activation after the final layer too (hidden encoders
-    /// want this; regression heads do not).
+    /// Applies LeakyReLU after the final layer too (hidden encoders want
+    /// this; regression heads do not).
     bool activate_output = false;
   };
 

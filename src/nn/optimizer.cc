@@ -120,31 +120,4 @@ Status Adam::LoadState(std::istream& is) {
   return Status::OK();
 }
 
-Sgd::Sgd(ParameterStore* store, Options options)
-    : store_(store), options_(options) {
-  for (const auto& p : store_->parameters()) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step(const GradStore& grads) {
-  const auto& params = store_->parameters();
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Matrix* g = grads.Find(params[i]->param_id);
-    if (g == nullptr) continue;
-    Matrix& value = params[i]->value;
-    if (options_.momentum > 0.0) {
-      Matrix& vel = velocity_[i];
-      for (size_t k = 0; k < value.size(); ++k) {
-        vel.data()[k] =
-            options_.momentum * vel.data()[k] - options_.learning_rate * g->data()[k];
-        value.data()[k] += vel.data()[k];
-      }
-    } else {
-      value.AddScaled(*g, -options_.learning_rate);
-    }
-  }
-  store_->BumpGeneration();
-}
-
 }  // namespace zerotune::nn

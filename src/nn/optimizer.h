@@ -49,26 +49,6 @@ class Adam {
   long step_count_ = 0;
 };
 
-/// Plain SGD with optional momentum; used by the baseline models and tests.
-class Sgd {
- public:
-  struct Options {
-    double learning_rate = 1e-2;
-    double momentum = 0.0;
-  };
-
-  explicit Sgd(ParameterStore* store) : Sgd(store, Options()) {}
-  Sgd(ParameterStore* store, Options options);
-
-  /// Applies one update and moves the store's generation.
-  void Step(const GradStore& grads);
-
- private:
-  ParameterStore* store_;
-  Options options_;
-  std::vector<Matrix> velocity_;
-};
-
 }  // namespace zerotune::nn
 
 #endif  // ZEROTUNE_NN_OPTIMIZER_H_

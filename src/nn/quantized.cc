@@ -1,49 +1,8 @@
 #include "nn/quantized.h"
 
 #include <cassert>
-#include <cmath>
-
-#include "nn/kernels.h"
 
 namespace zerotune::nn {
-
-namespace {
-
-/// fp32 activation matching the autograd Tanh/Sigmoid formulas; only the
-/// libm-backed activations land here — none/relu/leaky-relu are fused
-/// into BiasActRowF32.
-void ActivateRowF32(float* row, size_t n, Activation act) {
-  switch (act) {
-    case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) row[i] = std::tanh(row[i]);
-      break;
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) {
-        row[i] = 1.0f / (1.0f + std::exp(-row[i]));
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-bool HasFusedForm(Activation act) {
-  return act == Activation::kNone || act == Activation::kRelu ||
-         act == Activation::kLeakyRelu;
-}
-
-kernels::FusedAct ToFused(Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      return kernels::FusedAct::kRelu;
-    case Activation::kLeakyRelu:
-      return kernels::FusedAct::kLeakyRelu;
-    default:
-      return kernels::FusedAct::kNone;
-  }
-}
-
-}  // namespace
 
 QuantizedMlp QuantizedMlp::FromMlp(const Mlp& mlp) {
   QuantizedMlp q;
@@ -71,8 +30,8 @@ QuantizedMlp QuantizedMlp::FromMlp(const Mlp& mlp) {
     }
     const bool is_last = (li + 1 == layers.size());
     layer.act = (!is_last || mlp.options().activate_output)
-                    ? mlp.options().activation
-                    : Activation::kNone;
+                    ? kernels::FusedAct::kLeakyRelu
+                    : kernels::FusedAct::kNone;
     q.layers_.push_back(layer);
   }
   return q;
@@ -99,14 +58,8 @@ void QuantizedMlp::ForwardRows(const float* x, size_t rows,
     // One GEMM over the whole row batch (overwrites dst completely).
     kernels::GemmRowMajorF32(cur, rows, layer.in, w, layer.out, dst.data());
     for (size_t r = 0; r < rows; ++r) {
-      float* out_row = dst.data() + r * layer.out;
-      if (HasFusedForm(layer.act)) {
-        kernels::BiasActRowF32(out_row, bias, layer.out, ToFused(layer.act));
-      } else {
-        kernels::BiasActRowF32(out_row, bias, layer.out,
-                               kernels::FusedAct::kNone);
-        ActivateRowF32(out_row, layer.out, layer.act);
-      }
+      kernels::BiasActRowF32(dst.data() + r * layer.out, bias, layer.out,
+                             layer.act);
     }
     cur = dst.data();
   }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 
@@ -24,7 +25,8 @@ namespace zerotune::nn {
 /// exact.
 class QuantizedMlp {
  public:
-  /// Converts all layers of `mlp` (weights, biases, activation plan).
+  /// Converts all layers of `mlp` (weights, biases, which layers apply
+  /// LeakyReLU).
   static QuantizedMlp FromMlp(const Mlp& mlp);
 
   /// `x` is `rows` row-major rows of in_features() floats; `*out` is
@@ -42,7 +44,7 @@ class QuantizedMlp {
     size_t in = 0;
     size_t out = 0;
     size_t offset = 0;  // into params_: in×out weights, then out biases
-    Activation act = Activation::kNone;  // applied after this layer
+    kernels::FusedAct act = kernels::FusedAct::kNone;  // after this layer
   };
 
   std::vector<Layer> layers_;

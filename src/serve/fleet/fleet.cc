@@ -389,7 +389,7 @@ size_t PredictionFleet::alive_count() const {
 }
 
 size_t PredictionFleet::capacity() const {
-  return std::max<size_t>(alive_count() * options_.replica.max_inflight, 1);
+  return std::max<size_t>(alive_count(), 1) * options_.replica.max_inflight;
 }
 
 Result<ReplicaHealth> PredictionFleet::replica_health(uint32_t id) {

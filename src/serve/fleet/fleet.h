@@ -55,7 +55,7 @@ struct FleetOptions {
   size_t virtual_nodes = 128;
   /// Configuration of every replica's PredictionService. max_inflight
   /// here is the *per-replica* admission bound; fleet capacity is
-  /// alive_replicas * replica.max_inflight.
+  /// max(alive_replicas, 1) * replica.max_inflight.
   ServeOptions replica;
   HealthOptions health;
   HedgeOptions hedge;
@@ -245,8 +245,9 @@ class PredictionFleet {
   std::vector<uint32_t> AliveReplicaIds() const;
   size_t replica_count() const;
   size_t alive_count() const;
-  /// Fleet admission capacity: alive ring members * per-replica
-  /// max_inflight (at least 1).
+  /// Fleet admission capacity: alive ring members (at least 1, so a
+  /// fleet with every replica down still admits one replica's worth of
+  /// requests for the fallback to rescue) * per-replica max_inflight.
   size_t capacity() const;
   size_t total_inflight() const { return quotas_.total_inflight(); }
   Result<ReplicaHealth> replica_health(uint32_t id);

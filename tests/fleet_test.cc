@@ -400,6 +400,23 @@ TEST(FleetTest, TotalOutageIsRescuedByFleetFallback) {
   ExpectFleetInvariants(stats);
 }
 
+// With every replica down the fleet still admits one replica's worth of
+// concurrent requests, since the fallback can answer each of them; it
+// does not drop to one request at a time.
+TEST(FleetTest, TotalOutageKeepsOneReplicaOfCapacity) {
+  FakeClock clock;
+  StubPredictor fallback(&clock, 0.1);
+  const FleetOptions opts = InlineFleetOptions(2);
+  PredictionFleet fleet(StubFactory(&clock, 0.5), &fallback, opts,
+                        /*pool=*/nullptr, &clock);
+  EXPECT_EQ(fleet.capacity(), 2 * opts.replica.max_inflight);
+  ZT_CHECK_OK(fleet.KillReplica(fleet.ReplicaIds().front()));
+  EXPECT_EQ(fleet.capacity(), opts.replica.max_inflight);
+  ZT_CHECK_OK(fleet.KillReplica(fleet.ReplicaIds().back()));
+  ASSERT_EQ(fleet.alive_count(), 0u);
+  EXPECT_EQ(fleet.capacity(), opts.replica.max_inflight);
+}
+
 // Availability is answered over *received*: a request shed at admission
 // is as unanswered as a failed one.
 TEST(FleetTest, AvailabilityCountsShedRequests) {

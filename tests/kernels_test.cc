@@ -256,8 +256,7 @@ TEST(ElementwiseKernelTest, MeanRowsF32IsBitIdenticalAcrossIsas) {
 TEST(ElementwiseKernelTest, BiasActRowsIsBitIdenticalAcrossIsas) {
   Rng rng(19);
   for (size_t n : kLengths) {
-    for (FusedAct act :
-         {FusedAct::kNone, FusedAct::kRelu, FusedAct::kLeakyRelu}) {
+    for (FusedAct act : {FusedAct::kNone, FusedAct::kLeakyRelu}) {
       const size_t rows = 3;
       const std::vector<float> bias = RandomVecF32(n, &rng);
       std::vector<float> x_scalar = RandomVecF32(rows * n, &rng);
@@ -299,8 +298,7 @@ TEST(ElementwiseKernelTest, LeakyReluMatchesAutogradFormula) {
 TEST(ReductionKernelTest, BiasActRowF32IsBitIdenticalAcrossIsas) {
   Rng rng(41);
   for (size_t n : kLengths) {
-    for (FusedAct act :
-         {FusedAct::kNone, FusedAct::kRelu, FusedAct::kLeakyRelu}) {
+    for (FusedAct act : {FusedAct::kNone, FusedAct::kLeakyRelu}) {
       const std::vector<float> bias = RandomVecF32(n, &rng);
       std::vector<float> x_scalar = RandomVecF32(n, &rng);
       std::vector<float> x_simd = x_scalar;

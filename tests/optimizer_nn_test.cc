@@ -1,4 +1,4 @@
-// Tests for the nn optimizers (Adam, SGD): convergence on small problems.
+// Tests for the nn optimizer (Adam): convergence on small problems.
 #include "nn/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@ namespace zerotune::nn {
 namespace {
 
 /// Trains y = 2x1 - 3x2 + 1 from samples; returns final MSE.
-template <typename Optimizer>
-double FitLinear(Optimizer* opt, ParameterStore* store, const Linear& layer,
-                 int steps) {
+double FitLinear(Adam* opt, const Linear& layer, int steps) {
   zerotune::Rng rng(10);
   double last_loss = 0.0;
   for (int s = 0; s < steps; ++s) {
@@ -32,7 +30,6 @@ double FitLinear(Optimizer* opt, ParameterStore* store, const Linear& layer,
     opt->Step(grads);
     last_loss = loss_sum / 16.0;
   }
-  (void)store;
   return last_loss;
 }
 
@@ -43,20 +40,8 @@ TEST(AdamTest, FitsLinearFunction) {
   Adam::Options opts;
   opts.learning_rate = 0.05;
   Adam adam(&store, opts);
-  const double loss = FitLinear(&adam, &store, layer, 300);
+  const double loss = FitLinear(&adam, layer, 300);
   EXPECT_LT(loss, 1e-3);
-}
-
-TEST(SgdTest, FitsLinearFunction) {
-  zerotune::Rng rng(1);
-  ParameterStore store;
-  Linear layer(&store, 2, 1, &rng);
-  Sgd::Options opts;
-  opts.learning_rate = 0.1;
-  opts.momentum = 0.9;
-  Sgd sgd(&store, opts);
-  const double loss = FitLinear(&sgd, &store, layer, 300);
-  EXPECT_LT(loss, 1e-2);
 }
 
 TEST(AdamTest, SkipsParametersWithoutGradients) {
