@@ -13,15 +13,19 @@ using namespace zerotune;
 
 namespace {
 
-/// Average node/edge counts of the encoded test graphs.
+/// Average node/edge counts of the encoded test graphs: data-flow edges
+/// (upstream entries), resource links (every node pair) and mapping edges.
 std::pair<double, double> GraphSize(const workload::Dataset& data,
                                     const core::FeatureConfig& config) {
   double nodes = 0.0, edges = 0.0;
   for (const auto& s : data.samples()) {
     const auto g = core::BuildPlanGraph(s.plan, config);
-    nodes += static_cast<double>(g.num_operators() + g.num_resources());
-    edges += static_cast<double>(g.data_edges.size() +
-                                 g.resource_edges.size() +
+    const size_t resources = g.num_resources();
+    nodes += static_cast<double>(g.num_operators() + resources);
+    size_t data_edges = 0;
+    for (const auto& ups : g.operator_upstreams) data_edges += ups.size();
+    edges += static_cast<double>(data_edges +
+                                 resources * (resources - 1) / 2 +
                                  g.mapping_edges.size());
   }
   const double n = static_cast<double>(std::max<size_t>(1, data.size()));

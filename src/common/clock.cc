@@ -5,16 +5,6 @@
 
 namespace zerotune {
 
-namespace {
-
-std::chrono::steady_clock::time_point SteadyFromNanos(int64_t nanos) {
-  return std::chrono::steady_clock::time_point(
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::nanoseconds(nanos)));
-}
-
-}  // namespace
-
 SystemClock* SystemClock::Default() {
   static SystemClock clock;
   return &clock;
@@ -29,17 +19,6 @@ int64_t SystemClock::NowNanos() {
 void SystemClock::SleepFor(int64_t nanos) {
   if (nanos <= 0) return;
   std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
-}
-
-bool SystemClock::WaitUntil(std::unique_lock<std::mutex>& lock,
-                            std::condition_variable& cv,
-                            int64_t deadline_nanos,
-                            const std::function<bool()>& pred) {
-  if (deadline_nanos == kNoDeadlineNanos) {
-    cv.wait(lock, pred);
-    return true;
-  }
-  return cv.wait_until(lock, SteadyFromNanos(deadline_nanos), pred);
 }
 
 int64_t FakeClock::NowNanos() {
@@ -57,28 +36,6 @@ void FakeClock::Advance(int64_t nanos) {
   if (nanos <= 0) return;
   MutexLock g(mu_);
   now_ += nanos;
-}
-
-bool FakeClock::WaitUntil(std::unique_lock<std::mutex>& lock,
-                          std::condition_variable& cv, int64_t deadline_nanos,
-                          const std::function<bool()>& pred) {
-  // The fake clock never blocks: nothing ever signals `cv`, and `lock`
-  // is never released.
-  (void)lock;
-  (void)cv;
-  if (pred()) return true;
-  if (deadline_nanos == kNoDeadlineNanos) {
-    // No other thread drives fake time; an indefinite wait would deadlock
-    // a deterministic test, so re-check once and report.
-    return pred();
-  }
-  // The calling thread is the only driver of time in deterministic tests:
-  // jump straight to the deadline and evaluate the predicate there.
-  {
-    MutexLock g(mu_);
-    if (now_ < deadline_nanos) now_ = deadline_nanos;
-  }
-  return pred();
 }
 
 Deadline::Deadline(Clock* clock, double budget_ms) {

@@ -1,12 +1,8 @@
 #ifndef ZEROTUNE_COMMON_CLOCK_H_
 #define ZEROTUNE_COMMON_CLOCK_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <mutex>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -31,15 +27,6 @@ class Clock {
   /// Blocks the calling thread for `nanos` of this clock's time.
   virtual void SleepFor(int64_t nanos) = 0;
 
-  /// Waits on `cv` (whose lock is held by the caller) until `pred()` holds
-  /// or this clock reaches the absolute time `deadline_nanos`
-  /// (kNoDeadlineNanos = wait indefinitely). Returns the final `pred()`
-  /// value with the lock re-held. The predicate is evaluated only with the
-  /// lock held, like std::condition_variable::wait.
-  virtual bool WaitUntil(std::unique_lock<std::mutex>& lock,
-                         std::condition_variable& cv, int64_t deadline_nanos,
-                         const std::function<bool()>& pred) = 0;
-
   /// Milliseconds elapsed since `start_nanos` on this clock.
   double MillisSince(int64_t start_nanos) {
     return static_cast<double>(NowNanos() - start_nanos) / 1e6;
@@ -54,28 +41,21 @@ class SystemClock : public Clock {
 
   int64_t NowNanos() override;
   void SleepFor(int64_t nanos) override;
-  bool WaitUntil(std::unique_lock<std::mutex>& lock,
-                 std::condition_variable& cv, int64_t deadline_nanos,
-                 const std::function<bool()>& pred) override;
 };
 
 /// Deterministic manually-advanced clock for tests. SleepFor advances
-/// virtual time instead of blocking, and WaitUntil jumps straight to the
-/// deadline when the predicate cannot be satisfied by the calling thread —
-/// so single-threaded tests of deadline/backoff/breaker logic run in
-/// microseconds of real time. Thread-safe, but designed for tests that
-/// run service work on the calling thread (PredictionService, or a
-/// PredictionFleet without a pool); it does not block threads waiting for
-/// another thread to advance time.
+/// virtual time instead of blocking, so single-threaded tests of
+/// deadline/backoff/breaker logic run in microseconds of real time.
+/// Nothing waits on it: no thread ever blocks until another advances it.
+/// Thread-safe; threads that share it advance one timeline, so a duration
+/// it measures is exact only while one thread at a time advances it
+/// (PredictionService, or a PredictionFleet without a pool).
 class FakeClock : public Clock {
  public:
   explicit FakeClock(int64_t start_nanos = 0) : now_(start_nanos) {}
 
   int64_t NowNanos() override;
   void SleepFor(int64_t nanos) override;
-  bool WaitUntil(std::unique_lock<std::mutex>& lock,
-                 std::condition_variable& cv, int64_t deadline_nanos,
-                 const std::function<bool()>& pred) override;
 
   /// Moves time forward by `nanos` (>= 0).
   void Advance(int64_t nanos);

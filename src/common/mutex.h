@@ -18,10 +18,9 @@ namespace zerotune {
 /// compile time instead of silently ignored.
 ///
 /// MutexLock keeps a std::unique_lock inside, so condition-variable waits
-/// work through `lock.unique_lock()` — including Clock::WaitUntil, which
-/// takes the underlying std::unique_lock by reference. The analysis treats
-/// a cv wait as holding the lock throughout, which matches the contract
-/// (wait reacquires before returning).
+/// work through `lock.unique_lock()`. The analysis treats a cv wait as
+/// holding the lock throughout, which matches the contract (wait
+/// reacquires before returning).
 
 /// Exclusive mutex. Prefer MutexLock over calling Lock()/Unlock() directly
 /// (ztlint rule ZT-S004 flags bare lock calls).
@@ -53,9 +52,9 @@ class ZT_SCOPED_CAPABILITY MutexLock {
   void Unlock() ZT_RELEASE() { lock_.unlock(); }
   void Lock() ZT_ACQUIRE() { lock_.lock(); }
 
-  /// The underlying lock, for std::condition_variable::wait and
-  /// Clock::WaitUntil. The caller still logically holds the capability for
-  /// the whole wait (cv reacquires before returning).
+  /// The underlying lock, for std::condition_variable waits. The caller
+  /// still logically holds the capability for the whole wait (cv
+  /// reacquires before returning).
   std::unique_lock<std::mutex>& unique_lock() { return lock_; }
 
  private:

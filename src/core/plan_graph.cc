@@ -48,12 +48,10 @@ PlanGraph BuildPerInstanceGraph(const dsp::ParallelQueryPlan& plan,
             up_degree == degree) {
           const int un = base[static_cast<size_t>(u)] + i;
           g.operator_upstreams[static_cast<size_t>(node)].push_back(un);
-          g.data_edges.emplace_back(un, node);
         } else {
           for (int k = 0; k < up_degree; ++k) {
             const int un = base[static_cast<size_t>(u)] + k;
             g.operator_upstreams[static_cast<size_t>(node)].push_back(un);
-            g.data_edges.emplace_back(un, node);
           }
         }
       }
@@ -72,11 +70,6 @@ PlanGraph BuildPerInstanceGraph(const dsp::ParallelQueryPlan& plan,
   for (size_t n = 0; n < n_nodes; ++n) {
     g.resource_features.push_back(
         FeatureEncoder::EncodeResource(plan, n, config));
-  }
-  for (size_t i = 0; i < n_nodes; ++i) {
-    for (size_t j = i + 1; j < n_nodes; ++j) {
-      g.resource_edges.emplace_back(static_cast<int>(i), static_cast<int>(j));
-    }
   }
 
   // One mapping edge per instance to the node hosting it.
@@ -121,9 +114,6 @@ PlanGraph BuildPlanGraph(const dsp::ParallelQueryPlan& plan,
     g.operator_features.push_back(FeatureEncoder::EncodeOperator(
         plan, op.id, config, est_in, est_out, grouping));
     g.operator_upstreams.push_back(q.upstreams(op.id));
-    for (int d : q.downstreams(op.id)) {
-      g.data_edges.emplace_back(op.id, d);
-    }
   }
   g.topo_order = q.TopologicalOrder();
   g.sink_index = q.sink();
@@ -133,11 +123,6 @@ PlanGraph BuildPlanGraph(const dsp::ParallelQueryPlan& plan,
   for (size_t n = 0; n < n_nodes; ++n) {
     g.resource_features.push_back(
         FeatureEncoder::EncodeResource(plan, n, config));
-  }
-  for (size_t i = 0; i < n_nodes; ++i) {
-    for (size_t j = i + 1; j < n_nodes; ++j) {
-      g.resource_edges.emplace_back(static_cast<int>(i), static_cast<int>(j));
-    }
   }
 
   // One mapping edge per (operator, hosting node) pair. When the plan is

@@ -14,8 +14,10 @@ namespace zerotune::core {
 /// *logical* operator (parallel instances collapsed, their aggregate
 /// statistics encoded as node features), one node per physical resource,
 /// and three edge families —
-///   * data-flow edges between operator nodes (black),
-///   * links between resource nodes (orange),
+///   * data-flow edges between operator nodes (black), stored as each
+///     operator's upstream list,
+///   * links between resource nodes (orange): all pairs, left implicit
+///     because no model reads them,
 ///   * operator→resource mapping edges, one per (operator, node) pair
 ///     hosting at least one instance, carrying per-instance mapping
 ///     features (green).
@@ -34,13 +36,9 @@ struct PlanGraph {
   /// Feature vector per cluster node.
   std::vector<std::vector<double>> resource_features;
 
-  /// Data-flow edges (upstream op id, downstream op id).
-  std::vector<std::pair<int, int>> data_edges;
-  /// Undirected resource links (i < j).
-  std::vector<std::pair<int, int>> resource_edges;
   std::vector<MappingEdge> mapping_edges;
 
-  /// Upstream operator ids per operator (mirrors the logical plan).
+  /// Upstream operator ids per operator: the data-flow edges.
   std::vector<std::vector<int>> operator_upstreams;
   /// Topological order of operator indices (sources first).
   std::vector<int> topo_order;

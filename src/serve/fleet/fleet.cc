@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <sstream>
@@ -490,168 +491,122 @@ Result<FleetPrediction> PredictionFleet::Rescue(
   return error;
 }
 
-Result<FleetPrediction> PredictionFleet::ExecuteInline(
-    Replica* primary, Replica* target, const dsp::ParallelQueryPlan& plan,
-    double deadline_ms, int64_t t0) {
-  const double hedge_delay = EffectiveHedgeDelayMs(primary->health());
-  Result<ServedPrediction> r0 = DispatchTo(primary, plan, deadline_ms);
-  const double e0 = clock_->MillisSince(t0);
-
-  FleetPrediction fp;
-  fp.replica = primary->id();
-  if (!r0.ok()) {
-    if (r0.status().code() == StatusCode::kDeadlineExceeded) {
-      // The budget is gone; neither a failover nor a rescue can answer
-      // in time.
-      return r0.status();
-    }
-    if (target != nullptr) {
-      // Failover retry: the primary answered with an error (crash window,
-      // exhausted attempts with failed fallback, replica-level shed), so
-      // the next replica on the ring gets one shot.
-      failovers_->Increment();
-      const double remaining =
-          deadline_ms > 0.0 ? std::max(deadline_ms - e0, 0.01) : 0.0;
-      Result<ServedPrediction> r1 = DispatchTo(target, plan, remaining);
-      if (r1.ok()) {
-        fp.served = std::move(r1).value();
-        fp.replica = target->id();
-        fp.latency_ms = clock_->MillisSince(t0);
-        return fp;
-      }
-    }
-    return Rescue(plan, r0.status(), t0);
-  }
-
-  if (options_.hedge.enabled && target != nullptr && e0 > hedge_delay) {
-    // Deterministic hedge simulation: in a concurrent deployment the
-    // hedge would have been dispatched at t0 + hedge_delay; run it now
-    // and pick the winner by virtual completion time. The clock advances
-    // through both runs sequentially, so identical seeds replay to
-    // identical outcomes — what the FakeClock determinism tests pin.
-    hedges_sent_->Increment();
-    fp.hedged = true;
-    const double remaining =
-        deadline_ms > 0.0 ? std::max(deadline_ms - hedge_delay, 0.01) : 0.0;
-    const int64_t h0 = clock_->NowNanos();
-    const Result<ServedPrediction> r1 = DispatchTo(target, plan, remaining);
-    const double e1 = clock_->MillisSince(h0);
-    const double hedge_virtual = hedge_delay + e1;
-    if (r1.ok() && hedge_virtual < e0) {
-      hedges_won_->Increment();
-      fp.hedge_won = true;
-      fp.served = r1.value();
-      fp.replica = target->id();
-      fp.latency_ms = hedge_virtual;
-      return fp;
-    }
-    hedges_cancelled_->Increment();
-  }
-  fp.served = std::move(r0).value();
-  fp.latency_ms = e0;
-  return fp;
-}
-
 struct PredictionFleet::RaceState {
   Mutex mu;
   std::condition_variable cv;
-  // Hedge losers outlive Predict(); they work on this fleet-owned copy,
-  // never the caller's plan.
+  // Hedge losers outlive Predict() on a pool; they work on this
+  // fleet-owned copy, never the caller's plan.
   dsp::ParallelQueryPlan plan;
   Result<ServedPrediction> results[2] ZT_GUARDED_BY(mu) = {
       Result<ServedPrediction>(Status::Internal("pending")),
       Result<ServedPrediction>(Status::Internal("pending"))};
-  // Progress flags are atomic so deadline-wait predicates can poll them
-  // without holding `mu`; they are only written under `mu` before the
-  // notify, so cv waiters never miss a transition.
-  std::atomic<bool> done[2] = {false, false};
+  // Answer time of each attempt, in ms after the request's t0.
+  double answer_ms[2] ZT_GUARDED_BY(mu) = {0.0, 0.0};
+  // Progress flags are atomic so wait predicates can poll them without
+  // holding `mu`; they are only written under `mu` before the notify, so
+  // cv waiters never miss a transition.
+  std::atomic<bool> primary_done{false};
   std::atomic<int> finished{0};
-  std::atomic<int> winner{-1};  // first slot to produce an OK answer
+  std::atomic<int> winner{-1};  // OK attempt with the earliest answer time
 
   explicit RaceState(const dsp::ParallelQueryPlan& p) : plan(p) {}
 };
 
-Result<FleetPrediction> PredictionFleet::ExecutePooled(
+void PredictionFleet::Launch(const std::shared_ptr<RaceState>& state,
+                             int slot, Replica* replica, double budget_ms,
+                             double start_ms) {
+  const int64_t dispatched = clock_->NowNanos();
+  auto run = [this, state, slot, replica, budget_ms, start_ms, dispatched] {
+    Result<ServedPrediction> r = DispatchTo(replica, state->plan, budget_ms);
+    const double answer_ms = start_ms + clock_->MillisSince(dispatched);
+    MutexLock g(state->mu);
+    const int w = state->winner.load();
+    if (r.ok() && (w < 0 || answer_ms < state->answer_ms[w])) {
+      state->winner.store(slot);
+    }
+    state->results[slot] = std::move(r);
+    state->answer_ms[slot] = answer_ms;
+    if (slot == 0) state->primary_done.store(true);
+    state->finished.fetch_add(1);
+    state->cv.notify_all();
+  };
+  if (pool_ != nullptr) {
+    pool_->Submit(std::move(run));
+  } else {
+    run();
+  }
+}
+
+Result<FleetPrediction> PredictionFleet::Execute(
     Replica* primary, Replica* target, const dsp::ParallelQueryPlan& plan,
     double deadline_ms, int64_t t0) {
   const double hedge_delay = EffectiveHedgeDelayMs(primary->health());
-  auto state = std::make_shared<RaceState>(plan);
-  auto run = [this, state](int slot, Replica* replica, double budget_ms) {
-    Result<ServedPrediction> r = DispatchTo(replica, state->plan, budget_ms);
-    MutexLock g(state->mu);
-    const bool ok = r.ok();
-    state->results[slot] = std::move(r);
-    state->done[slot].store(true);
-    state->finished.fetch_add(1);
-    if (state->winner.load() < 0 && ok) {
-      state->winner.store(slot);
-    }
-    state->cv.notify_all();
+  // Deadline budget left to an attempt that starts `start_ms` after t0.
+  const auto budget_from = [deadline_ms](double start_ms) {
+    return deadline_ms > 0.0 ? std::max(deadline_ms - start_ms, 0.01) : 0.0;
   };
-
-  pool_->Submit([run, primary, deadline_ms] { run(0, primary, deadline_ms); });
+  auto state = std::make_shared<RaceState>(plan);
+  Launch(state, 0, primary, deadline_ms, clock_->MillisSince(t0));
 
   FleetPrediction fp;
   fp.replica = primary->id();
   MutexLock lock(state->mu);
-  int dispatched = 1;
+  int launched = 1;
   if (options_.hedge.enabled && target != nullptr) {
-    const int64_t hedge_at =
-        clock_->NowNanos() + static_cast<int64_t>(hedge_delay * 1e6);
-    clock_->WaitUntil(lock.unique_lock(), state->cv, hedge_at,
-                      [&] { return state->done[0].load(); });
-    if (!state->done[0].load()) {
+    // On a pool this waits in real time for the primary or the hedge
+    // delay; inline the primary has already answered.
+    state->cv.wait_for(lock.unique_lock(),
+                       std::chrono::duration<double, std::milli>(hedge_delay),
+                       [&] { return state->primary_done.load(); });
+    if (!state->primary_done.load() || state->answer_ms[0] > hedge_delay) {
       hedges_sent_->Increment();
       fp.hedged = true;
-      const double remaining =
-          deadline_ms > 0.0
-              ? std::max(deadline_ms - clock_->MillisSince(t0), 0.01)
-              : 0.0;
-      pool_->Submit([run, target, remaining] { run(1, target, remaining); });
-      dispatched = 2;
+      lock.Unlock();  // an inline attempt takes `mu` on this thread
+      Launch(state, 1, target, budget_from(hedge_delay), hedge_delay);
+      lock.Lock();
+      launched = 2;
     }
   }
-  // First OK answer wins; with none, wait for every dispatched attempt.
-  // Liveness: each attempt is deadline-bounded inside the replica (or
-  // answers promptly via its fallback), so the predicate always fires.
-  clock_->WaitUntil(lock.unique_lock(), state->cv, kNoDeadlineNanos, [&] {
-    return state->winner.load() >= 0 || state->finished.load() == dispatched;
+  // Wait for an OK answer or for every launched attempt; on a pool the
+  // caller takes the first OK answer to arrive. Liveness: each attempt
+  // is deadline-bounded inside the replica (or answers promptly via its
+  // fallback), so the predicate always fires.
+  state->cv.wait(lock.unique_lock(), [&] {
+    return state->winner.load() >= 0 || state->finished.load() == launched;
   });
 
-  if (state->winner.load() >= 0) {
-    const int w = state->winner.load();
-    if (fp.hedged) {
-      // The loser keeps running in the background; its answer is
-      // discarded ("cancelled" — attempts are never preempted).
-      if (w == 1) {
-        hedges_won_->Increment();
-        fp.hedge_won = true;
-        fp.replica = target->id();
-      } else {
-        hedges_cancelled_->Increment();
-      }
+  const int w = state->winner.load();
+  if (fp.hedged) {
+    // A losing attempt is never preempted; its answer is discarded.
+    if (w == 1) {
+      hedges_won_->Increment();
+      fp.hedge_won = true;
+      fp.replica = target->id();
+    } else {
+      hedges_cancelled_->Increment();
     }
+  }
+  if (w >= 0) {
     fp.served = state->results[w].value();
-    fp.latency_ms = clock_->MillisSince(t0);
+    fp.latency_ms = state->answer_ms[w];
     return fp;
   }
 
-  // Every dispatched attempt failed.
-  if (fp.hedged) hedges_cancelled_->Increment();
+  // No OK answer. An expired budget leaves no time for a failover or a
+  // rescue, and a plan the admission lint rejects is rejected by every
+  // replica.
   const Status primary_error = state->results[0].status();
   lock.Unlock();
-  if (primary_error.code() == StatusCode::kDeadlineExceeded) {
+  if (primary_error.code() == StatusCode::kDeadlineExceeded ||
+      primary_error.code() == StatusCode::kInvalidArgument) {
     return primary_error;
   }
   if (!fp.hedged && target != nullptr) {
-    // Fast primary failure before the hedge timer: synchronous failover
+    // The primary failed before any hedge went out: synchronous failover
     // to the next replica on the ring.
     failovers_->Increment();
-    const double remaining =
-        deadline_ms > 0.0
-            ? std::max(deadline_ms - clock_->MillisSince(t0), 0.01)
-            : 0.0;
-    Result<ServedPrediction> r1 = DispatchTo(target, state->plan, remaining);
+    Result<ServedPrediction> r1 =
+        DispatchTo(target, state->plan, budget_from(clock_->MillisSince(t0)));
     if (r1.ok()) {
       fp.served = std::move(r1).value();
       fp.replica = target->id();
@@ -718,12 +673,8 @@ Result<FleetPrediction> PredictionFleet::Predict(const FleetRequest& request) {
     result = Rescue(*request.plan,
                     Status::Unavailable("no routable replica (all down)"),
                     t0);
-  } else if (pool_ == nullptr) {
-    result = ExecuteInline(primary, target, *request.plan,
-                           request.deadline_ms, t0);
   } else {
-    result = ExecutePooled(primary, target, *request.plan,
-                           request.deadline_ms, t0);
+    result = Execute(primary, target, *request.plan, request.deadline_ms, t0);
   }
 
   if (result.ok()) {

@@ -26,9 +26,9 @@ namespace zerotune::serve::fleet {
 
 /// Hedged-request policy: when the primary replica has not answered
 /// within the fleet's observed latency percentile, the request is
-/// duplicated to the next replica on the ring and the first answer wins
-/// (the loser's answer is discarded — "cancelled" cooperatively, since an
-/// in-flight model inference is never preempted).
+/// duplicated to the next replica on the ring and the earliest OK answer
+/// wins (the loser's answer is discarded — "cancelled" cooperatively,
+/// since an in-flight model inference is never preempted).
 struct HedgeOptions {
   bool enabled = true;
   /// Fleet latency percentile used as the hedge delay.
@@ -87,8 +87,8 @@ struct FleetPrediction {
   bool hedge_won = false;
   /// No replica could answer; the fleet-level fallback served (degraded).
   bool rescued = false;
-  /// Admission-to-answer time on the fleet clock. Under inline hedging
-  /// this is the *virtual* race latency (see PredictionFleet docs).
+  /// Admission-to-answer time on the fleet clock: the winning attempt's
+  /// answer time on the request timeline (see PredictionFleet docs).
   double latency_ms = 0.0;
 };
 
@@ -165,8 +165,9 @@ struct FleetStats {
 ///
 ///  - per-replica health tracking (healthy / suspect / down) and
 ///    automatic failover rerouting around down replicas,
-///  - hedged requests after a latency-percentile budget (first answer
-///    wins; requests landing on a *suspect* replica hedge immediately),
+///  - hedged requests after a latency-percentile budget (earliest OK
+///    answer wins; requests landing on a *suspect* replica hedge
+///    immediately),
 ///  - per-tenant quotas and fair admission in front of the per-replica
 ///    load shedding,
 ///  - crash/restart replica lifecycle for chaos drills (KillReplica /
@@ -176,14 +177,21 @@ struct FleetStats {
 ///    answer, the shared fallback predictor serves a degraded answer
 ///    directly, so single-replica failures never zero availability.
 ///
-/// Threading: with a ThreadPool, Predict() dispatches attempts to the
-/// pool and races them (real hedging); replica services run on those
-/// pool threads. Without a pool, everything runs inline in the
-/// caller thread and hedging is *simulated deterministically*: the
-/// primary runs to completion, and if its (virtual) latency exceeded the
-/// hedge budget the hedge target runs too, the winner being whichever
-/// would have answered first on the clock's timeline — the mode the
-/// FakeClock tests and the deterministic serve-sim soak use.
+/// Hedging is one policy on one request timeline. The primary starts
+/// when it is dispatched; a hedge to the next replica is sent only if the
+/// primary has not answered by the hedge delay, and it starts at that
+/// delay. An attempt's answer time is its start plus the clock time from
+/// its dispatch to its answer, and the OK answer with the earliest answer
+/// time wins. With no OK answer, an expired deadline or a lint rejection
+/// is returned as is, a primary that failed before the hedge delay gets
+/// one synchronous failover, and anything else is rescued.
+///
+/// Threading: with a ThreadPool, attempts run on pool threads and the
+/// caller waits for them in real time. Without a pool, each attempt runs
+/// to completion on the caller thread, so a hedge runs after its primary
+/// and its answer time is virtual: the time it would have answered had it
+/// started at the hedge delay. On a FakeClock that mode replays
+/// bit-identically — what the deterministic tests and serve-sim use.
 class PredictionFleet {
  public:
   /// Builds the primary predictor each replica serves (typically a
@@ -267,12 +275,17 @@ class PredictionFleet {
   /// Routing decision: primary + hedge/failover target for `key`.
   void Route(uint64_t key, Replica** primary, Replica** target,
              size_t* skipped);
-  Result<FleetPrediction> ExecuteInline(Replica* primary, Replica* target,
-                                        const dsp::ParallelQueryPlan& plan,
-                                        double deadline_ms, int64_t t0);
-  Result<FleetPrediction> ExecutePooled(Replica* primary, Replica* target,
-                                        const dsp::ParallelQueryPlan& plan,
-                                        double deadline_ms, int64_t t0);
+  /// Runs attempt `slot` of a race on `replica`: on the pool, or on the
+  /// calling thread (which must not hold the race mutex) without one. The
+  /// attempt starts `start_ms` after t0 on the request timeline, and its
+  /// answer time adds the clock time from this call to its answer.
+  void Launch(const std::shared_ptr<RaceState>& state, int slot,
+              Replica* replica, double budget_ms, double start_ms);
+  /// The hedged race of one request against `primary`, hedging to and
+  /// failing over to `target` (may be null).
+  Result<FleetPrediction> Execute(Replica* primary, Replica* target,
+                                  const dsp::ParallelQueryPlan& plan,
+                                  double deadline_ms, int64_t t0);
   /// Last-resort degraded answer from the shared fallback; falls through
   /// to `error` when no fallback is configured or it fails too.
   Result<FleetPrediction> Rescue(const dsp::ParallelQueryPlan& plan,

@@ -48,7 +48,8 @@ Result<ServedPrediction> Replica::Predict(const dsp::ParallelQueryPlan& plan,
     } else {
       tracker_.RecordSuccess(result.value().total_ms);
     }
-  } else if (result.status().code() != StatusCode::kResourceExhausted) {
+  } else if (result.status().code() != StatusCode::kResourceExhausted &&
+             result.status().code() != StatusCode::kInvalidArgument) {
     tracker_.RecordFailure();
   }
   return result;

@@ -49,8 +49,9 @@ class Replica {
   /// immediately. Health accounting: a clean primary answer is a success;
   /// an error or a *degraded* answer (primary failed, fallback served)
   /// counts as a failure — the replica answered but is not healthy.
-  /// Replica-level shedding (ResourceExhausted) is a capacity signal, not
-  /// a health signal, and is not recorded.
+  /// Replica-level shedding (ResourceExhausted) is a capacity signal and
+  /// a rejected request (InvalidArgument, e.g. the admission lint) a
+  /// property of the request; neither is a health signal or recorded.
   Result<ServedPrediction> Predict(const dsp::ParallelQueryPlan& plan,
                                    double deadline_ms);
 

@@ -3,9 +3,6 @@
 // semantics the serving and tuning layers rely on.
 #include "common/clock.h"
 
-#include <condition_variable>
-#include <mutex>
-
 #include <gtest/gtest.h>
 
 namespace zerotune {
@@ -25,26 +22,6 @@ TEST(SystemClockTest, SleepForAdvancesAtLeastTheRequestedTime) {
   EXPECT_GE(clock->NowNanos() - t0, 2'000'000);
 }
 
-TEST(SystemClockTest, WaitUntilReturnsTrueWhenPredicateAlreadyHolds) {
-  SystemClock* clock = SystemClock::Default();
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unique_lock<std::mutex> lock(mu);
-  EXPECT_TRUE(clock->WaitUntil(lock, cv, kNoDeadlineNanos,
-                               [] { return true; }));
-  EXPECT_TRUE(lock.owns_lock());
-}
-
-TEST(SystemClockTest, WaitUntilTimesOutWithFalsePredicate) {
-  SystemClock* clock = SystemClock::Default();
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unique_lock<std::mutex> lock(mu);
-  const int64_t deadline = clock->NowNanos() + 1'000'000;  // 1 ms
-  EXPECT_FALSE(clock->WaitUntil(lock, cv, deadline, [] { return false; }));
-  EXPECT_GE(clock->NowNanos(), deadline);
-}
-
 TEST(FakeClockTest, StartsAtConstructedTime) {
   FakeClock clock(123);
   EXPECT_EQ(clock.NowNanos(), 123);
@@ -62,25 +39,6 @@ TEST(FakeClockTest, SleepForAdvancesVirtualTimeWithoutBlocking) {
   FakeClock clock;
   clock.SleepFor(7'000'000);
   EXPECT_EQ(clock.NowNanos(), 7'000'000);
-}
-
-TEST(FakeClockTest, WaitUntilJumpsToDeadlineWhenPredicateNeverHolds) {
-  FakeClock clock(1'000);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unique_lock<std::mutex> lock(mu);
-  EXPECT_FALSE(clock.WaitUntil(lock, cv, 5'000'000, [] { return false; }));
-  EXPECT_GE(clock.NowNanos(), 5'000'000);
-  EXPECT_TRUE(lock.owns_lock());
-}
-
-TEST(FakeClockTest, WaitUntilDoesNotAdvanceWhenPredicateHolds) {
-  FakeClock clock(42);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unique_lock<std::mutex> lock(mu);
-  EXPECT_TRUE(clock.WaitUntil(lock, cv, 9'000'000, [] { return true; }));
-  EXPECT_EQ(clock.NowNanos(), 42);
 }
 
 TEST(DeadlineTest, DefaultIsInfinite) {

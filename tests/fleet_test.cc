@@ -1,7 +1,8 @@
 // Tests for the sharded serving fleet (serve/fleet/): replica health
 // state machine, tenant quotas and fair admission, replica crash/restart
 // lifecycle, deterministic routing/failover/hedging on a FakeClock, the
-// Dhalion-style fleet controller, and the fleet stats invariants.
+// same hedging policy on a real pool, the Dhalion-style fleet controller,
+// and the fleet stats invariants.
 #include "serve/fleet/fleet.h"
 
 #include <condition_variable>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/thread_pool.h"
 #include "dsp/cluster.h"
 #include "dsp/parallel_plan.h"
 #include "dsp/query_plan.h"
@@ -608,6 +610,191 @@ TEST(FleetTest, HedgeLosesWhenPrimaryWouldStillFinishFirst) {
   const FleetStats stats = fleet.Snapshot();
   EXPECT_EQ(stats.hedges_sent, 1u);
   EXPECT_EQ(stats.hedges_cancelled, 1u);
+  ExpectFleetInvariants(stats);
+}
+
+// A tenant whose requests for `plan` are homed on replica `id` of a
+// fleet whose ring holds replicas 0..n-1.
+std::string TenantHomedOn(const dsp::ParallelQueryPlan& plan, uint32_t id,
+                          uint32_t n) {
+  ConsistentHashRing ring(FleetOptions{}.virtual_nodes);
+  for (uint32_t r = 0; r < n; ++r) ring.Add(r);
+  const uint64_t plan_hash = PlanKeyHash(plan);
+  for (int i = 0; i < 1000; ++i) {
+    const std::string tenant = TenantName(i);
+    if (ring.Owner(RequestKey(tenant, plan_hash)).value() == id) {
+      return tenant;
+    }
+  }
+  ADD_FAILURE() << "no tenant homed on replica " << id;
+  return "";
+}
+
+// Replica 0 fails after 30 ms, replica 1 answers in 1 ms, the hedge
+// delay is 5 ms: the primary has not answered by the delay, so both
+// modes hedge to replica 1 and its answer at 5 + 1 ms wins. Inline, the
+// answer time is exact on the FakeClock.
+FleetOptions SlowFailingPrimaryOptions() {
+  FleetOptions opts = InlineFleetOptions(2);
+  opts.hedge.enabled = true;
+  opts.hedge.initial_delay_ms = 5.0;
+  opts.hedge.min_samples = 1000000;
+  return opts;
+}
+
+PredictionFleet::PrimaryFactory SlowFailingPrimaryFactory(Clock* clock) {
+  return [clock](uint32_t id) -> std::unique_ptr<const core::CostPredictor> {
+    return std::make_unique<StubPredictor>(clock, id == 0 ? 30.0 : 1.0,
+                                           /*fail=*/id == 0);
+  };
+}
+
+TEST(FleetTest, InlineHedgeRescuesPrimaryThatFailsAfterTheHedgeDelay) {
+  FakeClock clock;
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  PredictionFleet fleet(SlowFailingPrimaryFactory(&clock),
+                        /*fallback=*/nullptr, SlowFailingPrimaryOptions(),
+                        /*pool=*/nullptr, &clock);
+  FleetRequest req;
+  req.plan = &plan;
+  req.tenant = TenantHomedOn(plan, 0, 2);
+  const auto r = fleet.Predict(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().hedged);
+  EXPECT_TRUE(r.value().hedge_won);
+  EXPECT_EQ(r.value().replica, 1u);
+  EXPECT_DOUBLE_EQ(r.value().latency_ms, 6.0);
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.hedges_won, 1u);
+  EXPECT_EQ(stats.failovers, 0u);
+  ExpectFleetInvariants(stats);
+}
+
+TEST(FleetTest, PooledHedgeRescuesPrimaryThatFailsAfterTheHedgeDelay) {
+  Clock* clock = SystemClock::Default();
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  ThreadPool pool(2);
+  PredictionFleet fleet(SlowFailingPrimaryFactory(clock),
+                        /*fallback=*/nullptr, SlowFailingPrimaryOptions(),
+                        &pool, clock);
+  FleetRequest req;
+  req.plan = &plan;
+  req.tenant = TenantHomedOn(plan, 0, 2);
+  const auto r = fleet.Predict(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().hedged);
+  EXPECT_TRUE(r.value().hedge_won);
+  EXPECT_EQ(r.value().replica, 1u);
+  EXPECT_LT(r.value().latency_ms, 30.0);
+  pool.Wait();
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.hedges_won, 1u);
+  EXPECT_EQ(stats.failovers, 0u);
+  ExpectFleetInvariants(stats);
+}
+
+// A real race on the system clock: the primary answers after ~50 ms, the
+// hedge fires at 2 ms and its 1 ms answer wins.
+TEST(FleetTest, PooledHedgeWinsARealRace) {
+  Clock* clock = SystemClock::Default();
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  auto factory = [clock](uint32_t id)
+      -> std::unique_ptr<const core::CostPredictor> {
+    return std::make_unique<StubPredictor>(clock, id == 0 ? 50.0 : 1.0);
+  };
+  FleetOptions opts = InlineFleetOptions(2);
+  opts.hedge.enabled = true;
+  opts.hedge.initial_delay_ms = 2.0;
+  opts.hedge.min_samples = 1000000;
+  ThreadPool pool(2);
+  PredictionFleet fleet(factory, /*fallback=*/nullptr, opts, &pool, clock);
+  FleetRequest req;
+  req.plan = &plan;
+  req.tenant = TenantHomedOn(plan, 0, 2);
+  const auto r = fleet.Predict(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().hedged);
+  EXPECT_TRUE(r.value().hedge_won);
+  EXPECT_EQ(r.value().replica, 1u);
+  EXPECT_LT(r.value().latency_ms, 25.0);
+  pool.Wait();  // the losing primary drains
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.answered, 1u);
+  EXPECT_EQ(stats.hedges_sent, 1u);
+  EXPECT_EQ(stats.hedges_won, 1u);
+  EXPECT_EQ(stats.dispatches, 2u);
+  ExpectFleetInvariants(stats);
+}
+
+// On a FakeClock a pooled fleet still waits for its attempts in real
+// time, so every request is answered.
+TEST(FleetTest, PooledFleetOnAFakeClockAnswersEveryRequest) {
+  FakeClock clock;
+  const dsp::ParallelQueryPlan plan = ValidPlan();
+  FleetOptions opts = InlineFleetOptions(2);
+  opts.hedge.enabled = true;
+  ThreadPool pool(2);
+  PredictionFleet fleet(StubFactory(&clock, 0.5), /*fallback=*/nullptr, opts,
+                        &pool, &clock);
+  FleetRequest req;
+  req.plan = &plan;
+  for (int i = 0; i < 200; ++i) {
+    req.tenant = TenantName(i % 8);
+    const auto r = fleet.Predict(req);
+    ASSERT_TRUE(r.ok()) << i << ": " << r.status().ToString();
+    EXPECT_FALSE(r.value().served.degraded);
+  }
+  pool.Wait();
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.answered, 200u);
+  ExpectFleetInvariants(stats);
+}
+
+// A plan the admission lint rejects (ZT-P016: parallelism 64 on one
+// 8-core node) is rejected by every replica alike: it fails as is, with
+// no failover, hedge or rescue, and does not count against the replica.
+TEST(FleetTest, LintRejectedRequestsFailWithoutTakingReplicasDown) {
+  FakeClock clock;
+  dsp::ParallelQueryPlan bad(
+      ValidPlan().logical(), dsp::Cluster::Homogeneous("m510", 1).value());
+  ZT_CHECK_OK(bad.SetUniformParallelism(64));
+  ZT_CHECK_OK(bad.PlaceRoundRobin());
+  const dsp::ParallelQueryPlan good = ValidPlan();
+  StubPredictor fallback(&clock, 0.1);
+  FleetOptions opts = InlineFleetOptions(2);
+  opts.replica.lint_admission = true;
+  opts.hedge.enabled = true;
+  PredictionFleet fleet(StubFactory(&clock, 0.5), &fallback, opts,
+                        /*pool=*/nullptr, &clock);
+
+  FleetRequest req;
+  req.plan = &bad;
+  req.tenant = "linty";
+  for (int i = 0; i < 20; ++i) {
+    const auto r = fleet.Predict(req);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (const uint32_t id : fleet.ReplicaIds()) {
+    EXPECT_EQ(fleet.replica_health(id).value(), ReplicaHealth::kHealthy)
+        << "replica " << id;
+  }
+  req.plan = &good;
+  for (int i = 0; i < 10; ++i) {
+    req.tenant = TenantName(i);
+    const auto r = fleet.Predict(req);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r.value().served.degraded);
+    EXPECT_FALSE(r.value().rescued);
+  }
+
+  const FleetStats stats = fleet.Snapshot();
+  EXPECT_EQ(stats.failed, 20u);
+  EXPECT_EQ(stats.answered, 10u);
+  EXPECT_EQ(stats.degraded, 0u);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.hedges_sent, 0u);
+  EXPECT_EQ(stats.fallback_rescues, 0u);
+  EXPECT_EQ(stats.dispatches, 30u);
   ExpectFleetInvariants(stats);
 }
 

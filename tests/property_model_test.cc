@@ -71,8 +71,10 @@ TEST_P(ModelProperty, GraphEncodingInvariants) {
     for (size_t i = 0; i < g.topo_order.size(); ++i) {
       pos[static_cast<size_t>(g.topo_order[i])] = i;
     }
-    for (const auto& [u, d] : g.data_edges) {
-      EXPECT_LT(pos[static_cast<size_t>(u)], pos[static_cast<size_t>(d)]);
+    for (size_t d = 0; d < g.num_operators(); ++d) {
+      for (const int u : g.operator_upstreams[d]) {
+        EXPECT_LT(pos[static_cast<size_t>(u)], pos[d]);
+      }
     }
   }
 }

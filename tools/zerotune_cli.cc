@@ -444,7 +444,7 @@ int CmdPredict(const FlagParser& flags) {
 
   if (!batch_path.empty()) {
     // One deployment plan path per line; all plans are scored in a
-    // single PredictBatch call sharded over a worker pool.
+    // single PredictBatch call on this thread.
     std::ifstream list(batch_path);
     if (!list) return Fail(Status::IOError("cannot open " + batch_path));
     std::vector<std::string> paths;
@@ -466,8 +466,6 @@ int CmdPredict(const FlagParser& flags) {
     std::vector<core::CostPrediction> costs;
     bool expired = false;
     if (deadline.infinite()) {
-      ThreadPool pool;
-      model.value()->set_thread_pool(&pool);
       auto batch_costs = core::PredictBatch(*model.value(), plans);
       if (!batch_costs.ok()) return Fail(batch_costs.status());
       costs = std::move(batch_costs).value();
