@@ -4,7 +4,8 @@
 # the live model under drift before vs after the loop fine-tunes and
 # promotes, the duration of the last rolling hot-swap, and availability
 # through the whole drill (drift -> fine-tune -> shadow -> promote ->
-# replica-by-replica rollout).
+# replica-by-replica rollout). Every drill runs inline (--threads 0) on
+# a FakeClock, so `virtual_rps` and `last_rollout_ms` are virtual time.
 #
 # Usage: scripts/bench_adaptation.sh [build-dir] [requests]
 #   scripts/bench_adaptation.sh          # ./build, 2000
@@ -51,7 +52,8 @@ print(json.dumps({
     "last_rollout_ms": round(a["last_rollout_ms"], 3),
     "primary_swaps": s["primary_swaps"],
     "availability": s["availability"],
-    "rps": round(d["rps"], 1),
+    # --threads 0 replays on a FakeClock: the rate is virtual.
+    "virtual_rps": round(d["virtual_rps"], 1),
 }, indent=4))
 PY
 {

@@ -199,12 +199,16 @@ void CheckFeatures(const LintPlan& plan, DiagnosticReport* report) {
                        "selectivities are fractions of passing tuples");
     }
     if (op.has_window) {
-      if (op.window.length <= 0.0 || op.window.slide <= 0.0) {
+      if (!(op.window.length > 0.0) || !(op.window.slide > 0.0) ||
+          !std::isfinite(op.window.length) ||
+          !std::isfinite(op.window.slide)) {
         report->AddError("ZT-P012",
-                         "window length/slide must be positive (got length=" +
+                         "window length/slide must be positive and finite "
+                         "(got length=" +
                              Num(op.window.length) +
                              ", slide=" + Num(op.window.slide) + ")",
-                         op.id, op.name, "use positive window parameters");
+                         op.id, op.name,
+                         "use positive, finite window parameters");
       } else {
         if (op.window.type == dsp::WindowType::kTumbling &&
             op.window.slide != op.window.length) {
@@ -233,11 +237,16 @@ void CheckFeatures(const LintPlan& plan, DiagnosticReport* report) {
 
 /// Parallelism / partitioning / placement checks against the cluster.
 void CheckPhysical(const LintPlan& plan, DiagnosticReport* report) {
+  const int total_cores = plan.TotalCores();
   if (plan.nodes.empty()) {
     report->AddError("ZT-P023", "deployment has no cluster nodes", -1, "",
                      "declare at least one cluster node");
+  } else if (total_cores <= 0) {
+    report->AddError("ZT-P023",
+                     "deployment's cluster has " +
+                         std::to_string(total_cores) + " cores in total",
+                     -1, "", "give the cluster nodes at least one core");
   }
-  const int total_cores = plan.TotalCores();
 
   std::unordered_map<int, const LintOperator*> by_id;
   for (const LintOperator& op : plan.operators) by_id.emplace(op.id, &op);

@@ -68,9 +68,9 @@ struct LintPlan {
 ///   ZT-P007 operator cannot reach the sink  ZT-P020 placement size != parallelism
 ///   ZT-P008 wrong upstream arity            ZT-P021 placement on invalid node
 ///   ZT-P009 selectivity outside [0,1]       ZT-P022 node oversubscribed
-///   ZT-P010 non-positive event rate         ZT-P023 cluster has no nodes
+///   ZT-P010 non-finite or <= 0 event rate   ZT-P023 cluster has no cores
 ///   ZT-P011 empty source schema             ZT-P024 source/sink parallelism > 1
-///   ZT-P012 non-positive window             ZT-P025 unparseable plan line
+///   ZT-P012 non-finite or <= 0 window       ZT-P025 unparseable plan line
 ///   ZT-P013 tumbling slide != length        ZT-P026 degenerate plan segment
 struct PlanAnalyzer {
   static DiagnosticReport Analyze(const LintPlan& plan);
@@ -79,7 +79,7 @@ struct PlanAnalyzer {
 
   /// OK when `plan` has no error-severity findings; otherwise an
   /// InvalidArgument listing every error with its code. The form the
-  /// optimizer and load paths use to gate on the analyzer.
+  /// serving admission gate uses on plans that arrive from outside.
   static Status Check(const dsp::ParallelQueryPlan& plan);
 };
 

@@ -55,25 +55,6 @@ Status AssignFromRates(dsp::ParallelQueryPlan* plan,
   return plan->PlaceRoundRobin();
 }
 
-/// Shared Enumerate() body: draw `count` sampled assignments from
-/// `assign` (the enumerator's Assign under a seeded Rng) and package the
-/// parallelism vectors as PlanCandidates.
-template <typename AssignFn>
-Result<std::vector<PlanCandidate>> SampleCandidates(
-    const dsp::QueryPlan& logical, const dsp::Cluster& cluster, size_t count,
-    uint64_t seed, const std::string& origin, const AssignFn& assign) {
-  ZT_RETURN_IF_ERROR(logical.Validate());
-  zerotune::Rng rng(seed);
-  std::vector<PlanCandidate> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    dsp::ParallelQueryPlan plan(logical, cluster);
-    ZT_RETURN_IF_ERROR(assign(&plan, &rng));
-    out.emplace_back(plan.ParallelismVector(), origin);
-  }
-  return out;
-}
-
 }  // namespace
 
 Status OptiSampleEnumerator::Options::Validate() const {
@@ -93,9 +74,6 @@ Status OptiSampleEnumerator::Options::Validate() const {
   if (max_parallelism < 1) {
     return Status::InvalidArgument("max_parallelism must be >= 1, got " +
                                    std::to_string(max_parallelism));
-  }
-  if (num_candidates < 1) {
-    return Status::InvalidArgument("num_candidates must be >= 1");
   }
   return Status::OK();
 }
@@ -121,16 +99,6 @@ Status OptiSampleEnumerator::Assign(dsp::ParallelQueryPlan* plan,
   return AssignFromRates(plan, in_rates, sf, options_.max_parallelism);
 }
 
-Result<std::vector<PlanCandidate>> OptiSampleEnumerator::Enumerate(
-    const dsp::QueryPlan& logical, const dsp::Cluster& cluster) const {
-  ZT_RETURN_IF_ERROR(options_status_);
-  return SampleCandidates(
-      logical, cluster, options_.num_candidates, options_.seed, "opti-sample",
-      [this](dsp::ParallelQueryPlan* plan, zerotune::Rng* rng) {
-        return Assign(plan, rng);
-      });
-}
-
 Status OptiSampleEnumerator::AssignWithScaleFactor(
     dsp::ParallelQueryPlan* plan, double scale_factor, int max_parallelism) {
   const dsp::QueryPlan& q = plan->logical();
@@ -146,9 +114,6 @@ Status RandomEnumerator::Options::Validate() const {
   if (max_parallelism < 1) {
     return Status::InvalidArgument("max_parallelism must be >= 1, got " +
                                    std::to_string(max_parallelism));
-  }
-  if (num_candidates < 1) {
-    return Status::InvalidArgument("num_candidates must be >= 1");
   }
   return Status::OK();
 }
@@ -168,16 +133,6 @@ Status RandomEnumerator::Assign(dsp::ParallelQueryPlan* plan,
   }
   plan->DerivePartitioning();
   return plan->PlaceRoundRobin();
-}
-
-Result<std::vector<PlanCandidate>> RandomEnumerator::Enumerate(
-    const dsp::QueryPlan& logical, const dsp::Cluster& cluster) const {
-  ZT_RETURN_IF_ERROR(options_status_);
-  return SampleCandidates(
-      logical, cluster, options_.num_candidates, options_.seed, "random",
-      [this](dsp::ParallelQueryPlan* plan, zerotune::Rng* rng) {
-        return Assign(plan, rng);
-      });
 }
 
 }  // namespace zerotune::core

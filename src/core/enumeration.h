@@ -1,13 +1,8 @@
 #ifndef ZEROTUNE_CORE_ENUMERATION_H_
 #define ZEROTUNE_CORE_ENUMERATION_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/search_space.h"
 #include "dsp/parallel_plan.h"
 
 namespace zerotune::core {
@@ -17,15 +12,14 @@ namespace zerotune::core {
 /// re-derive partitioning and place instances, leaving the plan ready for
 /// measurement.
 ///
-/// Every enumerator is also a SearchSpace: Enumerate() draws
-/// Options::num_candidates assignments from the same distribution
-/// Assign() samples, seeded by Options::seed, and returns them as
-/// PlanCandidates for the optimizer's two-tier scoring pipeline. Options
-/// carry a Validate() checked at construction; an invalid configuration
-/// surfaces as the (unchanged) status from every subsequent Assign() or
-/// Enumerate() call instead of being silently clamped.
-class ParallelismEnumerator : public SearchSpace {
+/// Options carry a Validate() checked at construction; an invalid
+/// configuration surfaces as the (unchanged) status from every subsequent
+/// Assign() call instead of being silently clamped. The optimizer's
+/// candidates come from a SearchSpace (core/search_space.h), not from
+/// these training-corpus samplers.
+class ParallelismEnumerator {
  public:
+  virtual ~ParallelismEnumerator() = default;
   virtual Status Assign(dsp::ParallelQueryPlan* plan,
                         zerotune::Rng* rng) const = 0;
 };
@@ -46,14 +40,9 @@ class OptiSampleEnumerator : public ParallelismEnumerator {
     /// Lognormal sigma of the selectivity estimation error.
     double selectivity_noise_sigma = 0.25;
     int max_parallelism = 128;
-    /// SearchSpace::Enumerate draws this many sampled assignments.
-    size_t num_candidates = 16;
-    /// Seed for Enumerate()'s sampling stream (Assign() takes a caller
-    /// Rng and is unaffected).
-    uint64_t seed = 1;
 
     /// Rejects out-of-range settings (non-positive scale factors,
-    /// inverted ranges, negative noise, empty candidate budget).
+    /// inverted ranges, negative noise, max_parallelism < 1).
     Status Validate() const;
   };
 
@@ -63,10 +52,6 @@ class OptiSampleEnumerator : public ParallelismEnumerator {
 
   Status Assign(dsp::ParallelQueryPlan* plan,
                 zerotune::Rng* rng) const override;
-  Result<std::vector<PlanCandidate>> Enumerate(
-      const dsp::QueryPlan& logical,
-      const dsp::Cluster& cluster) const override;
-  std::string name() const override { return "OptiSample"; }
 
   /// Deterministic variant with a fixed scaling factor and exact
   /// selectivities — used by GridSearchSpace's candidate enumeration.
@@ -85,10 +70,6 @@ class RandomEnumerator : public ParallelismEnumerator {
  public:
   struct Options {
     int max_parallelism = 128;
-    /// SearchSpace::Enumerate draws this many sampled assignments.
-    size_t num_candidates = 16;
-    /// Seed for Enumerate()'s sampling stream.
-    uint64_t seed = 1;
 
     Status Validate() const;
   };
@@ -99,10 +80,6 @@ class RandomEnumerator : public ParallelismEnumerator {
 
   Status Assign(dsp::ParallelQueryPlan* plan,
                 zerotune::Rng* rng) const override;
-  Result<std::vector<PlanCandidate>> Enumerate(
-      const dsp::QueryPlan& logical,
-      const dsp::Cluster& cluster) const override;
-  std::string name() const override { return "Random"; }
 
  private:
   Options options_;

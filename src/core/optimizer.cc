@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 
-#include "analysis/plan_analyzer.h"
 #include "core/prescreen/analytical.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -98,6 +97,12 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
 
   auto materialize = [&](const std::vector<int>& degrees)
       -> Result<dsp::ParallelQueryPlan> {
+    if (degrees.size() != logical.num_operators()) {
+      return Status::InvalidArgument(
+          "candidate has " + std::to_string(degrees.size()) +
+          " degrees for a " + std::to_string(logical.num_operators()) +
+          "-operator query");
+    }
     dsp::ParallelQueryPlan plan(logical, cluster);
     for (const Operator& op : logical.operators()) {
       ZT_RETURN_IF_ERROR(
@@ -110,11 +115,11 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
 
   // Scores a set of degree vectors in one CostPredictor::PredictBatch
   // call and appends them to `evaluated` in input order; this is Tune's
-  // only model inference. Every candidate first passes through the
-  // static plan analyzer; failing ones are dropped and counted rather
-  // than sent to the cost model, so invalid deployments (bad seeds,
-  // over-parallelized operators) never consume inference budget or win
-  // the search.
+  // only model inference. A candidate is kept only if it materializes and
+  // passes ParallelQueryPlan::Validate(); the rest are dropped and
+  // counted rather than sent to the cost model, so a deployment outside
+  // the paper's 1 <= P_i <= total cores bound (or of the wrong arity)
+  // never consumes inference budget or wins the search.
   auto evaluate_batch =
       [&](const std::vector<std::vector<int>>& batch) -> Status {
     if (batch.empty()) return Status::OK();
@@ -123,12 +128,8 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
     kept.reserve(batch.size());
     plans.reserve(batch.size());
     for (const std::vector<int>& degrees : batch) {
-      if (degrees.size() != logical.num_operators()) {
-        ++rejected;
-        continue;
-      }
       Result<dsp::ParallelQueryPlan> plan = materialize(degrees);
-      if (!plan.ok() || !analysis::PlanAnalyzer::Check(plan.value()).ok()) {
+      if (!plan.ok() || !plan.value().Validate().ok()) {
         ++rejected;
         continue;
       }
@@ -240,18 +241,11 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
   ZT_ASSIGN_OR_RETURN(std::vector<PlanCandidate> enumerated,
                       space->Enumerate(logical, cluster));
   std::vector<std::vector<int>> pending;
-  pending.reserve(enumerated.size() + options_.seed_candidates.size());
+  pending.reserve(enumerated.size());
   for (PlanCandidate& c : enumerated) {
     if (tried.insert(c.degrees).second) {
       pending.push_back(std::move(c.degrees));
     }
-  }
-
-  // Caller-provided seeds; evaluate_batch vets each one through the
-  // static analyzer, so invalid seeds are counted and skipped here rather
-  // than failing the whole tuning call.
-  for (const std::vector<int>& degrees : options_.seed_candidates) {
-    if (tried.insert(degrees).second) pending.push_back(degrees);
   }
 
   if (budget_expired()) {

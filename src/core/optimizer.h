@@ -64,20 +64,13 @@ class ParallelismOptimizer {
     /// a default GridSearchSpace capped at `max_parallelism` — exactly
     /// the historical candidate space (the grid knobs live on
     /// GridSearchSpace::Options; construct one to customize them).
-    /// Candidates of any SearchSpace are deduplicated, statically vetted
-    /// and scored by the two-tier pipeline; enumeration failures fail
-    /// Tune() loudly.
+    /// Candidates of any SearchSpace are deduplicated, checked with
+    /// ParallelQueryPlan::Validate() and scored by the two-tier pipeline;
+    /// enumeration failures fail Tune() loudly.
     const SearchSpace* search_space = nullptr;
 
     /// Analytical pre-screen tier; disabled by default.
     PrescreenOptions prescreen;
-
-    /// Extra degree vectors (indexed by operator id) to evaluate alongside
-    /// the enumerated candidates — e.g. a previous deployment or operator
-    /// hints. Unlike enumerated candidates, seeds are untrusted: each one
-    /// is routed through analysis::PlanAnalyzer and dropped (counted in
-    /// TuningResult::candidates_rejected) when it fails a static check.
-    std::vector<std::vector<int>> seed_candidates;
 
     /// Optional cooperative time budget (borrowed; may be null). Checked
     /// between scoring batches — candidates scored so far are kept and the
@@ -106,8 +99,9 @@ class ParallelismOptimizer {
     /// candidates (0 = best possible among them).
     double weighted_cost = 0.0;
     size_t candidates_evaluated = 0;
-    /// Candidates the static analyzer rejected before scoring (invalid
-    /// degrees, over-parallelized operators, broken partitioning).
+    /// Candidates dropped before scoring because they did not materialize
+    /// or failed ParallelQueryPlan::Validate() (wrong arity, a degree
+    /// outside [1, total cores]).
     size_t candidates_rejected = 0;
     /// Candidates ranked by the analytical tier (0 when prescreening is
     /// disabled or calibration fell back to full GNN scoring).

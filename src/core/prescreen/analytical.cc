@@ -297,8 +297,8 @@ Result<std::vector<double>> AnalyticalPrescreen::ScoreCandidates(
   for (const PlanCandidate& c : candidates) {
     if (c.degrees.size() != input_rates_.size()) {
       // Wrong arity can't be ranked; push it past every real candidate
-      // so the downstream vetting (which counts rejections) sees it only
-      // if the keep budget is larger than the valid set.
+      // so the optimizer's candidate check (which counts rejections)
+      // sees it only if the keep budget is larger than the valid set.
       scores.push_back(std::numeric_limits<double>::infinity());
       continue;
     }

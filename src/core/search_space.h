@@ -19,8 +19,7 @@ struct PlanCandidate {
   /// Parallelism degree per operator, indexed by operator id.
   std::vector<int> degrees;
   /// Which generator produced the candidate ("opti-sample", "uniform",
-  /// "seed", "random", …) — for explain output and debugging; scoring
-  /// ignores it.
+  /// …) — for explain output and debugging; scoring ignores it.
   std::string origin;
 
   PlanCandidate() = default;
@@ -30,10 +29,11 @@ struct PlanCandidate {
 
 /// Candidate generation strategy, decoupled from scoring. The optimizer
 /// asks a SearchSpace for the full candidate set once per Tune() and owns
-/// deduplication, static vetting, prescreening and GNN scoring of
-/// whatever comes back. Implementations must be deterministic for a given
-/// (plan, cluster) unless their options say otherwise (RandomSearchSpace
-/// seeds explicitly).
+/// deduplication, the ParallelQueryPlan::Validate() check, prescreening
+/// and GNN scoring of whatever comes back: a candidate of the wrong arity
+/// or with a degree outside [1, total cores] is dropped and counted, not
+/// scored. Implementations must be deterministic for a given
+/// (plan, cluster).
 class SearchSpace {
  public:
   virtual ~SearchSpace() = default;

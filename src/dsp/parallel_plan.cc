@@ -118,9 +118,6 @@ bool ParallelQueryPlan::IsChainedWithUpstream(int op_id) const {
 }
 
 Status ParallelQueryPlan::PlaceRoundRobin() {
-  if (cluster_.num_nodes() == 0) {
-    return Status::FailedPrecondition("cluster has no nodes");
-  }
   // One slot per core, interleaved across nodes so consecutive slots land
   // on different machines (Flink-style slot spreading).
   std::vector<int> slots;
@@ -134,6 +131,9 @@ Status ParallelQueryPlan::PlaceRoundRobin() {
         slots.push_back(static_cast<int>(nidx));
       }
     }
+  }
+  if (slots.empty()) {
+    return Status::FailedPrecondition("cluster has no cores");
   }
 
   const std::vector<int> chains = ComputeChains();

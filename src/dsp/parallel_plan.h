@@ -48,7 +48,8 @@ class ParallelQueryPlan {
 
   /// Assigns operator instances to cluster nodes. Operators in the same
   /// chain are co-located instance-by-instance; chains are spread
-  /// round-robin over node slots (one slot per core).
+  /// round-robin over node slots (one slot per core). Fails with
+  /// FailedPrecondition when the cluster has no slot at all.
   Status PlaceRoundRobin();
 
   /// Structural checks: degrees >= 1, max degree <= total cluster cores,

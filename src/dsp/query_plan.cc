@@ -1,9 +1,22 @@
 #include "dsp/query_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace zerotune::dsp {
+
+namespace {
+
+// NaN fails every comparison, so these ranges are written to reject it.
+bool PositiveFinite(double v) { return v > 0.0 && std::isfinite(v); }
+bool Fraction(double v) { return v >= 0.0 && v <= 1.0; }
+
+bool ValidWindow(const WindowSpec& w) {
+  return PositiveFinite(w.length) && PositiveFinite(w.slide);
+}
+
+}  // namespace
 
 int QueryPlan::AddOperator(Operator op, const std::vector<int>& upstreams) {
   const int id = static_cast<int>(operators_.size());
@@ -129,8 +142,9 @@ Status QueryPlan::Validate() const {
         if (!ups.empty()) {
           return Status::InvalidArgument("source must have no upstream");
         }
-        if (op.source.event_rate <= 0.0) {
-          return Status::InvalidArgument("source event rate must be positive");
+        if (!PositiveFinite(op.source.event_rate)) {
+          return Status::InvalidArgument(
+              "source event rate must be positive and finite");
         }
         if (op.source.schema.width() == 0) {
           return Status::InvalidArgument("source schema must be non-empty");
@@ -140,7 +154,7 @@ Status QueryPlan::Validate() const {
         if (ups.size() != 1) {
           return Status::InvalidArgument("filter must have one upstream");
         }
-        if (op.filter.selectivity < 0.0 || op.filter.selectivity > 1.0) {
+        if (!Fraction(op.filter.selectivity)) {
           return Status::InvalidArgument("filter selectivity outside [0,1]");
         }
         break;
@@ -148,23 +162,24 @@ Status QueryPlan::Validate() const {
         if (ups.size() != 1) {
           return Status::InvalidArgument("aggregate must have one upstream");
         }
-        if (op.aggregate.selectivity < 0.0 || op.aggregate.selectivity > 1.0) {
+        if (!Fraction(op.aggregate.selectivity)) {
           return Status::InvalidArgument("aggregate selectivity outside [0,1]");
         }
-        if (op.aggregate.window.length <= 0.0 ||
-            op.aggregate.window.slide <= 0.0) {
-          return Status::InvalidArgument("window length/slide must be positive");
+        if (!ValidWindow(op.aggregate.window)) {
+          return Status::InvalidArgument(
+              "window length/slide must be positive and finite");
         }
         break;
       case OperatorType::kWindowJoin:
         if (ups.size() != 2) {
           return Status::InvalidArgument("join must have two upstreams");
         }
-        if (op.join.selectivity < 0.0 || op.join.selectivity > 1.0) {
+        if (!Fraction(op.join.selectivity)) {
           return Status::InvalidArgument("join selectivity outside [0,1]");
         }
-        if (op.join.window.length <= 0.0 || op.join.window.slide <= 0.0) {
-          return Status::InvalidArgument("window length/slide must be positive");
+        if (!ValidWindow(op.join.window)) {
+          return Status::InvalidArgument(
+              "window length/slide must be positive and finite");
         }
         break;
       case OperatorType::kSink:

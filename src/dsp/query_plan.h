@@ -76,7 +76,8 @@ class QueryPlan {
   std::vector<int> TopologicalOrder() const;
 
   /// Structural well-formedness: has >= 1 source, exactly one sink, all
-  /// operators reachable, selectivities within [0, 1], windows positive.
+  /// operators reachable, selectivities within [0, 1], event rates and
+  /// window extents positive and finite (NaN fails every range).
   Status Validate() const;
 
   /// Selectivity of an operator per Defs. 4–6 (1.0 for source/sink).

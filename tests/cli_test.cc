@@ -489,6 +489,46 @@ TEST_F(CliWorkflowTest, ServeSimFleetModeIsSeededAndDeterministic) {
   std::remove(plan.c_str());
 }
 
+// Inline replays (--threads 0) run on a FakeClock: their elapsed time
+// and request rate are virtual and carry virtual_* keys; pooled replays
+// run on the system clock and keep wall_s / rps.
+TEST_F(CliWorkflowTest, ServeSimLabelsVirtualTime) {
+  const std::string plan = TempPath("virtual_time.plan");
+  auto r = RunCli("tune --model " + TempPath("model.txt") + " --query " +
+                  TempPath("q.plan") + " --cluster m510:3 --out " + plan);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const auto expect_keys = [](const CommandResult& run, bool is_virtual) {
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    const bool has_virtual =
+        run.output.find("\"virtual_s\": ") != std::string::npos &&
+        run.output.find("\"virtual_rps\": ") != std::string::npos;
+    const bool has_wall =
+        run.output.find("\"wall_s\": ") != std::string::npos ||
+        run.output.find("\"rps\": ") != std::string::npos;
+    EXPECT_EQ(has_virtual, is_virtual) << run.output;
+    EXPECT_EQ(has_wall, !is_virtual) << run.output;
+  };
+  const std::string fleet =
+      "serve-sim --plan " + plan + " --requests 200 --replicas 2 --seed 4";
+  expect_keys(RunCli(fleet + " --threads 0 --format json"), true);
+  expect_keys(RunCli(fleet + " --threads 2 --format json"), false);
+
+  const std::string reg = TempPath("virtual_time_reg");
+  std::filesystem::remove_all(reg);
+  const std::string adapt = "serve-sim --plan " + plan + " --model " +
+                            TempPath("model.txt") + " --adapt --registry " +
+                            reg + " --requests 64 --replicas 2 --seed 4";
+  expect_keys(RunCli(adapt + " --threads 0 --format json"), true);
+  r = RunCli(adapt + " --threads 0");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("req/s, virtual time)"), std::string::npos)
+      << r.output;
+  expect_keys(RunCli(adapt + " --threads 2 --format json"), false);
+
+  std::filesystem::remove_all(reg);
+  std::remove(plan.c_str());
+}
+
 TEST_F(CliWorkflowTest, AdaptCommandManagesRegistryLifecycle) {
   const std::string reg = TempPath("adapt_cmd_reg");
   std::filesystem::remove_all(reg);

@@ -100,6 +100,21 @@ TEST(OptiSampleTest, DeterministicGivenRngSeed) {
   EXPECT_EQ(p1.ParallelismVector(), p2.ParallelismVector());
 }
 
+TEST(EnumeratorSearchSpaceTest, InvalidEnumeratorOptionsSurfaceEverywhere) {
+  OptiSampleEnumerator::Options bad;
+  bad.max_parallelism = 0;
+  EXPECT_FALSE(bad.Validate().ok());
+  const Cluster cluster = Cluster::Homogeneous("m510", 2).value();
+  ParallelQueryPlan plan(RatePlan(1000, 0.5), cluster);
+  Rng rng(1);
+  EXPECT_FALSE(OptiSampleEnumerator(bad).Assign(&plan, &rng).ok());
+
+  RandomEnumerator::Options bad_r;
+  bad_r.max_parallelism = 0;
+  EXPECT_FALSE(bad_r.Validate().ok());
+  EXPECT_FALSE(RandomEnumerator(bad_r).Assign(&plan, &rng).ok());
+}
+
 TEST(RandomEnumeratorTest, DegreesWithinBounds) {
   RandomEnumerator e;
   Rng rng(4);

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/plan_analyzer.h"
 #include "core/model.h"
 #include "core/oracle_predictor.h"
 #include "workload/generator.h"
@@ -158,30 +160,127 @@ TEST(ParallelismOptimizerTest, InvalidLogicalPlanRejected) {
   EXPECT_FALSE(opt.Tune(q, Cluster::Homogeneous("m510", 1).value()).ok());
 }
 
+// Returns the same degree vectors for every query.
+class FixedSearchSpace : public SearchSpace {
+ public:
+  explicit FixedSearchSpace(std::vector<std::vector<int>> degrees)
+      : degrees_(std::move(degrees)) {}
+
+  Result<std::vector<PlanCandidate>> Enumerate(
+      const dsp::QueryPlan&, const dsp::Cluster&) const override {
+    std::vector<PlanCandidate> out;
+    for (const std::vector<int>& d : degrees_) out.emplace_back(d, "fixed");
+    return out;
+  }
+  std::string name() const override { return "fixed"; }
+
+ private:
+  std::vector<std::vector<int>> degrees_;
+};
+
+// Caller-chosen ("seed") candidates reach Tune through an injected
+// SearchSpace, and the static check that vets them is
+// ParallelQueryPlan::Validate(). A candidate is scored only if it
+// materializes and validates: an over-parallelized vector (8 cores
+// available) and a wrong-arity vector are counted as rejected, and the
+// valid one wins. Hill climbing clamps its neighbors to [1, cores], so
+// it adds no rejection of its own.
 TEST(ParallelismOptimizerTest, StaticAnalysisRejectsInvalidSeedCandidates) {
   OraclePredictor oracle;
+  const FixedSearchSpace space({{1, 10000, 10000, 1}, {1, 2}, {1, 2, 2, 1}});
   ParallelismOptimizer::Options opts;
-  // Enumerated candidates are clamped to the cluster, so the invalid path
-  // is exercised through caller-provided seeds: one over-parallelized
-  // (8 cores available), one with the wrong arity.
-  opts.seed_candidates = {{1, 10000, 10000, 1}, {1, 2}};
-  ParallelismOptimizer opt(&oracle, opts);
-  const auto result = opt.Tune(LoadedLinearPlan(100000),
-                               Cluster::Homogeneous("m510", 1).value());
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result.value().candidates_rejected, 2u);
-  EXPECT_TRUE(result.value().plan.Validate().ok());
+  opts.search_space = &space;
+  const auto result = ParallelismOptimizer(&oracle, opts)
+                          .Tune(LoadedLinearPlan(100000),
+                                Cluster::Homogeneous("m510", 1).value());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ParallelismOptimizer::TuningResult& r = result.value();
+  EXPECT_EQ(r.candidates_rejected, 2u);
+  ASSERT_GE(r.candidates.size(), 1u);
+  EXPECT_EQ(r.candidates[0].degrees, (std::vector<int>{1, 2, 2, 1}));
+  EXPECT_TRUE(r.plan.Validate().ok());
 }
 
+// A valid caller-chosen candidate is scored, and nothing is rejected.
 TEST(ParallelismOptimizerTest, ValidSeedCandidateIsNotRejected) {
   OraclePredictor oracle;
+  const FixedSearchSpace space({{1, 2, 2, 1}});
   ParallelismOptimizer::Options opts;
-  opts.seed_candidates = {{1, 2, 2, 1}};
-  ParallelismOptimizer opt(&oracle, opts);
-  const auto result = opt.Tune(LoadedLinearPlan(100000),
-                               Cluster::Homogeneous("m510", 2).value());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().candidates_rejected, 0u);
+  opts.search_space = &space;
+  const auto result = ParallelismOptimizer(&oracle, opts)
+                          .Tune(LoadedLinearPlan(100000),
+                                Cluster::Homogeneous("m510", 2).value());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ParallelismOptimizer::TuningResult& r = result.value();
+  EXPECT_EQ(r.candidates_rejected, 0u);
+  ASSERT_GE(r.candidates.size(), 1u);
+  EXPECT_EQ(r.candidates[0].degrees, (std::vector<int>{1, 2, 2, 1}));
+}
+
+// A query with a non-finite field fails Validate(), the analyzer,
+// Predict and Tune with InvalidArgument, instead of a NaN prediction or
+// "no parallelism candidate could be evaluated".
+void ExpectNonFiniteQueryFails(const QueryPlan& q) {
+  const Cluster cluster = Cluster::Homogeneous("m510", 2).value();
+  dsp::ParallelQueryPlan plan(q, cluster);
+  ASSERT_TRUE(plan.SetUniformParallelism(2).ok());
+  ASSERT_TRUE(plan.PlaceRoundRobin().ok());
+  EXPECT_EQ(plan.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(analysis::PlanAnalyzer::Check(plan).ok());
+
+  const ZeroTuneModel model{ModelConfig()};
+  const auto predicted = model.Predict(plan);
+  EXPECT_EQ(predicted.status().code(), StatusCode::kInvalidArgument);
+  for (bool prescreen : {false, true}) {
+    ParallelismOptimizer::Options opts;
+    opts.prescreen.enabled = prescreen;
+    const auto tuned = ParallelismOptimizer(&model, opts).Tune(q, cluster);
+    EXPECT_EQ(tuned.status().code(), StatusCode::kInvalidArgument)
+        << tuned.status().ToString();
+  }
+}
+
+TEST(ParallelismOptimizerTest, NanWindowLengthFailsInsteadOfPredictingNan) {
+  QueryPlan q = LoadedLinearPlan(100000);
+  q.mutable_op(2).aggregate.window.length =
+      std::numeric_limits<double>::quiet_NaN();
+  ExpectNonFiniteQueryFails(q);
+}
+
+TEST(ParallelismOptimizerTest, NanSelectivityFailsInsteadOfPredictingNan) {
+  QueryPlan q = LoadedLinearPlan(100000);
+  q.mutable_op(1).filter.selectivity = std::numeric_limits<double>::quiet_NaN();
+  ExpectNonFiniteQueryFails(q);
+}
+
+TEST(ParallelismOptimizerTest, InfiniteEventRateFailsInsteadOfPredictingNan) {
+  ExpectNonFiniteQueryFails(
+      LoadedLinearPlan(std::numeric_limits<double>::infinity()));
+}
+
+// Round-robin placement needs at least one core: on a cluster without
+// cores, placement, Predict and Tune return errors instead of dividing
+// by zero.
+TEST(ParallelismOptimizerTest, ZeroCoreClusterFailsInsteadOfCrashing) {
+  dsp::NodeResources node;
+  node.cpu_cores = 0;
+  const Cluster cluster({node, node});
+  const QueryPlan q = LoadedLinearPlan(100000);
+  dsp::ParallelQueryPlan plan(q, cluster);
+  EXPECT_EQ(plan.PlaceRoundRobin().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(plan.Validate().ok());
+  EXPECT_FALSE(analysis::PlanAnalyzer::Check(plan).ok());
+
+  const ZeroTuneModel model{ModelConfig()};
+  EXPECT_EQ(model.Predict(plan).status().code(),
+            StatusCode::kInvalidArgument);
+  for (bool prescreen : {false, true}) {
+    ParallelismOptimizer::Options opts;
+    opts.prescreen.enabled = prescreen;
+    const auto tuned = ParallelismOptimizer(&model, opts).Tune(q, cluster);
+    EXPECT_EQ(tuned.status().code(), StatusCode::kFailedPrecondition)
+        << tuned.status().ToString();
+  }
 }
 
 // Forwards both entry points to `inner` — so it batches exactly when

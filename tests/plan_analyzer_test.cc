@@ -1,7 +1,9 @@
 // Tests for the static-analysis subsystem (analysis/): one fixture per
 // plan diagnostic code ZT-Pxxx, the tolerant linter front end, and the
 // GNN shape checker (ZT-Mxxx) including corrupted-model-file loads.
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "dsp/cluster.h"
 #include "dsp/parallel_plan.h"
 #include "dsp/query_plan.h"
+#include "workload/benchmarks.h"
+#include "workload/generator.h"
 
 namespace zerotune::analysis {
 namespace {
@@ -416,6 +420,174 @@ TEST(PlanAnalyzerTest, CheckRejectsKeyedRebalance) {
   const Status s = PlanAnalyzer::Check(plan);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("ZT-P017"), std::string::npos) << s.message();
+}
+
+TEST(PlanAnalyzerTest, P012NonFiniteWindowOnBuiltPlan) {
+  dsp::QueryPlan q = ValidLogicalPlan();
+  q.mutable_op(2).aggregate.window.length =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(PlanAnalyzer::Analyze(q).Has("ZT-P012"));
+  q.mutable_op(2).aggregate.window.length = 10.0;
+  q.mutable_op(2).aggregate.window.slide =
+      std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(PlanAnalyzer::Analyze(q).Has("ZT-P012"));
+}
+
+TEST(PlanAnalyzerTest, P023ClusterWithoutCores) {
+  dsp::NodeResources node;
+  node.cpu_cores = 0;
+  dsp::ParallelQueryPlan plan(ValidLogicalPlan(),
+                              dsp::Cluster({node, node}));
+  const DiagnosticReport r = PlanAnalyzer::Analyze(plan);
+  EXPECT_TRUE(r.Has("ZT-P023")) << r.ToText();
+  EXPECT_FALSE(PlanAnalyzer::Check(plan).ok());
+}
+
+// --- the analyzer agrees with Validate() on API-built plans ----------
+
+// Every plan built the way ParallelismOptimizer::Tune builds a candidate:
+// set every degree, derive partitioning, place round-robin. Placement
+// fails only on a cluster without cores; the plan is kept unplaced then.
+dsp::ParallelQueryPlan Materialize(const dsp::QueryPlan& q,
+                                   const dsp::Cluster& cluster,
+                                   const std::vector<int>& degrees) {
+  dsp::ParallelQueryPlan plan(q, cluster);
+  for (const dsp::Operator& op : q.operators()) {
+    ZT_CHECK_OK(
+        plan.SetParallelism(op.id, degrees[static_cast<size_t>(op.id)]));
+  }
+  plan.DerivePartitioning();
+  const Status placed = plan.PlaceRoundRobin();
+  if (cluster.TotalCores() > 0) {
+    ZT_CHECK_OK(placed);
+  } else {
+    EXPECT_EQ(placed.code(), StatusCode::kFailedPrecondition);
+  }
+  return plan;
+}
+
+// Degree vectors like Tune's: uniform in range (endpoints pinned at 1
+// or not), one operator past the core count, and uniform powers of two
+// up to 1024 whatever the cluster.
+std::vector<std::vector<int>> SweepDegrees(const dsp::QueryPlan& q,
+                                           int cores) {
+  const size_t n = q.num_operators();
+  std::vector<std::vector<int>> out;
+  auto uniform = [&](int d, bool pin_endpoints) {
+    std::vector<int> v(n, d);
+    for (const dsp::Operator& op : q.operators()) {
+      if (pin_endpoints && (op.type == dsp::OperatorType::kSource ||
+                            op.type == dsp::OperatorType::kSink)) {
+        v[static_cast<size_t>(op.id)] = 1;
+      }
+    }
+    return v;
+  };
+  const int cap = std::max(1, cores);
+  for (int d : {1, 2, std::max(1, cap / 2), cap}) {
+    out.push_back(uniform(d, true));
+    out.push_back(uniform(d, false));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (int d : {cap + 1, 2 * cap}) {
+      std::vector<int> v = uniform(1, true);
+      v[i] = d;
+      out.push_back(std::move(v));
+    }
+  }
+  for (int d = 1; d <= 1024; d *= 2) out.push_back(uniform(d, true));
+  return out;
+}
+
+// Copies of `q` with one field set to NaN or ±inf.
+std::vector<dsp::QueryPlan> NonFiniteVariants(const dsp::QueryPlan& q) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<dsp::QueryPlan> out;
+  for (const dsp::Operator& op : q.operators()) {
+    for (double bad : {kNan, kInf, -kInf}) {
+      auto vary = [&](auto&& set) {
+        dsp::QueryPlan copy = q;
+        set(copy.mutable_op(op.id));
+        out.push_back(std::move(copy));
+      };
+      switch (op.type) {
+        case dsp::OperatorType::kSource:
+          vary([&](dsp::Operator& o) { o.source.event_rate = bad; });
+          break;
+        case dsp::OperatorType::kFilter:
+          vary([&](dsp::Operator& o) { o.filter.selectivity = bad; });
+          break;
+        case dsp::OperatorType::kWindowAggregate:
+          vary([&](dsp::Operator& o) { o.aggregate.selectivity = bad; });
+          vary([&](dsp::Operator& o) { o.aggregate.window.length = bad; });
+          vary([&](dsp::Operator& o) { o.aggregate.window.slide = bad; });
+          break;
+        case dsp::OperatorType::kWindowJoin:
+          vary([&](dsp::Operator& o) { o.join.selectivity = bad; });
+          vary([&](dsp::Operator& o) { o.join.window.length = bad; });
+          vary([&](dsp::Operator& o) { o.join.window.slide = bad; });
+          break;
+        case dsp::OperatorType::kSink:
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+// ParallelismOptimizer::Tune checks its candidates with Validate() alone
+// and leaves the analyzer to plans that come from outside, so the two
+// must agree on every plan Tune can build: every query structure, in- and
+// out-of-range degrees, non-finite fields and a cluster without cores.
+TEST(PlanAnalyzerTest, CheckAgreesWithValidateOnBuiltPlans) {
+  using workload::QueryStructure;
+  std::vector<QueryStructure> structures = workload::TrainingStructures();
+  for (const auto& more : {workload::UnseenSyntheticStructures(),
+                           workload::BenchmarkStructures()}) {
+    structures.insert(structures.end(), more.begin(), more.end());
+  }
+  size_t both_ok = 0;
+  size_t both_fail = 0;
+  for (const QueryStructure s : structures) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(workload::ToString(s)) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      const workload::GeneratedQuery g =
+          s == QueryStructure::kSpikeDetection ||
+                  s == QueryStructure::kSmartGridLocal ||
+                  s == QueryStructure::kSmartGridGlobal
+              ? workload::BenchmarkQueries::Build(s, {}, &rng).value()
+              : workload::QueryGenerator({}, seed).Generate(s).value();
+      std::vector<dsp::NodeResources> coreless = g.cluster.nodes();
+      for (dsp::NodeResources& node : coreless) node.cpu_cores = 0;
+      std::vector<dsp::QueryPlan> queries = NonFiniteVariants(g.plan);
+      queries.insert(queries.begin(), g.plan);
+      for (const dsp::Cluster& cluster :
+           {g.cluster, dsp::Cluster(std::move(coreless))}) {
+        const std::vector<std::vector<int>> sweep =
+            SweepDegrees(g.plan, cluster.TotalCores());
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          const dsp::QueryPlan& q = queries[qi];
+          // A non-finite copy fails whatever its degrees; two will do.
+          const size_t num_degrees = qi == 0 ? sweep.size() : 2;
+          for (size_t di = 0; di < num_degrees; ++di) {
+            const dsp::ParallelQueryPlan plan =
+                Materialize(q, cluster, sweep[di]);
+            const bool valid = plan.Validate().ok();
+            const Status checked = PlanAnalyzer::Check(plan);
+            ASSERT_EQ(checked.ok(), valid)
+                << checked.ToString() << "\n" << plan.DebugString();
+            ++(valid ? both_ok : both_fail);
+          }
+        }
+      }
+    }
+  }
+  // The sweep covers both outcomes, not just one.
+  EXPECT_GT(both_ok, 100u);
+  EXPECT_GT(both_fail, 100u);
 }
 
 // --- diagnostics plumbing --------------------------------------------

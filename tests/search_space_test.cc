@@ -1,10 +1,9 @@
-// Tests for the pluggable candidate-generation API (core/search_space.h)
-// and the enumerators' SearchSpace conformance (core/enumeration.h):
+// Tests for the pluggable candidate-generation API (core/search_space.h):
 // grid candidate order is a stability contract (it keeps Tune()
-// bit-identical to the pre-SearchSpace optimizer), the deprecated grid
-// fields on ParallelismOptimizer::Options must behave exactly like an
-// injected GridSearchSpace, and enumeration failures must fail Tune()
-// loudly instead of being dropped.
+// bit-identical to the pre-SearchSpace optimizer), a null
+// Options::search_space must behave exactly like an injected default
+// GridSearchSpace, and enumeration failures must fail Tune() loudly
+// instead of being dropped.
 #include "core/search_space.h"
 
 #include <cmath>
@@ -130,76 +129,6 @@ TEST(GridSearchSpaceTest, UniformDegreesAboveClusterCapSkipped) {
   }
 }
 
-// --- enumerators as SearchSpaces --------------------------------------
-
-TEST(EnumeratorSearchSpaceTest, OptiSampleEnumerateIsSeededAndSized) {
-  const QueryPlan q = LinearPlan(50000);
-  const Cluster cluster = Cluster::Homogeneous("m510", 4).value();
-  OptiSampleEnumerator::Options opts;
-  opts.num_candidates = 5;
-  opts.seed = 17;
-  const auto a = OptiSampleEnumerator(opts).Enumerate(q, cluster);
-  const auto b = OptiSampleEnumerator(opts).Enumerate(q, cluster);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(a.value()[i].degrees, b.value()[i].degrees);
-    EXPECT_EQ(a.value()[i].origin, "opti-sample");
-    for (int d : a.value()[i].degrees) {
-      EXPECT_GE(d, 1);
-      EXPECT_LE(d, cluster.TotalCores());
-    }
-  }
-  opts.seed = 18;
-  const auto c = OptiSampleEnumerator(opts).Enumerate(q, cluster);
-  ASSERT_TRUE(c.ok());
-  bool any_differ = false;
-  for (size_t i = 0; i < 5; ++i) {
-    any_differ = any_differ || c.value()[i].degrees != a.value()[i].degrees;
-  }
-  EXPECT_TRUE(any_differ) << "different seeds drew identical assignments";
-}
-
-TEST(EnumeratorSearchSpaceTest, RandomEnumerateIsSeededAndBounded) {
-  const QueryPlan q = LinearPlan(50000);
-  const Cluster cluster = Cluster::Homogeneous("m510", 2).value();
-  RandomEnumerator::Options opts;
-  opts.num_candidates = 8;
-  opts.seed = 99;
-  const auto a = RandomEnumerator(opts).Enumerate(q, cluster);
-  const auto b = RandomEnumerator(opts).Enumerate(q, cluster);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), 8u);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(a.value()[i].degrees, b.value()[i].degrees);
-    EXPECT_EQ(a.value()[i].origin, "random");
-    for (int d : a.value()[i].degrees) {
-      EXPECT_GE(d, 1);
-      EXPECT_LE(d, cluster.TotalCores());
-    }
-  }
-}
-
-TEST(EnumeratorSearchSpaceTest, InvalidEnumeratorOptionsSurfaceEverywhere) {
-  OptiSampleEnumerator::Options bad;
-  bad.num_candidates = 0;
-  EXPECT_FALSE(bad.Validate().ok());
-  const OptiSampleEnumerator e(bad);
-  const Cluster cluster = Cluster::Homogeneous("m510", 2).value();
-  EXPECT_FALSE(e.Enumerate(LinearPlan(1000), cluster).ok());
-  dsp::ParallelQueryPlan plan(LinearPlan(1000), cluster);
-  Rng rng(1);
-  EXPECT_FALSE(e.Assign(&plan, &rng).ok());
-
-  RandomEnumerator::Options bad_r;
-  bad_r.max_parallelism = 0;
-  EXPECT_FALSE(RandomEnumerator(bad_r)
-                   .Enumerate(LinearPlan(1000), cluster)
-                   .ok());
-}
-
 // --- injection into the optimizer -------------------------------------
 
 // A null Options::search_space must behave exactly like an explicitly
@@ -240,26 +169,6 @@ TEST(SearchSpaceInjectionTest, NullSearchSpaceMatchesInjectedDefaultGrid) {
   }
 }
 
-// A sampling enumerator can drive the optimizer directly through the
-// injection point.
-TEST(SearchSpaceInjectionTest, OptimizerAcceptsEnumeratorSearchSpace) {
-  OraclePredictor oracle;
-  OptiSampleEnumerator::Options eopts;
-  eopts.num_candidates = 6;
-  const OptiSampleEnumerator space(eopts);
-  ParallelismOptimizer::Options opts;
-  opts.search_space = &space;
-  opts.refinement_passes = 0;
-  const auto r = ParallelismOptimizer(&oracle, opts)
-                     .Tune(LinearPlan(100000),
-                           Cluster::Homogeneous("m510", 2).value());
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().plan.Validate().ok());
-  // At most the 6 sampled candidates (dedup may shrink the set).
-  EXPECT_LE(r.value().candidates_evaluated, 6u);
-  EXPECT_GE(r.value().candidates_evaluated, 1u);
-}
-
 class FailingSearchSpace : public SearchSpace {
  public:
   Result<std::vector<PlanCandidate>> Enumerate(
@@ -276,7 +185,6 @@ TEST(SearchSpaceInjectionTest, EnumerationFailureFailsTuneLoudly) {
   const FailingSearchSpace space;
   ParallelismOptimizer::Options opts;
   opts.search_space = &space;
-  opts.seed_candidates = {{1, 2, 2, 1}};  // even with viable seeds
   const auto r = ParallelismOptimizer(&oracle, opts)
                      .Tune(LinearPlan(1000),
                            Cluster::Homogeneous("m510", 2).value());

@@ -635,7 +635,7 @@ int CmdTune(const FlagParser& flags) {
               << TextTable::Fmt(tuned.value().predicted.throughput_tps, 0)
               << " tuples/s (over " << tuned.value().candidates_evaluated
               << " candidates, " << tuned.value().candidates_rejected
-              << " rejected by static analysis)\n";
+              << " rejected as invalid deployments)\n";
     if (tuned.value().candidates_prescreened > 0) {
       std::cout << "analytical pre-screen ranked "
                 << tuned.value().candidates_prescreened
@@ -987,6 +987,35 @@ std::string TenantName(uint64_t n) {
   return name;
 }
 
+/// How long a fleet or adapt replay of serve-sim took, and its request
+/// rate. An inline run (--threads 0) reads a FakeClock, so its time is
+/// virtual and is reported as `virtual_s` / `virtual_rps`; a pooled run
+/// reads the system clock and reports `wall_s` / `rps`.
+struct SimElapsed {
+  SimElapsed(Clock* clock, int64_t t_start, size_t requests,
+             bool virtual_time)
+      : seconds(clock->MillisSince(t_start) / 1000.0),
+        rps(seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0),
+        is_virtual(virtual_time) {}
+
+  /// The two JSON members, without braces.
+  std::string Json() const {
+    std::ostringstream os;
+    os.precision(17);
+    os << (is_virtual ? "\"virtual_s\": " : "\"wall_s\": ") << seconds
+       << (is_virtual ? ", \"virtual_rps\": " : ", \"rps\": ") << rps;
+    return os.str();
+  }
+  std::string Text() const {
+    return TextTable::Fmt(seconds) + " s (" + TextTable::Fmt(rps, 0) +
+           " req/s" + (is_virtual ? ", virtual time)" : ")");
+  }
+
+  double seconds;
+  double rps;
+  bool is_virtual;
+};
+
 /// Fleet mode of serve-sim: drives a PredictionFleet instead of a single
 /// PredictionService. Chaos kills a replica every kill_every requests and
 /// the Dhalion-style controller (ticking every 256 requests) restarts it
@@ -1082,9 +1111,7 @@ int RunFleetServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
   if (pool != nullptr) pool->Wait();
 
   const serve::fleet::FleetStats stats = fleet.Snapshot();
-  const double wall_s = clock->MillisSince(t_start) / 1000.0;
-  const double rps =
-      wall_s > 0.0 ? static_cast<double>(cfg.requests) / wall_s : 0.0;
+  const SimElapsed elapsed(clock, t_start, cfg.requests, fake != nullptr);
   if (format == OutputFormat::kJson) {
     std::ostringstream os;
     os.precision(17);
@@ -1093,15 +1120,13 @@ int RunFleetServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
        << ", \"requests\": " << cfg.requests
        << ", \"threads\": " << cfg.threads
        << ", \"kill_replica_every\": " << cfg.kill_every
-       << ", \"seed\": " << cfg.root_seed << ", \"wall_s\": " << wall_s
-       << ", \"rps\": " << rps << ", \"stats\": " << stats.ToJson() << "}";
+       << ", \"seed\": " << cfg.root_seed << ", " << elapsed.Json()
+       << ", \"stats\": " << stats.ToJson() << "}";
     std::cout << os.str() << "\n";
   } else {
     std::cout << "fleet replayed " << cfg.requests << " request(s) from "
               << cfg.tenants << " tenant(s) across " << cfg.replicas
-              << " replica(s) in " << TextTable::Fmt(wall_s) << " s ("
-              << TextTable::Fmt(rps, 0) << " req/s"
-              << (fake != nullptr ? ", virtual time" : "") << ")\n"
+              << " replica(s) in " << elapsed.Text() << "\n"
               << stats.ToText();
   }
   return 0;
@@ -1275,9 +1300,7 @@ int RunAdaptServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
 
   const serve::fleet::FleetStats stats = fleet.Snapshot();
   const adaptation::AdaptationWorker::Stats astats = worker.snapshot();
-  const double wall_s = clock->MillisSince(t_start) / 1000.0;
-  const double rps =
-      wall_s > 0.0 ? static_cast<double>(cfg.requests) / wall_s : 0.0;
+  const SimElapsed elapsed(clock, t_start, cfg.requests, fake != nullptr);
   const auto median_of = [](std::vector<double> v) {
     if (v.empty()) return 0.0;
     std::sort(v.begin(), v.end());
@@ -1321,14 +1344,14 @@ int RunAdaptServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
        << ", \"adapt_every\": " << acfg.adapt_every
        << ", \"drift_after\": " << acfg.drift_after
        << ", \"drift_factor\": " << acfg.drift_factor
-       << ", \"seed\": " << cfg.root_seed << ", \"wall_s\": " << wall_s
-       << ", \"rps\": " << rps
+       << ", \"seed\": " << cfg.root_seed << ", " << elapsed.Json()
        << ", \"adaptation\": " << adaptation_json()
        << ", \"stats\": " << stats.ToJson() << "}";
     std::cout << os.str() << "\n";
   } else {
-    std::cout << "adaptation drill: " << cfg.requests << " request(s), "
-              << variants.size() << " plan variant(s), drift after "
+    std::cout << "adaptation drill: " << cfg.requests << " request(s) in "
+              << elapsed.Text() << ", " << variants.size()
+              << " plan variant(s), drift after "
               << acfg.drift_after << " (factor "
               << TextTable::Fmt(acfg.drift_factor) << ")\n"
               << "versions: initial " << live_id << " -> live "
