@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the library's hot paths: graph
-// encoding, GNN inference, analytical cost measurement, discrete-event
-// simulation, and optimizer search.
+// encoding, GNN inference and training steps, analytical cost
+// measurement, discrete-event simulation, and optimizer search.
 //
 // Two modes:
 //   bench_micro_perf               google-benchmark suite (human-readable)
@@ -25,7 +25,9 @@
 #include "core/optimizer.h"
 #include "core/oracle_predictor.h"
 #include "core/plan_graph.h"
+#include "core/train_batch.h"
 #include "nn/kernels.h"
+#include "nn/optimizer.h"
 #include "nn/quantized.h"
 #include "sim/cost_engine.h"
 #include "sim/event_simulator.h"
@@ -54,17 +56,58 @@ void BM_BuildPlanGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPlanGraph)->Arg(1)->Arg(8)->Arg(16);
 
-void BM_ModelForward(benchmark::State& state) {
+/// One training chunk as the trainer runs it: `n` placed plans of mixed
+/// structures, graphs built once, targets drawn around zero.
+struct TrainChunk {
+  std::vector<core::PlanGraph> graphs;
+  std::vector<const core::PlanGraph*> ptrs;
+  nn::Matrix targets;
+};
+
+TrainChunk MakeTrainChunk(size_t n) {
+  const workload::QueryStructure kStructures[] = {
+      workload::QueryStructure::kLinear, workload::QueryStructure::kTwoWayJoin,
+      workload::QueryStructure::kThreeWayJoin,
+      workload::QueryStructure::kFourWayJoin};
+  TrainChunk chunk;
+  Rng rng(17);
+  chunk.targets = nn::Matrix(n, 2);
+  for (size_t i = 0; i < n; ++i) {
+    chunk.graphs.push_back(core::BuildPlanGraph(
+        MakePlan(kStructures[i % 4], 1 + static_cast<int>(i % 6))));
+    chunk.targets(i, 0) = rng.Gaussian(0.0, 1.0);
+    chunk.targets(i, 1) = rng.Gaussian(0.0, 1.0);
+  }
+  for (const core::PlanGraph& g : chunk.graphs) chunk.ptrs.push_back(&g);
+  return chunk;
+}
+
+/// d(MSE)/d(outputs) of a chunk's forward pass.
+nn::Matrix MseGradient(const nn::Matrix& outputs, const nn::Matrix& targets) {
+  nn::Matrix d(outputs.rows(), outputs.cols());
+  for (size_t i = 0; i < d.size(); ++i) {
+    d.data()[i] = outputs.data()[i] - targets.data()[i];
+  }
+  return d;
+}
+
+/// One training step's compute over a 16-plan chunk: forward, backward
+/// and the Adam update, at the given hidden width.
+void BM_TrainStep(benchmark::State& state) {
   core::ModelConfig cfg;
   cfg.hidden_dim = static_cast<size_t>(state.range(0));
   core::ZeroTuneModel model(cfg);
-  const auto plan = MakePlan(workload::QueryStructure::kThreeWayJoin, 8);
-  const auto graph = core::BuildPlanGraph(plan);
+  nn::Adam adam(model.mutable_params(), nn::Adam::Options());
+  const TrainChunk chunk = MakeTrainChunk(16);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Forward(graph));
+    core::TrainBatch pass(model, chunk.ptrs);
+    nn::GradStore grads;
+    pass.Backward(MseGradient(pass.outputs(), chunk.targets), &grads);
+    adam.Step(grads);
   }
+  state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_ModelForward)->Arg(24)->Arg(48)->Arg(96)->MinWarmUpTime(0.1);
+BENCHMARK(BM_TrainStep)->Arg(24)->Arg(48)->Arg(96)->MinWarmUpTime(0.1);
 
 void BM_CostEngineMeasure(benchmark::State& state) {
   const sim::CostEngine engine;
@@ -218,9 +261,11 @@ BENCHMARK(BM_TuneEndToEnd)
 // --- committed perf trajectory (--trajectory) ------------------------
 //
 // Emits a JSON document with one row per (stage, variant): the encoder /
-// message-passing / readout GNN blocks on a 128-row batch, and the
+// message-passing / readout GNN blocks on a 128-row batch and the
 // end-to-end batched scoring path over 128 distinct candidates, each on
-// the fp32 engine under the scalar and simd kernel implementations.
+// the fp32 engine, then the forward, backward and Adam step of one
+// 16-plan training chunk on the fp64 training pass, every stage under the
+// scalar and simd kernel implementations.
 //
 // Methodology (the committed numbers must be trustworthy):
 //   - reps per sample are auto-calibrated so one sample spans at least a
@@ -294,6 +339,7 @@ int RunTrajectory() {
   const int64_t kMinSampleNs = fast ? 500'000 : 4'000'000;
   constexpr size_t kBatchRows = 128;
   constexpr size_t kCandidates = 128;
+  constexpr size_t kTrainChunk = 16;
 
   Clock* clock = SystemClock::Default();
   core::ZeroTuneModel model;
@@ -373,6 +419,42 @@ int RunTrajectory() {
   measure("predict_batch", "scalar", /*force_scalar=*/true, n_cand, e2e);
   measure("predict_batch", "simd", /*force_scalar=*/false, n_cand, e2e);
 
+  // The layers of one training step over a kTrainChunk-plan chunk on the
+  // fp64 training pass: forward (TrainBatch construction), backward (its
+  // hand-written reverse pass, which leaves the kept activations as they
+  // were, so it can be timed on its own) and the Adam update of every
+  // parameter.
+  const TrainChunk chunk = MakeTrainChunk(kTrainChunk);
+  const double n_train = static_cast<double>(kTrainChunk);
+  const auto train_forward = [&] {
+    const core::TrainBatch pass(model, chunk.ptrs);
+    benchmark::DoNotOptimize(pass.outputs().data());
+  };
+  measure("train_forward", "scalar", /*force_scalar=*/true, n_train,
+          train_forward);
+  measure("train_forward", "simd", /*force_scalar=*/false, n_train,
+          train_forward);
+  core::TrainBatch pass(model, chunk.ptrs);
+  const nn::Matrix d_outputs = MseGradient(pass.outputs(), chunk.targets);
+  nn::GradStore step_grads;
+  const auto train_backward = [&] {
+    nn::GradStore grads;
+    pass.Backward(d_outputs, &grads);
+    benchmark::DoNotOptimize(grads.size());
+  };
+  measure("train_backward", "scalar", /*force_scalar=*/true, n_train,
+          train_backward);
+  measure("train_backward", "simd", /*force_scalar=*/false, n_train,
+          train_backward);
+  pass.Backward(d_outputs, &step_grads);
+  // Adam writes the weights, so it steps a copy of the model.
+  core::ZeroTuneModel stepped;
+  ZT_CHECK_OK(stepped.mutable_params()->CopyFrom(model.params()));
+  nn::Adam adam(stepped.mutable_params(), nn::Adam::Options());
+  const auto adam_step = [&] { adam.Step(step_grads); };
+  measure("adam_step", "scalar", /*force_scalar=*/true, n_train, adam_step);
+  measure("adam_step", "simd", /*force_scalar=*/false, n_train, adam_step);
+
   const auto scalar_median = [&rows](const std::string& stage) {
     for (const TrajectoryRow& r : rows) {
       if (r.stage == stage && r.variant == "scalar") return r.t.median_ns;
@@ -390,6 +472,7 @@ int RunTrajectory() {
   std::printf("  \"hidden_dim\": %zu,\n", blocks.readout->in_features());
   std::printf("  \"batch_rows\": %zu,\n", kBatchRows);
   std::printf("  \"candidates\": %zu,\n", plans.size());
+  std::printf("  \"train_chunk_plans\": %zu,\n", kTrainChunk);
   std::printf("  \"warmup_samples\": %d,\n", kWarmup);
   std::printf("  \"timed_samples\": %d,\n", kSamples);
   std::printf("  \"rows\": [\n");

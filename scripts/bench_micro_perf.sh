@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the micro-perf trajectory (encoder / message-passing / readout
-# blocks plus end-to-end PredictBatch on the fp32 engine, each under the
-# scalar and simd kernels) and writes bench/BENCH_micro_perf.json.
+# blocks plus end-to-end PredictBatch on the fp32 engine, and the
+# forward / backward / Adam step of a 16-plan training chunk on the fp64
+# training pass, each under the scalar and simd kernels) and writes
+# bench/BENCH_micro_perf.json.
 #
 # Usage: scripts/bench_micro_perf.sh [build-dir]
 #   scripts/bench_micro_perf.sh          # ./build

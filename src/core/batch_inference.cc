@@ -201,7 +201,7 @@ struct Group {
   FloatBuffer res_state;              // n_res × h exchange output
 };
 
-// Shared resource-node exchange (Forward() stage 2). Depends only on the
+// Shared resource-node exchange (the GNN's stage 2). Depends only on the
 // cluster encoding, so it runs once per structure group regardless of how
 // many candidates the group holds.
 FloatBuffer ComputeResourceState(const nn::QuantizedMlp& res_update,
@@ -247,8 +247,8 @@ struct GroupPlan {
   std::vector<StageDedup> flow2;   // stage 4, per operator
   // Unique mapping edges across the group (stage 3a) and, per
   // (candidate, operator) in CSR layout, the incoming unique-message ids
-  // in mapping-edge order — the order Forward() pushes them into the
-  // mean.
+  // in mapping-edge order — the order the GNN's stage-3 mean sums them
+  // in.
   std::vector<const PlanGraph::MappingEdge*> uniq_edges;
   std::vector<uint32_t> inc_off;  // B*n_ops+1 offsets into inc_uids
   std::vector<uint32_t> inc_uids;

@@ -67,7 +67,7 @@ struct BatchInferenceStats {
 /// Inference runs on the model's fp32 snapshot of the weights
 /// (ZeroTuneModel::InferenceBlocks, built once per parameter generation
 /// and held for the whole call), so predictions are within 1e-3 relative
-/// of the fp64 autograd ZeroTuneModel::Forward on each plan. They are
+/// of the fp64 training pass (core/train_batch.h) on each plan. They are
 /// bit-identical to scoring each plan alone, independent of batch
 /// composition and thread count; a one-plan call is
 /// ZeroTuneModel::Predict.

@@ -4,47 +4,52 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/train_batch.h"
+
 namespace zerotune::core {
-
-namespace {
-
-/// Log-space view of a raw forward output (normalized units are already
-/// log-linear, so differences are relative-cost shifts).
-std::pair<double, double> LogOutputs(const ZeroTuneModel& model,
-                                     const PlanGraph& graph) {
-  const nn::NodePtr out = model.Forward(graph);
-  return {out->value(0, 0), out->value(0, 1)};
-}
-
-}  // namespace
 
 Result<std::vector<FeatureAttribution>> PredictionExplainer::Explain(
     const dsp::ParallelQueryPlan& plan) const {
   ZT_RETURN_IF_ERROR(plan.Validate());
   const FeatureConfig& config = model_->config().features;
-  PlanGraph graph = BuildPlanGraph(plan, config);
-  const auto [base_lat, base_tpt] = LogOutputs(*model_, graph);
+  const PlanGraph graph = BuildPlanGraph(plan, config);
   const std::vector<std::string> names =
       FeatureEncoder::OperatorFeatureNames();
 
-  std::vector<FeatureAttribution> attrs;
+  // One occluded copy of the graph per non-zero operator-feature slot
+  // (occluding a zero is a no-op), all scored in one pass with the
+  // unoccluded graph as row 0.
+  struct Slot {
+    size_t node;
+    size_t slot;
+  };
+  std::vector<Slot> slots;
+  std::vector<PlanGraph> occluded;
   for (size_t node = 0; node < graph.num_operators(); ++node) {
     for (size_t slot = 0; slot < graph.operator_features[node].size();
          ++slot) {
-      const double value = graph.operator_features[node][slot];
-      if (value == 0.0) continue;  // occluding a zero is a no-op
-      graph.operator_features[node][slot] = 0.0;
-      const auto [lat, tpt] = LogOutputs(*model_, graph);
-      graph.operator_features[node][slot] = value;
-
-      FeatureAttribution a;
-      a.operator_id = static_cast<int>(node);
-      a.feature_name = slot < names.size() ? names[slot] : "?";
-      a.feature_value = value;
-      a.latency_impact = base_lat - lat;
-      a.throughput_impact = base_tpt - tpt;
-      attrs.push_back(std::move(a));
+      if (graph.operator_features[node][slot] == 0.0) continue;
+      slots.push_back({node, slot});
+      occluded.push_back(graph);
+      occluded.back().operator_features[node][slot] = 0.0;
     }
+  }
+  std::vector<const PlanGraph*> graphs = {&graph};
+  for (const PlanGraph& g : occluded) graphs.push_back(&g);
+  // Normalized outputs are log-linear, so differences are relative-cost
+  // shifts.
+  const nn::Matrix out = TrainBatch(*model_, graphs).outputs();
+
+  std::vector<FeatureAttribution> attrs;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Slot& s = slots[i];
+    FeatureAttribution a;
+    a.operator_id = static_cast<int>(s.node);
+    a.feature_name = s.slot < names.size() ? names[s.slot] : "?";
+    a.feature_value = graph.operator_features[s.node][s.slot];
+    a.latency_impact = out(0, 0) - out(i + 1, 0);
+    a.throughput_impact = out(0, 1) - out(i + 1, 1);
+    attrs.push_back(std::move(a));
   }
 
   std::sort(attrs.begin(), attrs.end(),

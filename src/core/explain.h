@@ -21,9 +21,10 @@ struct FeatureAttribution {
 
 /// Model-debugging tool: occlusion-style attribution of a cost prediction
 /// to the transferable features driving it. For every non-zero operator
-/// feature slot, the explainer re-runs the forward pass with that slot
-/// zeroed and records the prediction shift — the per-feature analogue of
-/// the paper's group-level ablation (Exp. 6).
+/// feature slot, the explainer scores a copy of the plan graph with that
+/// slot zeroed and records the prediction shift — the per-feature analogue
+/// of the paper's group-level ablation (Exp. 6). All copies run in one
+/// fp64 TrainBatch (core/train_batch.h).
 class PredictionExplainer {
  public:
   struct Options {

@@ -10,17 +10,7 @@
 
 namespace zerotune::core {
 
-namespace {
-
-using nn::ConcatCols;
-using nn::Constant;
 using nn::Matrix;
-using nn::MeanAll;
-using nn::NodePtr;
-
-NodePtr ZeroState(size_t dim) { return Constant(Matrix(1, dim)); }
-
-}  // namespace
 
 ZeroTuneModel::ZeroTuneModel(ModelConfig config) : config_(config) {
   Rng rng(config_.seed);
@@ -48,100 +38,6 @@ ZeroTuneModel::ZeroTuneModel(ModelConfig config) : config_(config) {
   nn::Mlp::Options readout_opts;  // no output activation: regression head
   readout_ = std::make_unique<nn::Mlp>(
       &params_, std::vector<size_t>{h, h, 2}, &rng, readout_opts);
-}
-
-nn::NodePtr ZeroTuneModel::Forward(const PlanGraph& graph) const {
-  const size_t h = config_.hidden_dim;
-  const size_t n_ops = graph.num_operators();
-  const size_t n_res = graph.num_resources();
-
-  // Node-type encoders.
-  std::vector<NodePtr> op_enc(n_ops);
-  for (size_t i = 0; i < n_ops; ++i) {
-    op_enc[i] = op_encoder_->Forward(
-        Constant(Matrix::RowVector(graph.operator_features[i])));
-  }
-  std::vector<NodePtr> res_enc(n_res);
-  for (size_t i = 0; i < n_res; ++i) {
-    res_enc[i] = res_encoder_->Forward(
-        Constant(Matrix::RowVector(graph.resource_features[i])));
-  }
-
-  // Stage 1: bottom-up data-flow message passing over operator nodes.
-  std::vector<NodePtr> state(n_ops);
-  for (int id : graph.topo_order) {
-    const auto& ups = graph.operator_upstreams[static_cast<size_t>(id)];
-    NodePtr up_msg;
-    if (ups.empty()) {
-      up_msg = ZeroState(h);
-    } else {
-      std::vector<NodePtr> msgs;
-      msgs.reserve(ups.size());
-      for (int u : ups) msgs.push_back(state[static_cast<size_t>(u)]);
-      up_msg = MeanAll(msgs);
-    }
-    state[static_cast<size_t>(id)] = flow_update_->Forward(
-        ConcatCols({op_enc[static_cast<size_t>(id)], up_msg}));
-  }
-
-  // Stage 2: one exchange round among physical resource nodes.
-  std::vector<NodePtr> res_state(n_res);
-  for (size_t i = 0; i < n_res; ++i) {
-    NodePtr peer_msg;
-    if (n_res <= 1) {
-      peer_msg = ZeroState(h);
-    } else {
-      std::vector<NodePtr> peers;
-      peers.reserve(n_res - 1);
-      for (size_t j = 0; j < n_res; ++j) {
-        if (j != i) peers.push_back(res_enc[j]);
-      }
-      peer_msg = MeanAll(peers);
-    }
-    res_state[i] = res_update_->Forward(ConcatCols({res_enc[i], peer_msg}));
-  }
-
-  // Stage 3: operator←resource mapping messages.
-  std::vector<std::vector<NodePtr>> incoming(n_ops);
-  for (const PlanGraph::MappingEdge& e : graph.mapping_edges) {
-    NodePtr msg = map_message_->Forward(
-        ConcatCols({res_state[static_cast<size_t>(e.resource_index)],
-                    Constant(Matrix::RowVector(e.features.data(),
-                                               e.features.size()))}));
-    incoming[static_cast<size_t>(e.operator_index)].push_back(std::move(msg));
-  }
-  std::vector<NodePtr> mapped(n_ops);
-  for (size_t i = 0; i < n_ops; ++i) {
-    NodePtr m = incoming[i].empty() ? ZeroState(h) : MeanAll(incoming[i]);
-    // Residual update: resource information perturbs the data-flow state
-    // instead of replacing it, so out-of-distribution hardware encodings
-    // degrade predictions gracefully (unseen-resource generalization).
-    mapped[i] =
-        nn::Add(state[i], map_update_->Forward(ConcatCols({state[i], m})));
-  }
-
-  // Stage 4: second bottom-up pass so resource-aware upstream states reach
-  // the sink readout.
-  std::vector<NodePtr> final_state(n_ops);
-  for (int id : graph.topo_order) {
-    const auto& ups = graph.operator_upstreams[static_cast<size_t>(id)];
-    NodePtr up_msg;
-    if (ups.empty()) {
-      up_msg = ZeroState(h);
-    } else {
-      std::vector<NodePtr> msgs;
-      msgs.reserve(ups.size());
-      for (int u : ups) msgs.push_back(final_state[static_cast<size_t>(u)]);
-      up_msg = MeanAll(msgs);
-    }
-    // Residual, like stage 3.
-    final_state[static_cast<size_t>(id)] = nn::Add(
-        mapped[static_cast<size_t>(id)],
-        flow_update2_->Forward(
-            ConcatCols({mapped[static_cast<size_t>(id)], up_msg})));
-  }
-
-  return readout_->Forward(final_state[static_cast<size_t>(graph.sink_index)]);
 }
 
 Result<CostPrediction> ZeroTuneModel::Predict(

@@ -53,6 +53,12 @@ struct TargetStats {
 ///  6. a final regression MLP reads the sink state out into normalized
 ///     log-space (latency, throughput) predictions.
 ///
+/// Two passes run this network: the row-batched fp64 TrainBatch
+/// (core/train_batch.h) trains it and scores it for the trainer's losses
+/// and q-errors and for the occlusion explainer; the fp32 batch engine
+/// (core/batch_inference.h) answers every prediction, within 1e-3
+/// relative of the fp64 pass.
+///
 /// Training targets are log1p-transformed and standardized with
 /// TargetStats; Predict() inverts the transform.
 class ZeroTuneModel : public CostPredictor {
@@ -61,13 +67,6 @@ class ZeroTuneModel : public CostPredictor {
 
   ZeroTuneModel(const ZeroTuneModel&) = delete;
   ZeroTuneModel& operator=(const ZeroTuneModel&) = delete;
-
-  /// Differentiable fp64 forward pass: returns the 1×2 output node
-  /// (normalized log latency, normalized log throughput). Training, the
-  /// trainer's q-error evaluation and the occlusion explainer run it;
-  /// inference does not. DecodeOutput(Forward(graph)->value) is the
-  /// reference the fp32 engine stays within 1e-3 relative of.
-  nn::NodePtr Forward(const PlanGraph& graph) const;
 
   /// Validates `plan`, then scores it as a one-plan PredictBatch, so
   /// every prediction the system serves or acts on comes from the one

@@ -11,6 +11,7 @@
 
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "core/train_batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -34,6 +35,31 @@ TargetStats FitTargetStats(const Dataset& train) {
   s.throughput_mean = Mean(tpt);
   s.throughput_std = std::max(StdDev(tpt), 1e-3);
   return s;
+}
+
+// Every mini-batch splits into this many chunks, one TrainBatch each,
+// whatever the pool: the chunking decides the gradient's summation order,
+// so it must not follow the machine's thread count. The pool only decides
+// which thread runs which chunk. Four keeps a 4-core pool busy.
+constexpr size_t kChunksPerBatch = 4;
+
+// Plans per TrainBatch when only the outputs are needed (validation loss,
+// q-errors): bounds the activations held at once.
+constexpr size_t kEvalChunk = 16;
+
+/// nn::MseLoss of output row `row` against a 1×n target. With `grad`,
+/// also writes d(loss)/d(output) = (2/n)·(prediction − target) into the
+/// same row of *grad.
+double MseRow(const nn::Matrix& outputs, size_t row, const nn::Matrix& target,
+              nn::Matrix* grad) {
+  const size_t n = target.size();
+  double loss = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    const double d = outputs(row, j) - target.data()[j];
+    loss += d * d;
+    if (grad != nullptr) (*grad)(row, j) = 2.0 / static_cast<double>(n) * d;
+  }
+  return loss / static_cast<double>(n);
 }
 
 constexpr char kCheckpointMagic[] = "zerotune-trainer-ckpt-v1";
@@ -238,10 +264,16 @@ double Trainer::EpochLoss(const std::vector<PlanGraph>& graphs,
                           const std::vector<nn::Matrix>& targets) const {
   if (graphs.empty()) return 0.0;
   std::vector<double> losses(graphs.size(), 0.0);
-  ParallelFor(options_.pool, graphs.size(), [&](size_t i) {
-    const nn::NodePtr out = model_->Forward(graphs[i]);
-    const nn::NodePtr loss = nn::MseLoss(out, targets[i]);
-    losses[i] = loss->value(0, 0);
+  const size_t chunks = (graphs.size() + kEvalChunk - 1) / kEvalChunk;
+  ParallelFor(options_.pool, chunks, [&](size_t c) {
+    const size_t lo = c * kEvalChunk;
+    const size_t hi = std::min(graphs.size(), lo + kEvalChunk);
+    std::vector<const PlanGraph*> chunk;
+    for (size_t k = lo; k < hi; ++k) chunk.push_back(&graphs[k]);
+    const TrainBatch pass(*model_, chunk);
+    for (size_t k = lo; k < hi; ++k) {
+      losses[k] = MseRow(pass.outputs(), k - lo, targets[k], nullptr);
+    }
   });
   return Mean(losses);
 }
@@ -379,9 +411,6 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
         });
   };
 
-  const size_t num_threads =
-      options_.pool != nullptr ? options_.pool->num_threads() : 1;
-
   // Divergence recovery: roll the model back to the best parameters seen,
   // back the learning rate off, and reset Adam's moments. Returns false
   // once the attempt budget is exhausted.
@@ -424,24 +453,28 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
           std::min(order.size(), start + options_.batch_size);
       const size_t batch = end - start;
 
-      // Data-parallel gradient accumulation: each chunk owns a GradStore;
-      // chunks are merged in index order after all finish, so the result
-      // is bit-identical regardless of thread scheduling.
+      // Data-parallel gradient accumulation: each chunk runs one
+      // TrainBatch into its own GradStore; chunks are merged in index
+      // order after all finish, so the result is bit-identical whatever
+      // the pool and its scheduling.
       double batch_loss = 0.0;
-      const size_t chunks = std::min(batch, num_threads);
+      const size_t chunks = std::min(batch, kChunksPerBatch);
       const size_t chunk_size = (batch + chunks - 1) / chunks;
       std::vector<nn::GradStore> locals(chunks);
       std::vector<double> local_losses(chunks, 0.0);
       auto run_chunk = [&](size_t c) {
         const size_t lo = start + c * chunk_size;
         const size_t hi = std::min(end, lo + chunk_size);
+        if (lo >= hi) return;
+        std::vector<const PlanGraph*> chunk;
+        for (size_t k = lo; k < hi; ++k) chunk.push_back(&graphs[order[k]]);
+        TrainBatch pass(*model_, chunk);
+        nn::Matrix d_outputs(hi - lo, 2);
         for (size_t k = lo; k < hi; ++k) {
-          const size_t idx = order[k];
-          const nn::NodePtr out = model_->Forward(graphs[idx]);
-          const nn::NodePtr loss = nn::MseLoss(out, targets[idx]);
-          local_losses[c] += loss->value(0, 0);
-          nn::Backward(loss, &locals[c]);
+          local_losses[c] += MseRow(pass.outputs(), k - lo,
+                                    targets[order[k]], &d_outputs);
         }
+        pass.Backward(d_outputs, &locals[c]);
       };
       if (options_.pool != nullptr && chunks > 1) {
         for (size_t c = 0; c < chunks; ++c) {
@@ -453,7 +486,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       }
       nn::GradStore total;
       for (size_t c = 0; c < chunks; ++c) {
-        total.Merge(locals[c]);
+        total.Merge(std::move(locals[c]));
         batch_loss += local_losses[c];
       }
 
@@ -538,14 +571,28 @@ void Trainer::QErrors(const ZeroTuneModel& model, const Dataset& test,
                       std::vector<double>* throughput_qerrors) {
   latency_qerrors->clear();
   throughput_qerrors->clear();
-  for (const auto& q : test.samples()) {
-    // The fp64 training forward pass, one plan at a time: batching the
-    // whole test set would hold every featurized graph at once.
-    const PlanGraph g = BuildPlanGraph(q.plan, model.config().features);
-    const CostPrediction p = model.DecodeOutput(model.Forward(g)->value);
-    latency_qerrors->push_back(QError(q.latency_ms, p.latency_ms));
-    throughput_qerrors->push_back(
-        QError(q.throughput_tps, p.throughput_tps));
+  const std::vector<workload::LabeledQuery>& samples = test.samples();
+  // The fp64 training pass, kEvalChunk plans at a time: batching the whole
+  // test set would hold every featurized graph at once.
+  std::vector<PlanGraph> graphs;
+  std::vector<const PlanGraph*> chunk;
+  for (size_t lo = 0; lo < samples.size(); lo += kEvalChunk) {
+    const size_t hi = std::min(samples.size(), lo + kEvalChunk);
+    graphs.clear();
+    for (size_t k = lo; k < hi; ++k) {
+      graphs.push_back(
+          BuildPlanGraph(samples[k].plan, model.config().features));
+    }
+    chunk.clear();
+    for (const PlanGraph& g : graphs) chunk.push_back(&g);
+    const TrainBatch pass(model, chunk);
+    for (size_t k = lo; k < hi; ++k) {
+      const CostPrediction p = model.DecodeOutput(
+          nn::Matrix::RowVector(pass.outputs().data() + (k - lo) * 2, 2));
+      latency_qerrors->push_back(QError(samples[k].latency_ms, p.latency_ms));
+      throughput_qerrors->push_back(
+          QError(samples[k].throughput_tps, p.throughput_tps));
+    }
   }
 }
 

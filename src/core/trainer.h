@@ -28,7 +28,8 @@ struct TrainOptions {
   /// (re)fit on the training set. Fine-tuning (few-shot, Exp. 1/Fig. 6)
   /// keeps the original statistics.
   bool fit_target_stats = true;
-  /// Optional pool for data-parallel gradient accumulation.
+  /// Optional pool the chunks of each mini-batch run on. The trained
+  /// weights are == with no pool and with any thread count.
   zerotune::ThreadPool* pool = nullptr;
   /// Clock behind TrainReport::train_seconds and the trainer.epoch_seconds
   /// histogram. Null = system clock; tests inject a FakeClock to make the
@@ -87,10 +88,12 @@ struct ModelEvaluation {
   QErrorSummary throughput;
 };
 
-/// Trains and evaluates ZeroTune models. Graphs are encoded once and
-/// cached; each optimization step accumulates gradients over a mini-batch
-/// (in parallel across pool workers), clips the global norm, and applies
-/// Adam.
+/// Trains and evaluates ZeroTune models on the fp64 training pass
+/// (core/train_batch.h). Graphs are encoded once and cached; each
+/// optimization step splits a mini-batch into a fixed number of chunks,
+/// runs each chunk's forward and backward as one TrainBatch (in parallel
+/// across pool workers), merges the chunk gradients in chunk order, clips
+/// the global norm, and applies Adam.
 class Trainer {
  public:
   Trainer(ZeroTuneModel* model, TrainOptions options);

@@ -21,8 +21,19 @@ void GradStore::Accumulate(int param_id, const Matrix& g) {
   }
 }
 
+void GradStore::Accumulate(int param_id, Matrix&& g) {
+  // try_emplace leaves g untouched when the key exists.
+  auto [it, inserted] = grads_.try_emplace(param_id, std::move(g));
+  if (!inserted) it->second.Add(g);
+}
+
 void GradStore::Merge(const GradStore& other) {
   for (const auto& [id, g] : other.grads_) Accumulate(id, g);
+}
+
+void GradStore::Merge(GradStore&& other) {
+  for (auto& [id, g] : other.grads_) Accumulate(id, std::move(g));
+  other.grads_.clear();
 }
 
 void GradStore::Scale(double factor) {

@@ -26,9 +26,13 @@ class GradStore {
  public:
   /// grads[param_id] += g.
   void Accumulate(int param_id, const Matrix& g);
+  /// Same, moving g in when param_id has no gradient yet.
+  void Accumulate(int param_id, Matrix&& g);
 
   /// Merges all entries of `other` into this store.
   void Merge(const GradStore& other);
+  /// Same, moving entries this store lacks; `other` is left empty.
+  void Merge(GradStore&& other);
 
   /// Scales every stored gradient (e.g. 1/batch_size).
   void Scale(double factor);

@@ -1,5 +1,6 @@
 #include "nn/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -9,6 +10,8 @@ namespace zerotune::nn::kernels {
 namespace avx2 {
 // Implemented in kernels_avx2.cc (the only TU built with -mavx2 -mfma).
 void AddF64(double* acc, const double* x, size_t n);
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out);
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
                      size_t n, float* out);
 void AddF32(float* acc, const float* x, size_t n);
@@ -44,6 +47,21 @@ namespace scalar {
 
 void AddF64(double* acc, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += x[i];
+}
+
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out) {
+  std::fill(out, out + m * n, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * k;
+    double* orow = out + i * n;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const double aik = arow[kk];
+      if (aik == 0.0) continue;  // feature rows are sparse; 0·x adds ±0
+      const double* brow = b + kk * n;
+      for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
+    }
+  }
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
@@ -118,6 +136,11 @@ void ForceScalar(bool on) {
 
 void AddF64(double* acc, const double* x, size_t n) {
   ZT_KERNEL_DISPATCH(AddF64, acc, x, n);
+}
+
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out) {
+  ZT_KERNEL_DISPATCH(GemmRowMajorF64, a, m, k, b, n, out);
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,

@@ -6,8 +6,9 @@
 namespace zerotune::nn::kernels {
 
 /// The low-level compute kernels behind batched inference (the fp32
-/// QuantizedMlp blocks and the batch engine's aggregations) plus the one
-/// fp64 element-wise kernel training uses (Matrix::Add). Two
+/// QuantizedMlp blocks and the batch engine's aggregations) and training
+/// (the fp64 GEMM of the row-batched training pass, core/train_batch.h,
+/// and of Matrix::MatMul/MatMulTransA, plus Matrix::Add). Two
 /// implementations exist behind one API:
 ///
 ///   - a portable scalar implementation (plain loops, no fused rounding),
@@ -17,10 +18,15 @@ namespace zerotune::nn::kernels {
 ///
 /// Numerics contract: every kernel processes rows independently, so
 /// results never depend on how callers batch rows. The kernels fall into
-/// two classes:
+/// three classes:
 ///   - element-wise kernels (add, mean, bias + activation) reassociate
 ///     nothing, use no FMA, and are bit-identical across
 ///     implementations;
+///   - GemmRowMajorF64 sums each output element's k terms in ascending
+///     order with a separate multiply and add (no FMA: both kernel
+///     translation units build with -ffp-contract=off, so the compiler
+///     cannot fuse them either), so it is bit-identical across
+///     implementations and training does not depend on the ISA;
 ///   - GemmRowMajorF32 uses the broadcast formulation under SIMD, so each
 ///     output element still sums its k terms in ascending order — its
 ///     only SIMD-vs-scalar difference is FMA's fused rounding (each
@@ -77,6 +83,14 @@ enum class FusedAct {
 /// Bit-identical across implementations, so training results do not
 /// depend on the ISA.
 void AddF64(double* acc, const double* x, size_t n);
+
+/// out = a·b for row-major fp64 a (m×k), b (k×n), out (m×n). Overwrites
+/// out completely (no zero-initialization required). Each output element
+/// starts at +0 and adds a[i][kk]·b[kk][j] for ascending kk, skipping zero
+/// a-elements, one rounded multiply and one rounded add per term.
+/// Bit-identical across implementations.
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out);
 
 /// out = a·b for row-major fp32 a (m×k), b (k×n), out (m×n). Overwrites
 /// out completely (no zero-initialization required). Summation over k

@@ -4,11 +4,13 @@
 // code here runs strictly behind the runtime cpuid dispatch in
 // kernels.cc, so the rest of the binary stays runnable on any x86-64.
 //
-// Numerics: the GEMM uses the broadcast formulation (for each output
-// row, broadcast a[i][k] and FMA into column-vector accumulators), so
-// every output element still sums its k terms in ascending order — the
-// only difference from the scalar path is FMA's fused rounding.
-// Element-wise kernels are bit-identical to scalar.
+// Numerics: both GEMMs use the broadcast formulation (for each output
+// row, broadcast a[i][k] into column-vector accumulators), so every
+// output element sums its k terms in ascending order. The fp32 GEMM
+// fuses each step with FMA, its only difference from the scalar path.
+// The fp64 GEMM multiplies and adds separately; this file builds with
+// -ffp-contract=off, so the compiler cannot fuse them, and it is
+// bit-identical to scalar like the element-wise kernels.
 //
 // All loads and stores are unaligned (loadu/storeu/maskload/maskstore):
 // callers may slice rows at any element offset.
@@ -88,6 +90,29 @@ void GemmRowPairF32N48(const float* a0, const float* a1, size_t k,
   _mm256_storeu_ps(o1 + 40, p15);
 }
 
+/// One fp64 output-row tile of kVecs·4 columns starting at column j:
+/// kVecs accumulators stay in registers across the whole k loop (at
+/// n = 48, twelve of them cover the row in one pass).
+template <size_t kVecs>
+inline void GemmRowTileF64(const double* arow, size_t k, const double* b,
+                           size_t n, size_t j, double* orow) {
+  __m256d acc[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_pd();
+  for (size_t kk = 0; kk < k; ++kk) {
+    const double aik = arow[kk];
+    if (aik == 0.0) continue;
+    const __m256d av = _mm256_set1_pd(aik);
+    const double* brow = b + kk * n + j;
+    for (size_t v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_add_pd(
+          acc[v], _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4 * v)));
+    }
+  }
+  for (size_t v = 0; v < kVecs; ++v) {
+    _mm256_storeu_pd(orow + j + 4 * v, acc[v]);
+  }
+}
+
 }  // namespace
 
 void AddF64(double* acc, const double* x, size_t n) {
@@ -98,6 +123,29 @@ void AddF64(double* acc, const double* x, size_t n) {
                                _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) acc[i] += x[i];
+}
+
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * k;
+    double* orow = out + i * n;
+    size_t j = 0;
+    for (; j + 48 <= n; j += 48) GemmRowTileF64<12>(arow, k, b, n, j, orow);
+    for (; j + 16 <= n; j += 16) GemmRowTileF64<4>(arow, k, b, n, j, orow);
+    for (; j + 4 <= n; j += 4) GemmRowTileF64<1>(arow, k, b, n, j, orow);
+    // Columns past the last 4-wide tile (the readout's n = 2): the same
+    // sum, one scalar accumulator per column.
+    for (; j < n; ++j) {
+      double acc = 0.0;
+      for (size_t kk = 0; kk < k; ++kk) {
+        const double aik = arow[kk];
+        if (aik == 0.0) continue;
+        acc += aik * b[kk * n + j];
+      }
+      orow[j] = acc;
+    }
+  }
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,

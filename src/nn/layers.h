@@ -22,9 +22,14 @@ class Linear {
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
 
-  /// Raw parameter values, consumed by nn::QuantizedMlp's converter.
+  /// Raw parameter values, consumed by nn::QuantizedMlp's converter and
+  /// the GNN's row-batched training pass.
   const Matrix& weight_value() const { return weight_->value; }
   const Matrix& bias_value() const { return bias_->value; }
+  /// The parameters' GradStore keys, for passes that compute gradients
+  /// without autograd.
+  int weight_id() const { return weight_->param_id; }
+  int bias_id() const { return bias_->param_id; }
 
  private:
   size_t in_features_;

@@ -43,34 +43,18 @@ double Matrix::SquaredNorm() const {
 
 Matrix Matrix::MatMul(const Matrix& a, const Matrix& b) {
   assert(a.cols_ == b.rows_);
-  Matrix out(a.rows_, b.cols_);
-  for (size_t i = 0; i < a.rows_; ++i) {
-    for (size_t k = 0; k < a.cols_; ++k) {
-      const double aik = a.data_[i * a.cols_ + k];
-      if (aik == 0.0) continue;
-      const double* brow = &b.data_[k * b.cols_];
-      double* orow = &out.data_[i * out.cols_];
-      for (size_t j = 0; j < b.cols_; ++j) orow[j] += aik * brow[j];
-    }
-  }
+  Matrix out = Uninitialized(a.rows_, b.cols_);
+  kernels::GemmRowMajorF64(a.data(), a.rows_, a.cols_, b.data(), b.cols_,
+                           out.data());
   return out;
 }
 
 Matrix Matrix::MatMulTransA(const Matrix& a, const Matrix& b) {
-  // out = aᵀ b, shapes: a (m×n), b (m×p) -> out (n×p).
+  // out = aᵀ b, shapes: a (m×n), b (m×p) -> out (n×p). The same GEMM over
+  // aᵀ sums each element over a's rows in ascending order.
   assert(a.rows_ == b.rows_);
-  Matrix out(a.cols_, b.cols_);
-  for (size_t k = 0; k < a.rows_; ++k) {
-    const double* arow = &a.data_[k * a.cols_];
-    const double* brow = &b.data_[k * b.cols_];
-    for (size_t i = 0; i < a.cols_; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = &out.data_[i * out.cols_];
-      for (size_t j = 0; j < b.cols_; ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
+  const Matrix at = a.Transposed();
+  return MatMul(at, b);
 }
 
 Matrix Matrix::MatMulTransB(const Matrix& a, const Matrix& b) {

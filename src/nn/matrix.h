@@ -111,9 +111,10 @@ class Matrix {
   /// Frobenius-norm squared; used for gradient clipping and tests.
   double SquaredNorm() const;
 
-  /// Returns a . b (naive triple loop, i-k-j order for locality).
+  /// Returns a . b on kernels::GemmRowMajorF64 (ascending k, no FMA,
+  /// bit-identical across ISAs).
   static Matrix MatMul(const Matrix& a, const Matrix& b);
-  /// Returns aᵀ . b without materializing the transpose.
+  /// Returns aᵀ . b: the same GEMM over a's transpose.
   static Matrix MatMulTransA(const Matrix& a, const Matrix& b);
   /// Returns a . bᵀ without materializing the transpose.
   static Matrix MatMulTransB(const Matrix& a, const Matrix& b);

@@ -1,7 +1,8 @@
-// nn::kernels contract tests: SIMD-vs-scalar parity of the fp32 GEMM at
-// awkward shapes (odd tails, 1-row/1-col, empty), the bit-identity
-// guarantees of the element-wise kernels, and tolerance of deliberately
-// misaligned rows.
+// nn::kernels contract tests: SIMD-vs-scalar parity of the fp32 GEMM and
+// bit-identity of the fp64 GEMM at awkward shapes (odd tails, 1-row/1-col,
+// the readout's n = 2, zero inputs, empty), the bit-identity guarantees
+// of the element-wise kernels, and tolerance of deliberately misaligned
+// rows.
 // Every SIMD comparison is skipped automatically on hardware without
 // AVX2+FMA and in ZEROTUNE_DISABLE_SIMD builds, where ActiveIsa() is
 // already kScalar and there is nothing to compare.
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -74,11 +76,34 @@ TEST(KernelsDispatchTest, SimdSupportImpliesCompiledIn) {
 }
 
 // --- GEMM ------------------------------------------------------------
+//
+// Every case runs the fp32 GEMM and, as extra inputs, the fp64 GEMM.
+// The fp64 kernel promises more: its SIMD output is bit-identical to the
+// scalar one, not merely within FMA rounding.
 
-void ReferenceGemm(const std::vector<float>& a, size_t m, size_t k,
-                   const std::vector<float>& b, size_t n,
-                   std::vector<float>* out) {
-  out->assign(m * n, 0.0f);
+void Gemm(const float* a, size_t m, size_t k, const float* b, size_t n,
+          float* out) {
+  GemmRowMajorF32(a, m, k, b, n, out);
+}
+
+void Gemm(const double* a, size_t m, size_t k, const double* b, size_t n,
+          double* out) {
+  GemmRowMajorF64(a, m, k, b, n, out);
+}
+
+template <typename T>
+std::vector<T> RandomValues(size_t n, Rng* rng) {
+  if constexpr (std::is_same_v<T, float>) {
+    return RandomVecF32(n, rng);
+  } else {
+    return RandomVec(n, rng);
+  }
+}
+
+template <typename T>
+void ReferenceGemm(const std::vector<T>& a, size_t m, size_t k,
+                   const std::vector<T>& b, size_t n, std::vector<T>* out) {
+  out->assign(m * n, T(0));
   for (size_t i = 0; i < m; ++i) {
     for (size_t kk = 0; kk < k; ++kk) {
       for (size_t j = 0; j < n; ++j) {
@@ -88,44 +113,61 @@ void ReferenceGemm(const std::vector<float>& a, size_t m, size_t k,
   }
 }
 
-void CheckGemmShape(size_t m, size_t k, size_t n, Rng* rng) {
-  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
-               " n=" + std::to_string(n));
-  const std::vector<float> a = RandomVecF32(m * k, rng);
-  const std::vector<float> b = RandomVecF32(k * n, rng);
+/// With `zeros`, every third a-element (and one negative zero) is zero,
+/// so the kernels' zero-skip branch runs.
+template <typename T>
+void CheckGemmShape(size_t m, size_t k, size_t n, Rng* rng,
+                    bool zeros = false) {
+  SCOPED_TRACE(std::string(std::is_same_v<T, float> ? "f32" : "f64") +
+               " m=" + std::to_string(m) + " k=" + std::to_string(k) +
+               " n=" + std::to_string(n) + (zeros ? " with zeros" : ""));
+  std::vector<T> a = RandomValues<T>(m * k, rng);
+  if (zeros) {
+    for (size_t i = 0; i < a.size(); i += 3) a[i] = T(0);
+    if (a.size() > 1) a[1] = -T(0);
+  }
+  const std::vector<T> b = RandomValues<T>(k * n, rng);
   // Poison the outputs: the kernel must overwrite, not accumulate.
-  std::vector<float> scalar_out(m * n, 1e30f);
-  std::vector<float> simd_out(m * n, -1e30f);
+  std::vector<T> scalar_out(m * n, T(1e30));
+  std::vector<T> simd_out(m * n, T(-1e30));
   {
     ScopedForceScalar guard(true);
-    GemmRowMajorF32(a.data(), m, k, b.data(), n, scalar_out.data());
+    Gemm(a.data(), m, k, b.data(), n, scalar_out.data());
   }
-  std::vector<float> ref;
+  std::vector<T> ref;
   ReferenceGemm(a, m, k, b, n, &ref);
   for (size_t i = 0; i < m * n; ++i) {
     // The scalar kernel sums in ascending k like the reference, so the
-    // two are exactly equal.
+    // two are exactly equal (a skipped zero term adds ±0 to the
+    // reference, which leaves a sum unchanged).
     EXPECT_EQ(scalar_out[i], ref[i]) << "scalar kernel diverged at " << i;
   }
   if (!SimdActiveByDefault()) return;
-  GemmRowMajorF32(a.data(), m, k, b.data(), n, simd_out.data());
-  for (size_t i = 0; i < m * n; ++i) {
-    const float scale =
-        std::max({std::abs(scalar_out[i]), std::abs(simd_out[i]), 1.0f});
-    // Same ascending-k order, FMA rounding only — fp32 ulps per the
-    // contract in nn/kernels.h.
-    EXPECT_LE(std::abs(scalar_out[i] - simd_out[i]), 1e-5f * scale)
-        << "simd kernel diverged at " << i;
+  Gemm(a.data(), m, k, b.data(), n, simd_out.data());
+  if constexpr (std::is_same_v<T, double>) {
+    EXPECT_TRUE(BitsEqual(scalar_out.data(), simd_out.data(), m * n));
+  } else {
+    for (size_t i = 0; i < m * n; ++i) {
+      const float scale =
+          std::max({std::abs(scalar_out[i]), std::abs(simd_out[i]), 1.0f});
+      // Same ascending-k order, FMA rounding only — fp32 ulps per the
+      // contract in nn/kernels.h.
+      EXPECT_LE(std::abs(scalar_out[i] - simd_out[i]), 1e-5f * scale)
+          << "simd kernel diverged at " << i;
+    }
   }
 }
 
 TEST(GemmKernelTest, ParityAcrossShapes) {
   Rng rng(7);
+  Rng rng64(8);
   for (size_t m : {1, 2, 5}) {
     for (size_t k : {1, 3, 48, 96}) {
       for (size_t n : kLengths) {
         if (n == 0) continue;  // covered by EmptyShapesAreNoOps
-        CheckGemmShape(m, k, n, &rng);
+        CheckGemmShape<float>(m, k, n, &rng);
+        CheckGemmShape<double>(m, k, n, &rng64);
+        CheckGemmShape<double>(m, k, n, &rng64, /*zeros=*/true);
       }
     }
   }
@@ -140,18 +182,33 @@ TEST(GemmKernelTest, EmptyShapesAreNoOps) {
   EXPECT_EQ(out[0], 42.0f);
   GemmRowMajorF32(a, 1, 0, b, 1, out);
   EXPECT_EQ(out[0], 0.0f);
+  for (bool force : {true, false}) {
+    ScopedForceScalar guard(force);
+    const double a64[1] = {2.0};
+    const double b64[1] = {3.0};
+    double out64[1] = {42.0};
+    GemmRowMajorF64(a64, 0, 1, b64, 1, out64);
+    EXPECT_EQ(out64[0], 42.0);
+    GemmRowMajorF64(a64, 1, 0, b64, 1, out64);
+    EXPECT_EQ(out64[0], 0.0);
+  }
 }
 
 TEST(GemmKernelTest, F32ParityAcrossShapes) {
   // The fp32 GEMM has a two-rows-per-pass kernel at n = 48 (the model's
   // hidden width). Sweep row counts around that path: 1 (no pairs), 2
   // (one pair), 3 and 5 (pairs + odd tail row), at n values on and off
-  // the specialized width.
+  // the specialized width. The fp64 GEMM's 48-wide tile gets the same
+  // sweep, plus n = 2 (the readout's output width).
   Rng rng(29);
+  Rng rng64(30);
   for (size_t m : {1, 2, 3, 5}) {
     for (size_t k : {1, 3, 48, 97}) {
       for (size_t n : {1, 7, 8, 17, 47, 48, 49}) {
-        CheckGemmShape(m, k, n, &rng);
+        CheckGemmShape<float>(m, k, n, &rng);
+      }
+      for (size_t n : {1, 2, 7, 8, 17, 47, 48, 49, 96}) {
+        CheckGemmShape<double>(m, k, n, &rng64, /*zeros=*/k > 1);
       }
     }
   }
@@ -160,7 +217,8 @@ TEST(GemmKernelTest, F32ParityAcrossShapes) {
 TEST(GemmKernelTest, F32RowPairMatchesSingleRowTiling) {
   // At n = 48 rows are processed in pairs; each row's accumulation order
   // is unchanged, so results must be bit-identical to running the same
-  // rows one at a time through the same ISA.
+  // rows one at a time through the same ISA. The fp64 GEMM makes the
+  // same promise, which lets the training pass batch rows freely.
   Rng rng(59);
   const size_t k = 48, n = 48;
   for (size_t m : {2, 3, 4, 5}) {
@@ -174,6 +232,21 @@ TEST(GemmKernelTest, F32RowPairMatchesSingleRowTiling) {
     }
     EXPECT_TRUE(BitsEqual(paired.data(), single.data(), m * n)) << "m=" << m;
   }
+  Rng rng64(60);
+  for (size_t n64 : {2, 48}) {
+    for (size_t m : {2, 3, 5}) {
+      const std::vector<double> a = RandomVec(m * k, &rng64);
+      const std::vector<double> b = RandomVec(k * n64, &rng64);
+      std::vector<double> batched(m * n64), single(m * n64);
+      GemmRowMajorF64(a.data(), m, k, b.data(), n64, batched.data());
+      for (size_t r = 0; r < m; ++r) {
+        GemmRowMajorF64(a.data() + r * k, 1, k, b.data(), n64,
+                        single.data() + r * n64);
+      }
+      EXPECT_TRUE(BitsEqual(batched.data(), single.data(), m * n64))
+          << "f64 m=" << m << " n=" << n64;
+    }
+  }
 }
 
 TEST(GemmKernelTest, SparseRowsSkipZeroContributions) {
@@ -185,11 +258,16 @@ TEST(GemmKernelTest, SparseRowsSkipZeroContributions) {
   a[17] = 1.0f;
   const std::vector<float> b = RandomVecF32(k * n, &rng);
   std::vector<float> out(n);
+  const std::vector<double> b64 = RandomVec(k * n, &rng);
+  std::vector<double> a64(k, 0.0), out64(n);
+  a64[17] = 1.0;
   for (bool force : {true, false}) {
     if (!force && !SimdActiveByDefault()) continue;
     ScopedForceScalar guard(force);
     GemmRowMajorF32(a.data(), 1, k, b.data(), n, out.data());
     for (size_t j = 0; j < n; ++j) EXPECT_EQ(out[j], b[17 * n + j]);
+    GemmRowMajorF64(a64.data(), 1, k, b64.data(), n, out64.data());
+    for (size_t j = 0; j < n; ++j) EXPECT_EQ(out64[j], b64[17 * n + j]);
   }
 }
 
@@ -320,7 +398,7 @@ TEST(ReductionKernelTest, BiasActRowF32IsBitIdenticalAcrossIsas) {
 // output by one element off whatever alignment the allocator produced so
 // an aligned-load instruction would fault or produce garbage.
 TEST(AlignmentKernelTest, KernelsAcceptDeliberatelyMisalignedRows) {
-  // The fp64 kernel at an 8-byte offset, odd tail included.
+  // The fp64 kernels at an 8-byte offset, odd tail included.
   Rng rng(43);
   const size_t n = 19;
   std::vector<double> x_buf = RandomVec(n + 1, &rng);
@@ -332,6 +410,27 @@ TEST(AlignmentKernelTest, KernelsAcceptDeliberatelyMisalignedRows) {
   }
   AddF64(acc_simd.data() + 1, x_buf.data() + 1, n);
   EXPECT_TRUE(BitsEqual(acc_scalar.data(), acc_simd.data(), n + 1));
+
+  // The GEMM with every pointer one double off the allocator's alignment,
+  // at the hidden width's 48-wide tile and the readout's n = 2, with an
+  // odd k: bit-identical across ISAs.
+  const size_t m = 3, k = 21;
+  for (size_t cols : {2, 48}) {
+    std::vector<double> a_buf = RandomVec(m * k + 1, &rng);
+    const std::vector<double> b_buf = RandomVec(k * cols + 1, &rng);
+    a_buf[1 + k + 2] = 0.0;  // one skipped term in the second row
+    std::vector<double> scalar_out(m * cols + 1), simd_out(m * cols + 1);
+    {
+      ScopedForceScalar guard(true);
+      GemmRowMajorF64(a_buf.data() + 1, m, k, b_buf.data() + 1, cols,
+                      scalar_out.data() + 1);
+    }
+    GemmRowMajorF64(a_buf.data() + 1, m, k, b_buf.data() + 1, cols,
+                    simd_out.data() + 1);
+    EXPECT_TRUE(BitsEqual(scalar_out.data() + 1, simd_out.data() + 1,
+                          m * cols))
+        << "n=" << cols;
+  }
 }
 
 TEST(AlignmentKernelTest, F32KernelsAcceptDeliberatelyMisalignedRows) {

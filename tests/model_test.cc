@@ -4,6 +4,8 @@
 #include <fstream>
 #include <gtest/gtest.h>
 
+#include "core/train_batch.h"
+
 namespace zerotune::core {
 namespace {
 
@@ -31,9 +33,9 @@ ParallelQueryPlan SmallPlan(int degree = 2) {
 TEST(ZeroTuneModelTest, ForwardProducesTwoOutputs) {
   ZeroTuneModel model;
   const PlanGraph g = BuildPlanGraph(SmallPlan());
-  const nn::NodePtr out = model.Forward(g);
-  EXPECT_EQ(out->value.rows(), 1u);
-  EXPECT_EQ(out->value.cols(), 2u);
+  const nn::Matrix out = ForwardGraph(model, g);
+  EXPECT_EQ(out.rows(), 1u);
+  EXPECT_EQ(out.cols(), 2u);
 }
 
 TEST(ZeroTuneModelTest, PredictReturnsNonNegativeCosts) {
@@ -49,7 +51,7 @@ TEST(ZeroTuneModelTest, DeterministicForward) {
   cfg.seed = 7;
   ZeroTuneModel a(cfg), b(cfg);
   const PlanGraph g = BuildPlanGraph(SmallPlan());
-  EXPECT_DOUBLE_EQ(a.Forward(g)->value(0, 0), b.Forward(g)->value(0, 0));
+  EXPECT_DOUBLE_EQ(ForwardGraph(a, g)(0, 0), ForwardGraph(b, g)(0, 0));
 }
 
 TEST(ZeroTuneModelTest, DifferentDegreesGiveDifferentPredictions) {
@@ -58,7 +60,7 @@ TEST(ZeroTuneModelTest, DifferentDegreesGiveDifferentPredictions) {
   ZeroTuneModel model;
   const auto g2 = BuildPlanGraph(SmallPlan(2));
   const auto g8 = BuildPlanGraph(SmallPlan(8));
-  EXPECT_NE(model.Forward(g2)->value(0, 0), model.Forward(g8)->value(0, 0));
+  EXPECT_NE(ForwardGraph(model, g2)(0, 0), ForwardGraph(model, g8)(0, 0));
 }
 
 TEST(ZeroTuneModelTest, TargetEncodeDecodeRoundTrip) {
@@ -91,7 +93,7 @@ TEST(ZeroTuneModelTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(b.Load(path).ok());
   EXPECT_DOUBLE_EQ(b.target_stats().latency_mean, 2.5);
   const PlanGraph g = BuildPlanGraph(SmallPlan());
-  EXPECT_DOUBLE_EQ(a.Forward(g)->value(0, 1), b.Forward(g)->value(0, 1));
+  EXPECT_DOUBLE_EQ(ForwardGraph(a, g)(0, 1), ForwardGraph(b, g)(0, 1));
   std::remove(path.c_str());
 }
 
@@ -180,8 +182,8 @@ TEST(ZeroTuneModelTest, AblationConfigChangesPrediction) {
   const auto plan = SmallPlan(8);
   const auto ga = BuildPlanGraph(plan, all_cfg.features);
   const auto go = BuildPlanGraph(plan, op_cfg.features);
-  EXPECT_NE(all_model.Forward(ga)->value(0, 0),
-            op_model.Forward(go)->value(0, 0));
+  EXPECT_NE(ForwardGraph(all_model, ga)(0, 0),
+            ForwardGraph(op_model, go)(0, 0));
 }
 
 TEST(ZeroTuneModelTest, ForwardWorksOnPerInstanceGraphs) {
@@ -190,8 +192,8 @@ TEST(ZeroTuneModelTest, ForwardWorksOnPerInstanceGraphs) {
   cfg.features = FeatureConfig::PerInstance();
   ZeroTuneModel model(cfg);
   const PlanGraph g = BuildPlanGraph(SmallPlan(6), cfg.features);
-  const nn::NodePtr out = model.Forward(g);
-  EXPECT_EQ(out->value.cols(), 2u);
+  const nn::Matrix out = ForwardGraph(model, g);
+  EXPECT_EQ(out.cols(), 2u);
 }
 
 TEST(ZeroTuneModelTest, ParameterCountReasonable) {

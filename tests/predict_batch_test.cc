@@ -5,8 +5,8 @@
 // sequential PredictBatch; the GNN's Predict() is a one-plan batch, so
 // what its exact checks pin is batch invariance — a plan scores the
 // same whichever batch it is part of. The GNN engine runs an fp32
-// snapshot of the weights, so it matches the fp64 autograd Forward()
-// (the training model) within a relative bound.
+// snapshot of the weights, so it matches the fp64 training pass
+// (TrainBatch) within a relative bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,6 +31,7 @@
 #include "core/model.h"
 #include "core/oracle_predictor.h"
 #include "core/plan_graph.h"
+#include "core/train_batch.h"
 #include "core/trainer.h"
 #include "nn/kernels.h"
 #include "nn/optimizer.h"
@@ -189,11 +190,11 @@ void ExpectRelNear(double a, double b, size_t plan_idx, const char* what) {
       << " fp64=" << b;
 }
 
-// The fp64 autograd reference: the training forward pass, decoded.
+// The fp64 reference: the training pass, decoded.
 CostPrediction Fp64Reference(const ZeroTuneModel& model,
                              const ParallelQueryPlan& plan) {
   const PlanGraph graph = BuildPlanGraph(plan, model.config().features);
-  return model.DecodeOutput(model.Forward(graph)->value);
+  return model.DecodeOutput(ForwardGraph(model, graph));
 }
 
 // The GNN batch contract: within the fp32 bound of the fp64 reference,

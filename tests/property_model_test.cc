@@ -6,6 +6,7 @@
 
 #include "core/model.h"
 #include "core/enumeration.h"
+#include "core/train_batch.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -86,11 +87,11 @@ TEST_P(ModelProperty, ForwardIsFiniteAndDeterministic) {
   cfg.seed = 3;
   ZeroTuneModel model(cfg);
   const PlanGraph g = BuildPlanGraph(plan, cfg.features);
-  const nn::NodePtr a = model.Forward(g);
-  const nn::NodePtr b = model.Forward(g);
-  for (size_t i = 0; i < a->value.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(a->value.data()[i]));
-    EXPECT_DOUBLE_EQ(a->value.data()[i], b->value.data()[i]);
+  const nn::Matrix a = ForwardGraph(model, g);
+  const nn::Matrix b = ForwardGraph(model, g);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(a.data()[i]));
+    EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
   }
 }
 

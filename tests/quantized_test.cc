@@ -1,7 +1,7 @@
 // fp32 inference parity: QuantizedMlp against the fp64 Mlp it was
 // converted from, and the batched GNN engine (which runs on QuantizedMlp
-// snapshots) against the fp64 autograd Forward() on a real trained
-// model. The bounds encode the accuracy contract documented in
+// snapshots) against the fp64 training pass (TrainBatch) on a real
+// trained model. The bounds encode the accuracy contract documented in
 // nn/quantized.h: fp32 stays within rounding-level error, far below the
 // model's own prediction error, which is what makes fp32 usable for
 // serving and candidate ranking.
@@ -18,6 +18,7 @@
 #include "core/dataset_builder.h"
 #include "core/enumeration.h"
 #include "core/plan_graph.h"
+#include "core/train_batch.h"
 #include "core/trainer.h"
 #include "nn/layers.h"
 
@@ -152,7 +153,7 @@ TEST_F(QuantizedPredictTest, Fp32PredictionsTrackFp64) {
     const PlanGraph graph =
         BuildPlanGraph((*plans_)[i], model_->config().features);
     const CostPrediction ref =
-        model_->DecodeOutput(model_->Forward(graph)->value);
+        model_->DecodeOutput(ForwardGraph(*model_, graph));
     const CostPrediction& p = got.value()[i];
     ASSERT_TRUE(std::isfinite(p.latency_ms));
     ASSERT_TRUE(std::isfinite(p.throughput_tps));

@@ -11,6 +11,7 @@
 
 #include "core/model.h"
 #include "core/plan_graph.h"
+#include "core/train_batch.h"
 #include "dsp/plan_io.h"
 #include "workload/dataset_io.h"
 
@@ -320,11 +321,11 @@ TEST_F(RobustModelIOTest, FailedLoadLeavesModelParametersUntouched) {
   // exactly what it predicted before the attempt.
   const auto plan = SmallPlan();
   const core::PlanGraph g = core::BuildPlanGraph(plan);
-  const double before = model_->Forward(g)->value(0, 0);
+  const double before = core::ForwardGraph(*model_, g)(0, 0);
 
   WriteFile(path_, text_.substr(0, text_.size() * 3 / 4));
   EXPECT_FALSE(model_->Load(path_).ok());
-  EXPECT_DOUBLE_EQ(model_->Forward(g)->value(0, 0), before);
+  EXPECT_DOUBLE_EQ(core::ForwardGraph(*model_, g)(0, 0), before);
 }
 
 TEST_F(RobustModelIOTest, AbsurdHiddenDimRejectedBeforeAllocation) {

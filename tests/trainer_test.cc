@@ -79,19 +79,38 @@ TEST_F(TrainerTest, TrainedModelBeatsUntrainedOnQError) {
 }
 
 TEST_F(TrainerTest, ParallelTrainingMatchesSequentialLoss) {
-  // Thread-pool gradient accumulation must not break learning (exact
-  // equality is not expected because merge order affects FP rounding).
-  ModelConfig cfg;
-  cfg.hidden_dim = 16;
-  ZeroTuneModel model(cfg);
-  ThreadPool pool(4);
-  TrainOptions opts;
-  opts.epochs = 6;
-  opts.pool = &pool;
-  const auto report = Trainer(&model, opts).Train(*train_, *val_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_LT(report.value().epoch_train_losses.back(),
-            report.value().epoch_train_losses.front());
+  // Every mini-batch splits into the same chunks whatever the pool, and
+  // the chunks' gradients merge in chunk order, so the trained weights are
+  // == with no pool and with any thread count: a model does not depend on
+  // the machine it was trained on.
+  const auto train = [&](ThreadPool* pool) {
+    ModelConfig cfg;
+    cfg.hidden_dim = 16;
+    ZeroTuneModel model(cfg);
+    TrainOptions opts;
+    opts.epochs = 6;
+    opts.pool = pool;
+    const auto report = Trainer(&model, opts).Train(*train_, *val_);
+    EXPECT_TRUE(report.ok());
+    if (report.ok()) {
+      EXPECT_LT(report.value().epoch_train_losses.back(),
+                report.value().epoch_train_losses.front());
+    }
+    return model.params().Snapshot();
+  };
+  const std::vector<nn::Matrix> sequential = train(nullptr);
+  for (size_t threads : {1, 2, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    const std::vector<nn::Matrix> pooled = train(&pool);
+    ASSERT_EQ(pooled.size(), sequential.size());
+    for (size_t p = 0; p < pooled.size(); ++p) {
+      ASSERT_TRUE(pooled[p].SameShape(sequential[p]));
+      for (size_t k = 0; k < pooled[p].size(); ++k) {
+        ASSERT_EQ(pooled[p].data()[k], sequential[p].data()[k])
+            << threads << " threads, parameter " << p << ", entry " << k;
+      }
+    }
+  }
 }
 
 TEST_F(TrainerTest, EarlyStoppingStopsBeforeEpochBudget) {
