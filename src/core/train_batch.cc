@@ -153,7 +153,8 @@ TrainBatch::TrainBatch(const ZeroTuneModel& model,
     for (int id : g->topo_order) {
       const size_t op = op0 + static_cast<size_t>(id);
       for (int u : g->operator_upstreams[static_cast<size_t>(id)]) {
-        depth[op] = std::max(depth[op], depth[op0 + static_cast<size_t>(u)] + 1);
+        const size_t up = op0 + static_cast<size_t>(u);
+        depth[op] = std::max(depth[op], depth[up] + 1);
       }
       max_depth = std::max(max_depth, depth[op]);
     }
