@@ -17,39 +17,48 @@ Result<std::vector<FeatureAttribution>> PredictionExplainer::Explain(
       FeatureEncoder::OperatorFeatureNames();
 
   // One occluded copy of the graph per non-zero operator-feature slot
-  // (occluding a zero is a no-op), all scored in one pass with the
-  // unoccluded graph as row 0.
+  // (occluding a zero is a no-op). The copies are built and scored
+  // kEvalChunk at a time, so a large plan never holds all of them and
+  // their activations at once; a TrainBatch row does not depend on what
+  // shares its chunk, so neither the base row nor any copy's row moves.
   struct Slot {
     size_t node;
     size_t slot;
   };
   std::vector<Slot> slots;
-  std::vector<PlanGraph> occluded;
   for (size_t node = 0; node < graph.num_operators(); ++node) {
     for (size_t slot = 0; slot < graph.operator_features[node].size();
          ++slot) {
       if (graph.operator_features[node][slot] == 0.0) continue;
       slots.push_back({node, slot});
-      occluded.push_back(graph);
-      occluded.back().operator_features[node][slot] = 0.0;
     }
   }
-  std::vector<const PlanGraph*> graphs = {&graph};
-  for (const PlanGraph& g : occluded) graphs.push_back(&g);
   // Normalized outputs are log-linear, so differences are relative-cost
   // shifts.
-  const nn::Matrix out = TrainBatch(*model_, graphs).outputs();
-
+  const nn::Matrix base = ForwardGraph(*model_, graph);
   std::vector<FeatureAttribution> attrs;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const Slot& s = slots[i];
-    FeatureAttribution a;
-    a.operator_id = static_cast<int>(s.node);
-    a.feature_name = s.slot < names.size() ? names[s.slot] : "?";
-    a.feature_value = graph.operator_features[s.node][s.slot];
-    a.latency_impact = out(0, 0) - out(i + 1, 0);
-    a.throughput_impact = out(0, 1) - out(i + 1, 1);
-    attrs.push_back(std::move(a));
+  attrs.reserve(slots.size());
+  std::vector<PlanGraph> occluded;
+  std::vector<const PlanGraph*> chunk;
+  for (size_t lo = 0; lo < slots.size(); lo += kEvalChunk) {
+    const size_t hi = std::min(slots.size(), lo + kEvalChunk);
+    occluded.assign(hi - lo, graph);
+    chunk.clear();
+    for (size_t i = lo; i < hi; ++i) {
+      occluded[i - lo].operator_features[slots[i].node][slots[i].slot] = 0.0;
+      chunk.push_back(&occluded[i - lo]);
+    }
+    const nn::Matrix out = TrainBatch(*model_, chunk).outputs();
+    for (size_t i = lo; i < hi; ++i) {
+      const Slot& s = slots[i];
+      FeatureAttribution a;
+      a.operator_id = static_cast<int>(s.node);
+      a.feature_name = s.slot < names.size() ? names[s.slot] : "?";
+      a.feature_value = graph.operator_features[s.node][s.slot];
+      a.latency_impact = base(0, 0) - out(i - lo, 0);
+      a.throughput_impact = base(0, 1) - out(i - lo, 1);
+      attrs.push_back(std::move(a));
+    }
   }
 
   std::sort(attrs.begin(), attrs.end(),

@@ -23,8 +23,8 @@ struct FeatureAttribution {
 /// to the transferable features driving it. For every non-zero operator
 /// feature slot, the explainer scores a copy of the plan graph with that
 /// slot zeroed and records the prediction shift — the per-feature analogue
-/// of the paper's group-level ablation (Exp. 6). All copies run in one
-/// fp64 TrainBatch (core/train_batch.h).
+/// of the paper's group-level ablation (Exp. 6). The copies run through
+/// the fp64 TrainBatch (core/train_batch.h), kEvalChunk at a time.
 class PredictionExplainer {
  public:
   struct Options {

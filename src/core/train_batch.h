@@ -142,6 +142,12 @@ class TrainBatch {
   nn::Matrix final_;   // stage-4 state per operator
 };
 
+/// Graphs per TrainBatch where only the outputs are read (the trainer's
+/// validation loss and q-errors, the explainer's occluded copies): bounds
+/// the activations held at once. A row does not depend on what shares
+/// its chunk, so this bound never changes an output.
+inline constexpr size_t kEvalChunk = 16;
+
 /// TrainBatch(model, {&graph}).outputs(): the 1×2 normalized output of one
 /// graph.
 nn::Matrix ForwardGraph(const ZeroTuneModel& model, const PlanGraph& graph);

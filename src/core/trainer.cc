@@ -40,12 +40,10 @@ TargetStats FitTargetStats(const Dataset& train) {
 // Every mini-batch splits into this many chunks, one TrainBatch each,
 // whatever the pool: the chunking decides the gradient's summation order,
 // so it must not follow the machine's thread count. The pool only decides
-// which thread runs which chunk. Four keeps a 4-core pool busy.
+// which thread runs which chunk. Four keeps a 4-core pool busy; a pool
+// with more threads leaves the rest idle during a mini-batch, the price
+// of weights that do not depend on the machine.
 constexpr size_t kChunksPerBatch = 4;
-
-// Plans per TrainBatch when only the outputs are needed (validation loss,
-// q-errors): bounds the activations held at once.
-constexpr size_t kEvalChunk = 16;
 
 /// nn::MseLoss of output row `row` against a 1×n target. With `grad`,
 /// also writes d(loss)/d(output) = (2/n)·(prediction − target) into the

@@ -12,28 +12,14 @@
 
 namespace zerotune::nn {
 
-void GradStore::Accumulate(int param_id, const Matrix& g) {
-  auto it = grads_.find(param_id);
-  if (it == grads_.end()) {
-    grads_.emplace(param_id, g);
-  } else {
-    it->second.Add(g);
-  }
-}
-
-void GradStore::Accumulate(int param_id, Matrix&& g) {
+void GradStore::Accumulate(int param_id, Matrix g) {
   // try_emplace leaves g untouched when the key exists.
   auto [it, inserted] = grads_.try_emplace(param_id, std::move(g));
   if (!inserted) it->second.Add(g);
 }
 
-void GradStore::Merge(const GradStore& other) {
-  for (const auto& [id, g] : other.grads_) Accumulate(id, g);
-}
-
-void GradStore::Merge(GradStore&& other) {
+void GradStore::Merge(GradStore other) {
   for (auto& [id, g] : other.grads_) Accumulate(id, std::move(g));
-  other.grads_.clear();
 }
 
 void GradStore::Scale(double factor) {
@@ -244,11 +230,12 @@ void Backward(const NodePtr& loss, GradStore* grads) {
     Node* node = *it;
     auto git = node_grads.find(node);
     if (git == node_grads.end()) continue;  // unreachable from loss
-    const Matrix& out_grad = git->second;
     if (node->is_parameter()) {
-      grads->Accumulate(node->param_id, out_grad);
+      // A parameter is a leaf: nothing reads its gradient after this.
+      grads->Accumulate(node->param_id, std::move(git->second));
       continue;
     }
+    const Matrix& out_grad = git->second;
     if (!node->backward_fn) continue;  // constant leaf
     std::vector<Node*> parents;
     std::vector<Matrix*> parent_grads;

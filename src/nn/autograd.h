@@ -24,15 +24,13 @@ using NodePtr = std::shared_ptr<Node>;
 /// and merge afterwards (data-parallel training).
 class GradStore {
  public:
-  /// grads[param_id] += g.
-  void Accumulate(int param_id, const Matrix& g);
-  /// Same, moving g in when param_id has no gradient yet.
-  void Accumulate(int param_id, Matrix&& g);
+  /// grads[param_id] += g; g is moved in when param_id has no gradient
+  /// yet, so callers that are done with g pass it with std::move.
+  void Accumulate(int param_id, Matrix g);
 
-  /// Merges all entries of `other` into this store.
-  void Merge(const GradStore& other);
-  /// Same, moving entries this store lacks; `other` is left empty.
-  void Merge(GradStore&& other);
+  /// Merges all entries of `other` into this store, moving in the
+  /// entries this store lacks.
+  void Merge(GradStore other);
 
   /// Scales every stored gradient (e.g. 1/batch_size).
   void Scale(double factor);

@@ -4,7 +4,9 @@
 
 #include "core/dataset_builder.h"
 #include "core/enumeration.h"
+#include "core/train_batch.h"
 #include "core/trainer.h"
+#include "workload/generator.h"
 
 namespace zerotune::core {
 namespace {
@@ -102,6 +104,54 @@ TEST_F(ExplainTest, ToTextRendersEveryRow) {
     if (c == '\n') ++lines;
   }
   EXPECT_EQ(lines, attrs.size());
+}
+
+TEST_F(ExplainTest, ChunkedOcclusionEqualsOnePass) {
+  // A six-way join on 16 nodes has several TrainBatch chunks' worth of
+  // non-zero feature slots. Every attribution must equal (==) the one it
+  // gets when the base graph and all occluded copies run in one pass.
+  workload::QueryGenerator::Options gen_options;
+  gen_options.overrides.num_workers = 16;
+  workload::QueryGenerator gen(gen_options, 61);
+  workload::GeneratedQuery q =
+      gen.Generate(workload::QueryStructure::kSixWayJoin).value();
+  dsp::ParallelQueryPlan plan(std::move(q.plan), std::move(q.cluster));
+  Rng rng(61);
+  ASSERT_TRUE(OptiSampleEnumerator().Assign(&plan, &rng).ok());
+
+  PredictionExplainer::Options opts;
+  opts.top_k = 0;  // all
+  const auto attrs = PredictionExplainer(model_, opts).Explain(plan).value();
+
+  const PlanGraph graph = BuildPlanGraph(plan, model_->config().features);
+  const auto names = FeatureEncoder::OperatorFeatureNames();
+  std::vector<PlanGraph> copies = {graph};
+  std::vector<std::pair<int, std::string>> keys;
+  for (size_t node = 0; node < graph.num_operators(); ++node) {
+    for (size_t slot = 0; slot < graph.operator_features[node].size();
+         ++slot) {
+      if (graph.operator_features[node][slot] == 0.0) continue;
+      copies.push_back(graph);
+      copies.back().operator_features[node][slot] = 0.0;
+      keys.emplace_back(static_cast<int>(node), names.at(slot));
+    }
+  }
+  ASSERT_GT(keys.size(), 2 * kEvalChunk);
+  ASSERT_EQ(attrs.size(), keys.size());
+  std::vector<const PlanGraph*> all;
+  for (const PlanGraph& g : copies) all.push_back(&g);
+  const nn::Matrix out = TrainBatch(*model_, all).outputs();
+
+  for (const FeatureAttribution& a : attrs) {
+    const auto it = std::find(keys.begin(), keys.end(),
+                              std::make_pair(a.operator_id, a.feature_name));
+    ASSERT_NE(it, keys.end()) << a.operator_id << " " << a.feature_name;
+    const size_t row = static_cast<size_t>(it - keys.begin()) + 1;
+    EXPECT_EQ(a.latency_impact, out(0, 0) - out(row, 0))
+        << a.operator_id << " " << a.feature_name;
+    EXPECT_EQ(a.throughput_impact, out(0, 1) - out(row, 1))
+        << a.operator_id << " " << a.feature_name;
+  }
 }
 
 TEST_F(ExplainTest, InvalidPlanRejected) {
