@@ -10,9 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "core/oracle_predictor.h"
 #include "core/plan_graph.h"
 #include "core/train_batch.h"
+#include "core/trainer.h"
 #include "nn/kernels.h"
 #include "nn/optimizer.h"
 #include "nn/quantized.h"
@@ -102,7 +105,8 @@ void BM_TrainStep(benchmark::State& state) {
   for (auto _ : state) {
     core::TrainBatch pass(model, chunk.ptrs);
     nn::GradStore grads;
-    pass.Backward(MseGradient(pass.outputs(), chunk.targets), &grads);
+    pass.Backward(MseGradient(pass.outputs(), chunk.targets),
+                  core::TransposedWeights(model), &grads);
     adam.Step(grads);
   }
   state.SetItemsProcessed(state.iterations() * 16);
@@ -264,7 +268,8 @@ BENCHMARK(BM_TuneEndToEnd)
 // message-passing / readout GNN blocks on a 128-row batch and the
 // end-to-end batched scoring path over 128 distinct candidates, each on
 // the fp32 engine, then the forward, backward and Adam step of one
-// 16-plan training chunk on the fp64 training pass, every stage under the
+// 16-plan training chunk on the fp64 training pass and the trainer's
+// whole optimizer step after a 16-plan mini-batch, every stage under the
 // scalar and simd kernel implementations.
 //
 // Methodology (the committed numbers must be trustworthy):
@@ -293,26 +298,35 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+/// With `setup`, it runs untimed before every call of fn (e.g. to hand
+/// fn fresh inputs it consumes), and only the calls themselves are timed.
 TimingStats MeasureNs(Clock* clock, const std::function<void()>& fn,
-                      int warmup, int samples, int64_t min_sample_ns) {
+                      int warmup, int samples, int64_t min_sample_ns,
+                      const std::function<void()>& setup) {
+  // ns spent in `reps` calls of fn.
+  const auto run = [&](int reps) -> int64_t {
+    if (!setup) {
+      const int64_t t0 = clock->NowNanos();
+      for (int i = 0; i < reps; ++i) fn();
+      return clock->NowNanos() - t0;
+    }
+    int64_t spent = 0;
+    for (int i = 0; i < reps; ++i) {
+      setup();
+      const int64_t t0 = clock->NowNanos();
+      fn();
+      spent += clock->NowNanos() - t0;
+    }
+    return spent;
+  };
   // Calibrate: double reps until one sample spans min_sample_ns.
   int reps = 1;
-  for (;;) {
-    const int64_t t0 = clock->NowNanos();
-    for (int i = 0; i < reps; ++i) fn();
-    if (clock->NowNanos() - t0 >= min_sample_ns) break;
-    reps *= 2;
-  }
-  for (int w = 0; w < warmup; ++w) {
-    for (int i = 0; i < reps; ++i) fn();
-  }
+  while (run(reps) < min_sample_ns) reps *= 2;
+  for (int w = 0; w < warmup; ++w) run(reps);
   std::vector<double> per_op;
   per_op.reserve(static_cast<size_t>(samples));
   for (int s = 0; s < samples; ++s) {
-    const int64_t t0 = clock->NowNanos();
-    for (int i = 0; i < reps; ++i) fn();
-    const int64_t elapsed = clock->NowNanos() - t0;
-    per_op.push_back(static_cast<double>(elapsed) / reps);
+    per_op.push_back(static_cast<double>(run(reps)) / reps);
   }
   std::sort(per_op.begin(), per_op.end());
   TimingStats t;
@@ -340,6 +354,7 @@ int RunTrajectory() {
   constexpr size_t kBatchRows = 128;
   constexpr size_t kCandidates = 128;
   constexpr size_t kTrainChunk = 16;
+  constexpr size_t kChunksPerBatch = 4;  // Trainer::Train's split
 
   Clock* clock = SystemClock::Default();
   core::ZeroTuneModel model;
@@ -373,14 +388,15 @@ int RunTrajectory() {
   std::vector<TrajectoryRow> rows;
   const auto measure = [&](const char* stage, const char* variant,
                            bool force_scalar, double items,
-                           const std::function<void()>& fn) {
+                           const std::function<void()>& fn,
+                           const std::function<void()>& setup = {}) {
     nn::kernels::ForceScalar(force_scalar);
     TrajectoryRow row;
     row.stage = stage;
     row.variant = variant;
     row.isa = nn::kernels::IsaName(nn::kernels::ActiveIsa());
     row.items = items;
-    row.t = MeasureNs(clock, fn, kWarmup, kSamples, kMinSampleNs);
+    row.t = MeasureNs(clock, fn, kWarmup, kSamples, kMinSampleNs, setup);
     nn::kernels::ForceScalar(false);
     rows.push_back(std::move(row));
     std::fprintf(stderr, "  %-16s %-6s %12.0f ns/op\n", stage, variant,
@@ -422,8 +438,9 @@ int RunTrajectory() {
   // The layers of one training step over a kTrainChunk-plan chunk on the
   // fp64 training pass: forward (TrainBatch construction), backward (its
   // hand-written reverse pass, which leaves the kept activations as they
-  // were, so it can be timed on its own) and the Adam update of every
-  // parameter.
+  // were, so it can be timed on its own; the transposed weights it reads
+  // are kept current by the optimizer step, outside it) and the Adam
+  // update of every parameter.
   const TrainChunk chunk = MakeTrainChunk(kTrainChunk);
   const double n_train = static_cast<double>(kTrainChunk);
   const auto train_forward = [&] {
@@ -436,17 +453,18 @@ int RunTrajectory() {
           train_forward);
   core::TrainBatch pass(model, chunk.ptrs);
   const nn::Matrix d_outputs = MseGradient(pass.outputs(), chunk.targets);
+  const core::TransposedWeights weights_t(model);
   nn::GradStore step_grads;
   const auto train_backward = [&] {
     nn::GradStore grads;
-    pass.Backward(d_outputs, &grads);
+    pass.Backward(d_outputs, weights_t, &grads);
     benchmark::DoNotOptimize(grads.size());
   };
   measure("train_backward", "scalar", /*force_scalar=*/true, n_train,
           train_backward);
   measure("train_backward", "simd", /*force_scalar=*/false, n_train,
           train_backward);
-  pass.Backward(d_outputs, &step_grads);
+  pass.Backward(d_outputs, weights_t, &step_grads);
   // Adam writes the weights, so it steps a copy of the model.
   core::ZeroTuneModel stepped;
   ZT_CHECK_OK(stepped.mutable_params()->CopyFrom(model.params()));
@@ -454,6 +472,45 @@ int RunTrajectory() {
   const auto adam_step = [&] { adam.Step(step_grads); };
   measure("adam_step", "scalar", /*force_scalar=*/true, n_train, adam_step);
   measure("adam_step", "simd", /*force_scalar=*/false, n_train, adam_step);
+
+  // The whole optimizer step Trainer::Train takes after a kTrainChunk-plan
+  // mini-batch, which it runs as four chunks: merge the four chunks'
+  // gradients, scale by 1/batch, clip at the trainer's default norm (it
+  // fires on these gradients), check finiteness, apply Adam and
+  // re-transpose each updated weight, with no pool. The step consumes
+  // its chunk gradients, so each call gets fresh copies, made untimed.
+  const double clip_norm = core::TrainOptions().grad_clip_norm;
+  std::vector<nn::GradStore> chunk_grads(kChunksPerBatch);
+  const size_t per_chunk = kTrainChunk / kChunksPerBatch;
+  for (size_t c = 0; c < kChunksPerBatch; ++c) {
+    const std::span<const core::PlanGraph* const> ptrs(
+        chunk.ptrs.data() + c * per_chunk, per_chunk);
+    core::TrainBatch part(model, ptrs);
+    nn::Matrix targets(per_chunk, 2);
+    std::copy(chunk.targets.data() + c * per_chunk * 2,
+              chunk.targets.data() + (c + 1) * per_chunk * 2,
+              targets.data());
+    part.Backward(MseGradient(part.outputs(), targets), weights_t,
+                  &chunk_grads[c]);
+  }
+  core::TransposedWeights stepped_t(stepped);
+  std::vector<nn::GradStore> step_input;
+  const auto optimizer_step = [&] {
+    nn::GradStore total;
+    const nn::GradStore::MergeStats merged = total.MergeAndScale(
+        std::move(step_input), 1.0 / static_cast<double>(kTrainChunk),
+        nullptr);
+    const double clip = nn::GradStore::ClipFactor(
+        std::sqrt(merged.squared_norm), clip_norm);
+    if (!merged.all_finite) return;
+    adam.Step(total, clip, nullptr,
+              [&](int param_id) { stepped_t.Refresh(param_id); });
+  };
+  const auto copy_chunk_grads = [&] { step_input = chunk_grads; };
+  measure("optimizer_step", "scalar", /*force_scalar=*/true, n_train,
+          optimizer_step, copy_chunk_grads);
+  measure("optimizer_step", "simd", /*force_scalar=*/false, n_train,
+          optimizer_step, copy_chunk_grads);
 
   const auto scalar_median = [&rows](const std::string& stage) {
     for (const TrajectoryRow& r : rows) {

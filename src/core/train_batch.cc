@@ -11,6 +11,7 @@ namespace {
 
 using nn::Matrix;
 using nn::kernels::GemmRowMajorF64;
+using nn::kernels::GemmTransAF64;
 using nn::kernels::kLeakyReluSlope;
 
 void AddTo(double* acc, const double* x, size_t n) {
@@ -33,6 +34,33 @@ void MeanOfRows(double* dst, size_t count, size_t n, const RowFn& row) {
 }
 
 }  // namespace
+
+// --- TransposedWeights ---------------------------------------------------
+
+TransposedWeights::TransposedWeights(const ZeroTuneModel& model)
+    : params_(&model.params()),
+      by_id_(model.params().parameters().size()) {
+  const ZeroTuneModel::GnnBlocks b = model.blocks();
+  for (const nn::Mlp* mlp :
+       {b.op_encoder, b.res_encoder, b.flow_update, b.res_update,
+        b.map_message, b.map_update, b.flow_update2, b.readout}) {
+    for (const nn::Linear& layer : mlp->layers()) {
+      const Matrix& w = layer.weight_value();
+      by_id_[static_cast<size_t>(layer.weight_id())] =
+          Matrix::Uninitialized(w.cols(), w.rows());
+      Refresh(layer.weight_id());
+    }
+  }
+}
+
+void TransposedWeights::Refresh(int param_id) {
+  Matrix& t = by_id_[static_cast<size_t>(param_id)];
+  if (t.empty()) return;
+  const Matrix& w = params_->parameters()[static_cast<size_t>(param_id)]->value;
+  for (size_t i = 0; i < w.rows(); ++i) {
+    for (size_t j = 0; j < w.cols(); ++j) t(j, i) = w(i, j);
+  }
+}
 
 // --- Block ---------------------------------------------------------------
 
@@ -76,14 +104,13 @@ void TrainBatch::Block::StartBackward(bool input_grad) {
   input_grad_ = input_grad;
   grads_.assign(acts_.size(), Matrix());
   grads_.back() = Matrix(rows_, out_width());
-  weights_t_.assign(layers.size(), Matrix());
   for (size_t l = input_grad ? 0 : 1; l < layers.size(); ++l) {
     grads_[l] = Matrix::Uninitialized(rows_, layers[l].in_features());
-    weights_t_[l] = layers[l].weight_value().Transposed();
   }
 }
 
-void TrainBatch::Block::Backward(size_t r0, size_t r1) {
+void TrainBatch::Block::Backward(size_t r0, size_t r1,
+                                 const TransposedWeights& weights_t) {
   const std::vector<nn::Linear>& layers = mlp_->layers();
   for (size_t l = layers.size(); l-- > 0;) {
     const size_t in = layers[l].in_features();
@@ -98,7 +125,7 @@ void TrainBatch::Block::Backward(size_t r0, size_t r1) {
       }
     }
     if (l == 0 && !input_grad_) break;
-    GemmRowMajorF64(dz, r1 - r0, out, weights_t_[l].data(), in,
+    GemmRowMajorF64(dz, r1 - r0, out, weights_t.of(layers[l]).data(), in,
                     grads_[l].data() + r0 * in);
   }
 }
@@ -111,9 +138,8 @@ void TrainBatch::Block::AccumulateParamGrads(nn::GradStore* grads) const {
     const size_t in = layers[l].in_features();
     const size_t out = layers[l].out_features();
     const double* dz = grads_[l + 1].data();
-    const Matrix input_t = acts_[l].Transposed();
     Matrix dw = Matrix::Uninitialized(in, out);
-    GemmRowMajorF64(input_t.data(), in, rows_, dz, out, dw.data());
+    GemmTransAF64(acts_[l].data(), rows_, in, dz, out, dw.data());
     Matrix db(1, out);
     for (size_t r = 0; r < rows_; ++r) AddTo(db.data(), dz + r * out, out);
     grads->Accumulate(layers[l].weight_id(), std::move(dw));
@@ -318,7 +344,9 @@ TrainBatch::TrainBatch(const ZeroTuneModel& model,
   readout_.Forward(0, graphs.size());
 }
 
-void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
+void TrainBatch::Backward(const Matrix& d_outputs,
+                          const TransposedWeights& weights_t,
+                          nn::GradStore* grads) {
   assert(d_outputs.SameShape(outputs()));
   const size_t h = hidden_;
   const size_t n_ops = row_op_.size();
@@ -338,7 +366,7 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
     std::copy(d_outputs.data() + g * 2, d_outputs.data() + (g + 1) * 2,
               readout_.output_grad(g));
   }
-  readout_.Backward(0, n_graphs);
+  readout_.Backward(0, n_graphs, weights_t);
   for (size_t g = 0; g < n_graphs; ++g) {
     AddTo(flow_update2_.output_grad(op_row_[sink_[g]]), readout_.input_grad(g),
           h);
@@ -354,7 +382,7 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
       AddTo(map_update_.output_grad(row_op_[r]), flow_update2_.output_grad(r),
             h);
     }
-    flow_update2_.Backward(lo, hi);
+    flow_update2_.Backward(lo, hi, weights_t);
     for (size_t r = lo; r < hi; ++r) {
       const size_t id = row_op_[r];
       const double* dx = flow_update2_.input_grad(r);
@@ -375,7 +403,7 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
     AddTo(flow_update_.output_grad(op_row_[id]), map_update_.output_grad(id),
           h);
   }
-  map_update_.Backward(0, n_ops);
+  map_update_.Backward(0, n_ops, weights_t);
   for (size_t id = 0; id < n_ops; ++id) {
     const double* dx = map_update_.input_grad(id);
     AddTo(flow_update_.output_grad(op_row_[id]), dx, h);
@@ -386,14 +414,14 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
       AddScaledTo(map_message_.output_grad(in_edges_[i]), dx + h, inv, h);
     }
   }
-  map_message_.Backward(0, n_edges);
+  map_message_.Backward(0, n_edges, weights_t);
   for (size_t e = 0; e < n_edges; ++e) {
     AddTo(res_update_.output_grad(edge_res_[e]), map_message_.input_grad(e),
           h);
   }
 
   // Stage 2.
-  res_update_.Backward(0, n_res);
+  res_update_.Backward(0, n_res, weights_t);
   for (size_t g = 0; g < n_graphs; ++g) {
     const size_t lo = res_begin_[g];
     const size_t hi = res_begin_[g + 1];
@@ -407,13 +435,13 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
       }
     }
   }
-  res_encoder_.Backward(0, n_res);
+  res_encoder_.Backward(0, n_res, weights_t);
 
   // Stage 1, deepest level first.
   for (size_t d = num_levels(); d-- > 0;) {
     const size_t lo = level_begin_[d];
     const size_t hi = level_begin_[d + 1];
-    flow_update_.Backward(lo, hi);
+    flow_update_.Backward(lo, hi, weights_t);
     for (size_t r = lo; r < hi; ++r) {
       const size_t id = row_op_[r];
       const double* dx = flow_update_.input_grad(r);
@@ -427,7 +455,7 @@ void TrainBatch::Backward(const Matrix& d_outputs, nn::GradStore* grads) {
       }
     }
   }
-  op_encoder_.Backward(0, n_ops);
+  op_encoder_.Backward(0, n_ops, weights_t);
 
   for (const Block* b : {&op_encoder_, &res_encoder_, &flow_update_,
                          &res_update_, &map_message_, &map_update_,

@@ -13,6 +13,31 @@
 
 namespace zerotune::core {
 
+/// Every weight matrix of a ZeroTuneModel, transposed: the reverse pass's
+/// input gradients dX = dZ·Wᵀ read them. It copies the weights, so one
+/// set serves every TrainBatch::Backward until they change; then refresh
+/// what changed. The trainer keeps one set for a whole run and refreshes
+/// each weight right after Adam writes it, on the thread that wrote it.
+class TransposedWeights {
+ public:
+  /// `model` must outlive this.
+  explicit TransposedWeights(const ZeroTuneModel& model);
+
+  /// Copies parameter `param_id`'s current value again when it is a
+  /// weight (biases have no copy). Calls for different ids may run
+  /// concurrently.
+  void Refresh(int param_id);
+
+  /// Wᵀ for one of the model's layers.
+  const nn::Matrix& of(const nn::Linear& layer) const {
+    return by_id_[static_cast<size_t>(layer.weight_id())];
+  }
+
+ private:
+  const nn::ParameterStore* params_;
+  std::vector<nn::Matrix> by_id_;  // indexed by parameter id; biases empty
+};
+
 /// The fp64 pass that trains and evaluates the ZeroTune GNN (the trainer's
 /// batches, its validation loss and q-errors, and the occlusion
 /// explainer). A chunk of plan graphs runs as one disjoint-union graph, so
@@ -59,9 +84,12 @@ class TrainBatch {
   const nn::Matrix& outputs() const { return readout_.output(); }
 
   /// Reverse pass from d(loss)/d(outputs()) (same shape): adds one
-  /// gradient per parameter into `grads`. Each call starts again from the
-  /// kept activations, so calling it twice adds the gradients twice.
-  void Backward(const nn::Matrix& d_outputs, nn::GradStore* grads);
+  /// gradient per parameter into `grads`. `weights_t` must hold the
+  /// transposes of the weights this pass ran on. Each call starts again
+  /// from the kept activations, so calling it twice adds the gradients
+  /// twice.
+  void Backward(const nn::Matrix& d_outputs, const TransposedWeights& weights_t,
+                nn::GradStore* grads);
 
  private:
   /// One MLP block over a set of rows. Keeps every layer's input and
@@ -91,12 +119,13 @@ class TrainBatch {
     }
     /// Backpropagates rows [r0, r1); afterwards input_grad(r) holds
     /// d(loss)/d(input row r) when StartBackward asked for it.
-    void Backward(size_t r0, size_t r1);
+    void Backward(size_t r0, size_t r1, const TransposedWeights& weights_t);
     const double* input_grad(size_t r) const {
       return grads_.front().data() + r * in_width();
     }
-    /// Adds dW = inputᵀ·dZ over all rows and db = the column sums of dZ
-    /// of every layer into `grads`.
+    /// Adds dW = inputᵀ·dZ over all rows (GemmTransAF64, reading the
+    /// kept input in place) and db = the column sums of dZ of every layer
+    /// into `grads`.
     void AccumulateParamGrads(nn::GradStore* grads) const;
 
    private:
@@ -113,8 +142,6 @@ class TrainBatch {
     // into d(loss)/d(layer l's pre-activation) in place, the dZ that
     // AccumulateParamGrads reads.
     std::vector<nn::Matrix> grads_;
-    // Transposed weights, for the input gradients dZ·Wᵀ.
-    std::vector<nn::Matrix> weights_t_;
   };
 
   size_t num_levels() const { return level_begin_.size() - 1; }

@@ -409,6 +409,10 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
         });
   };
 
+  // The chunks' backward passes read the weights transposed: one copy for
+  // the run, each weight refreshed as Adam writes it.
+  TransposedWeights weights_t(*model_);
+
   // Divergence recovery: roll the model back to the best parameters seen,
   // back the learning rate off, and reset Adam's moments. Returns false
   // once the attempt budget is exhausted.
@@ -419,6 +423,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       return false;
     }
     ZT_RETURN_IF_ERROR(model_->mutable_params()->Restore(best_params));
+    weights_t = TransposedWeights(*model_);
     adam.options().learning_rate *= options_.lr_backoff;
     adam.Reset();
     ++report.recovery_attempts;
@@ -472,7 +477,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
           local_losses[c] += MseRow(pass.outputs(), k - lo,
                                     targets[order[k]], &d_outputs);
         }
-        pass.Backward(d_outputs, &locals[c]);
+        pass.Backward(d_outputs, weights_t, &locals[c]);
       };
       if (options_.pool != nullptr && chunks > 1) {
         for (size_t c = 0; c < chunks; ++c) {
@@ -482,17 +487,27 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       } else {
         for (size_t c = 0; c < chunks; ++c) run_chunk(c);
       }
-      nn::GradStore total;
-      for (size_t c = 0; c < chunks; ++c) {
-        total.Merge(std::move(locals[c]));
-        batch_loss += local_losses[c];
-      }
+      for (size_t c = 0; c < chunks; ++c) batch_loss += local_losses[c];
 
-      total.Scale(1.0 / static_cast<double>(batch));
+      // The optimizer step: one pass per parameter merges the chunks in
+      // chunk order and scales by 1/batch, the global norm is summed
+      // serially in the merged store's order (as ClipGlobalNorm sums it),
+      // and a second pass applies the clip factor and Adam. Both passes
+      // run on the pool and give the bits of Merge, Scale, ClipGlobalNorm
+      // and Adam::Step in turn. An entry is finite after the clip exactly
+      // when it is before, so the batch is skipped exactly as when
+      // AllFinite ran after the clip.
+      nn::GradStore total;
+      const nn::GradStore::MergeStats merged = total.MergeAndScale(
+          std::move(locals), 1.0 / static_cast<double>(batch),
+          options_.pool);
+      double clip = 1.0;
       if (options_.grad_clip_norm > 0.0) {
-        grad_norm_gauge->Set(total.ClipGlobalNorm(options_.grad_clip_norm));
+        const double norm = std::sqrt(merged.squared_norm);
+        grad_norm_gauge->Set(norm);
+        clip = nn::GradStore::ClipFactor(norm, options_.grad_clip_norm);
       }
-      if (!std::isfinite(batch_loss) || !total.AllFinite()) {
+      if (!std::isfinite(batch_loss) || !merged.all_finite) {
         ++report.nonfinite_batches;
         nonfinite_total->Increment();
         ZT_ASSIGN_OR_RETURN(const bool recovered, recover());
@@ -502,7 +517,8 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
         }
         continue;  // skip the poisoned update, keep the epoch going
       }
-      adam.Step(total);
+      adam.Step(total, clip, options_.pool,
+                [&](int param_id) { weights_t.Refresh(param_id); });
       epoch_loss_sum += batch_loss;
       epoch_count += batch;
     }

@@ -93,7 +93,8 @@ struct ModelEvaluation {
 /// optimization step splits a mini-batch into a fixed number of chunks,
 /// runs each chunk's forward and backward as one TrainBatch (in parallel
 /// across pool workers), merges the chunk gradients in chunk order, clips
-/// the global norm, and applies Adam.
+/// the global norm, and applies Adam; the merge and the clip+Adam pass
+/// run per parameter on the same pool.
 class Trainer {
  public:
   Trainer(ZeroTuneModel* model, TrainOptions options);

@@ -13,6 +13,10 @@
 #include "common/status.h"
 #include "nn/matrix.h"
 
+namespace zerotune {
+class ThreadPool;
+}  // namespace zerotune
+
 namespace zerotune::nn {
 
 class Node;
@@ -35,9 +39,38 @@ class GradStore {
   /// Scales every stored gradient (e.g. 1/batch_size).
   void Scale(double factor);
 
+  /// What MergeAndScale found in the merged, scaled entries.
+  struct MergeStats {
+    /// The sum whose square root ClipGlobalNorm takes: each entry's
+    /// squared L2 norm, added in this store's iteration order.
+    double squared_norm = 0.0;
+    bool all_finite = true;
+  };
+
+  /// Merge(part) for every part in order, then Scale(factor), with the
+  /// arithmetic run per entry on `pool` (inline when null). The store
+  /// ends up with the same entries, in the same iteration order, holding
+  /// the same bits as those calls leave: an entry starts as the first
+  /// part's gradient that has it and adds the later parts' in part order,
+  /// ((g0 + g1) + g2) + …, then multiplies by `factor`. Returns what
+  /// ClipGlobalNorm and AllFinite would compute next.
+  MergeStats MergeAndScale(std::vector<GradStore> parts, double factor,
+                           zerotune::ThreadPool* pool);
+
   /// Globally rescales so the total L2 norm is at most `max_norm`.
   /// Returns the pre-clip norm.
+  ///
+  /// The norm sums the entries' squared norms in the map's iteration
+  /// order, which follows the hash table, not parameter creation order.
+  /// Trained weights depend on that order: clipping fires on most of the
+  /// trainer's mini-batches, and summing in creation order instead moved
+  /// the benchmark's finetune error_ratio from 1.8987 to 1.9035 (+0.25%).
+  /// Keep the order when changing how gradients are merged or clipped.
   double ClipGlobalNorm(double max_norm);
+
+  /// The factor ClipGlobalNorm multiplies by at pre-clip norm `norm`:
+  /// max_norm / norm when norm exceeds max_norm, else 1.
+  static double ClipFactor(double norm, double max_norm);
 
   /// Returns the gradient for a parameter, or nullptr if none recorded.
   const Matrix* Find(int param_id) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 
 namespace zerotune::nn::kernels {
@@ -12,6 +13,10 @@ namespace avx2 {
 void AddF64(double* acc, const double* x, size_t n);
 void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
                      size_t n, double* out);
+void GemmTransAF64(const double* a, size_t k, size_t m, const double* b,
+                   size_t n, double* out);
+void AdamStepF64(double* w, double* m, double* v, const double* grad,
+                 size_t n, const AdamStepF64Args& args);
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
                      size_t n, float* out);
 void AddF32(float* acc, const float* x, size_t n);
@@ -49,18 +54,49 @@ void AddF64(double* acc, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
-                     size_t n, double* out) {
+/// The fp64 GEMM over a left operand whose element (i, kk) is
+/// a[i·row_step + kk·k_step]: GemmRowMajorF64 (row_step k, k_step 1) and
+/// GemmTransAF64 (row_step 1, k_step m) are the same sums.
+void GemmStridedAF64(const double* a, size_t row_step, size_t k_step,
+                     size_t m, size_t k, const double* b, size_t n,
+                     double* out) {
   std::fill(out, out + m * n, 0.0);
   for (size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
+    const double* arow = a + i * row_step;
     double* orow = out + i * n;
     for (size_t kk = 0; kk < k; ++kk) {
-      const double aik = arow[kk];
+      const double aik = arow[kk * k_step];
       if (aik == 0.0) continue;  // feature rows are sparse; 0·x adds ±0
       const double* brow = b + kk * n;
       for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
     }
+  }
+}
+
+void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
+                     size_t n, double* out) {
+  GemmStridedAF64(a, k, 1, m, k, b, n, out);
+}
+
+void GemmTransAF64(const double* a, size_t k, size_t m, const double* b,
+                   size_t n, double* out) {
+  GemmStridedAF64(a, 1, m, m, k, b, n, out);
+}
+
+void AdamStepF64(double* w, double* m, double* v, const double* grad,
+                 size_t n, const AdamStepF64Args& args) {
+  const double c1 = 1.0 - args.beta1;
+  const double c2 = 1.0 - args.beta2;
+  const bool decay = args.weight_decay > 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double g = grad[i] * args.grad_scale;
+    m[i] = args.beta1 * m[i] + c1 * g;
+    v[i] = args.beta2 * v[i] + c2 * g * g;
+    const double mhat = m[i] / args.bias_correction1;
+    const double vhat = v[i] / args.bias_correction2;
+    double update = mhat / (std::sqrt(vhat) + args.epsilon);
+    if (decay) update += args.weight_decay * w[i];
+    w[i] -= args.learning_rate * update;
   }
 }
 
@@ -141,6 +177,16 @@ void AddF64(double* acc, const double* x, size_t n) {
 void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
                      size_t n, double* out) {
   ZT_KERNEL_DISPATCH(GemmRowMajorF64, a, m, k, b, n, out);
+}
+
+void GemmTransAF64(const double* a, size_t k, size_t m, const double* b,
+                   size_t n, double* out) {
+  ZT_KERNEL_DISPATCH(GemmTransAF64, a, k, m, b, n, out);
+}
+
+void AdamStepF64(double* w, double* m, double* v, const double* grad,
+                 size_t n, const AdamStepF64Args& args) {
+  ZT_KERNEL_DISPATCH(AdamStepF64, w, m, v, grad, n, args);
 }
 
 void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,

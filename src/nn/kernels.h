@@ -7,9 +7,9 @@ namespace zerotune::nn::kernels {
 
 /// The low-level compute kernels behind batched inference (the fp32
 /// QuantizedMlp blocks and the batch engine's aggregations) and training
-/// (the fp64 GEMM of the row-batched training pass, core/train_batch.h,
-/// and of Matrix::MatMul/MatMulTransA, plus Matrix::Add). Two
-/// implementations exist behind one API:
+/// (the fp64 GEMMs of the row-batched training pass, core/train_batch.h,
+/// and of Matrix::MatMul/MatMulTransA, Matrix::Add, and the Adam update).
+/// Two implementations exist behind one API:
 ///
 ///   - a portable scalar implementation (plain loops, no fused rounding),
 ///     and
@@ -22,11 +22,17 @@ namespace zerotune::nn::kernels {
 ///   - element-wise kernels (add, mean, bias + activation) reassociate
 ///     nothing, use no FMA, and are bit-identical across
 ///     implementations;
-///   - GemmRowMajorF64 sums each output element's k terms in ascending
-///     order with a separate multiply and add (no FMA: both kernel
-///     translation units build with -ffp-contract=off, so the compiler
-///     cannot fuse them either), so it is bit-identical across
-///     implementations and training does not depend on the ISA;
+///   - GemmRowMajorF64 and its strided-A form GemmTransAF64 sum each
+///     output element's k terms in ascending order with a separate
+///     multiply and add (no FMA: both kernel translation units build
+///     with -ffp-contract=off, so the compiler cannot fuse them either),
+///     so they are bit-identical across implementations, and
+///     GemmTransAF64 equals (==) GemmRowMajorF64 over a transposed copy;
+///   - AdamStepF64 performs Adam's operations per element in one fixed
+///     order, each a single correctly rounded IEEE operation (divide and
+///     square root included; no FMA, no reciprocal estimates), so it is
+///     bit-identical across implementations. With the GEMMs, that makes
+///     trained weights independent of the ISA;
 ///   - GemmRowMajorF32 uses the broadcast formulation under SIMD, so each
 ///     output element still sums its k terms in ascending order — its
 ///     only SIMD-vs-scalar difference is FMA's fused rounding (each
@@ -91,6 +97,41 @@ void AddF64(double* acc, const double* x, size_t n);
 /// Bit-identical across implementations.
 void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
                      size_t n, double* out);
+
+/// out = aᵀ·b for row-major fp64 a (k×m), b (k×n), out (m×n): the
+/// strided-A form of GemmRowMajorF64, which reads column i of a (stride
+/// m) as row i of its left operand, so no transposed copy of a is made.
+/// Each output element starts at +0 and adds a[kk][i]·b[kk][j] for
+/// ascending kk, skipping zero a-elements, one rounded multiply and one
+/// rounded add per term: == GemmRowMajorF64 over a's transpose, and
+/// bit-identical across implementations. dW = Xᵀ·dZ in training.
+void GemmTransAF64(const double* a, size_t k, size_t m, const double* b,
+                   size_t n, double* out);
+
+/// The constants of one Adam update (nn::Adam::Step).
+struct AdamStepF64Args {
+  double learning_rate = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double epsilon = 0.0;
+  double weight_decay = 0.0;  // applied only when > 0
+  double bias_correction1 = 1.0;  // 1 − β₁ᵗ
+  double bias_correction2 = 1.0;  // 1 − β₂ᵗ
+  /// Every gradient element is multiplied by this first (the trainer's
+  /// gradient-clipping factor; 1 leaves the gradient exactly as is).
+  double grad_scale = 1.0;
+};
+
+/// One Adam update of n parameters in place. Per element, in this order:
+///   g = grad·grad_scale
+///   m = β₁·m + (1 − β₁)·g
+///   v = β₂·v + ((1 − β₂)·g)·g
+///   update = (m / bc₁) / (√(v / bc₂) + ε)
+///   update += weight_decay·w        (only when weight_decay > 0)
+///   w = w − learning_rate·update
+/// Bit-identical across implementations.
+void AdamStepF64(double* w, double* m, double* v, const double* grad,
+                 size_t n, const AdamStepF64Args& args);
 
 /// out = a·b for row-major fp32 a (m×k), b (k×n), out (m×n). Overwrites
 /// out completely (no zero-initialization required). Summation over k

@@ -4,18 +4,21 @@
 // code here runs strictly behind the runtime cpuid dispatch in
 // kernels.cc, so the rest of the binary stays runnable on any x86-64.
 //
-// Numerics: both GEMMs use the broadcast formulation (for each output
+// Numerics: the GEMMs use the broadcast formulation (for each output
 // row, broadcast a[i][k] into column-vector accumulators), so every
 // output element sums its k terms in ascending order. The fp32 GEMM
 // fuses each step with FMA, its only difference from the scalar path.
-// The fp64 GEMM multiplies and adds separately; this file builds with
-// -ffp-contract=off, so the compiler cannot fuse them, and it is
-// bit-identical to scalar like the element-wise kernels.
+// The fp64 GEMMs multiply and add separately, and the Adam step uses
+// only correctly rounded operations (vdivpd, vsqrtpd) in the scalar
+// order; this file builds with -ffp-contract=off, so the compiler cannot
+// fuse them, and they are bit-identical to scalar like the element-wise
+// kernels.
 //
 // All loads and stores are unaligned (loadu/storeu/maskload/maskstore):
 // callers may slice rows at any element offset.
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -92,14 +95,16 @@ void GemmRowPairF32N48(const float* a0, const float* a1, size_t k,
 
 /// One fp64 output-row tile of kVecs·4 columns starting at column j:
 /// kVecs accumulators stay in registers across the whole k loop (at
-/// n = 48, twelve of them cover the row in one pass).
+/// n = 48, twelve of them cover the row in one pass). The row's kk-th
+/// a-element is arow[kk·k_step].
 template <size_t kVecs>
-inline void GemmRowTileF64(const double* arow, size_t k, const double* b,
-                           size_t n, size_t j, double* orow) {
+inline void GemmRowTileF64(const double* arow, size_t k_step, size_t k,
+                           const double* b, size_t n, size_t j,
+                           double* orow) {
   __m256d acc[kVecs];
   for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_pd();
   for (size_t kk = 0; kk < k; ++kk) {
-    const double aik = arow[kk];
+    const double aik = arow[kk * k_step];
     if (aik == 0.0) continue;
     const __m256d av = _mm256_set1_pd(aik);
     const double* brow = b + kk * n + j;
@@ -110,6 +115,31 @@ inline void GemmRowTileF64(const double* arow, size_t k, const double* b,
   }
   for (size_t v = 0; v < kVecs; ++v) {
     _mm256_storeu_pd(orow + j + 4 * v, acc[v]);
+  }
+}
+
+/// One output row of the fp64 GEMM whose left operand's row is
+/// arow[kk·k_step] for kk in [0, k).
+void GemmRowF64(const double* arow, size_t k_step, size_t k, const double* b,
+                size_t n, double* orow) {
+  size_t j = 0;
+  for (; j + 48 <= n; j += 48) {
+    GemmRowTileF64<12>(arow, k_step, k, b, n, j, orow);
+  }
+  for (; j + 16 <= n; j += 16) {
+    GemmRowTileF64<4>(arow, k_step, k, b, n, j, orow);
+  }
+  for (; j + 4 <= n; j += 4) GemmRowTileF64<1>(arow, k_step, k, b, n, j, orow);
+  // Columns past the last 4-wide tile (the readout's n = 2): the same
+  // sum, one scalar accumulator per column.
+  for (; j < n; ++j) {
+    double acc = 0.0;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const double aik = arow[kk * k_step];
+      if (aik == 0.0) continue;
+      acc += aik * b[kk * n + j];
+    }
+    orow[j] = acc;
   }
 }
 
@@ -127,24 +157,58 @@ void AddF64(double* acc, const double* x, size_t n) {
 
 void GemmRowMajorF64(const double* a, size_t m, size_t k, const double* b,
                      size_t n, double* out) {
-  for (size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* orow = out + i * n;
-    size_t j = 0;
-    for (; j + 48 <= n; j += 48) GemmRowTileF64<12>(arow, k, b, n, j, orow);
-    for (; j + 16 <= n; j += 16) GemmRowTileF64<4>(arow, k, b, n, j, orow);
-    for (; j + 4 <= n; j += 4) GemmRowTileF64<1>(arow, k, b, n, j, orow);
-    // Columns past the last 4-wide tile (the readout's n = 2): the same
-    // sum, one scalar accumulator per column.
-    for (; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t kk = 0; kk < k; ++kk) {
-        const double aik = arow[kk];
-        if (aik == 0.0) continue;
-        acc += aik * b[kk * n + j];
-      }
-      orow[j] = acc;
-    }
+  for (size_t i = 0; i < m; ++i) GemmRowF64(a + i * k, 1, k, b, n, out + i * n);
+}
+
+void GemmTransAF64(const double* a, size_t k, size_t m, const double* b,
+                   size_t n, double* out) {
+  for (size_t i = 0; i < m; ++i) GemmRowF64(a + i, m, k, b, n, out + i * n);
+}
+
+void AdamStepF64(double* w, double* m, double* v, const double* grad,
+                 size_t n, const AdamStepF64Args& args) {
+  const double c1 = 1.0 - args.beta1;
+  const double c2 = 1.0 - args.beta2;
+  const bool decay = args.weight_decay > 0.0;
+  const __m256d beta1 = _mm256_set1_pd(args.beta1);
+  const __m256d beta2 = _mm256_set1_pd(args.beta2);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(c1);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(c2);
+  const __m256d bc1 = _mm256_set1_pd(args.bias_correction1);
+  const __m256d bc2 = _mm256_set1_pd(args.bias_correction2);
+  const __m256d eps = _mm256_set1_pd(args.epsilon);
+  const __m256d wd = _mm256_set1_pd(args.weight_decay);
+  const __m256d lr = _mm256_set1_pd(args.learning_rate);
+  const __m256d scale = _mm256_set1_pd(args.grad_scale);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grad + i), scale);
+    const __m256d mi =
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)),
+                      _mm256_mul_pd(one_minus_beta1, g));
+    const __m256d vi = _mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d mhat = _mm256_div_pd(mi, bc1);
+    const __m256d vhat = _mm256_div_pd(vi, bc2);
+    __m256d update =
+        _mm256_div_pd(mhat, _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    const __m256d wi = _mm256_loadu_pd(w + i);
+    if (decay) update = _mm256_add_pd(update, _mm256_mul_pd(wd, wi));
+    _mm256_storeu_pd(w + i, _mm256_sub_pd(wi, _mm256_mul_pd(lr, update)));
+  }
+  // The last 1–3 elements: the same operations, one lane at a time.
+  for (; i < n; ++i) {
+    const double g = grad[i] * args.grad_scale;
+    m[i] = args.beta1 * m[i] + c1 * g;
+    v[i] = args.beta2 * v[i] + c2 * g * g;
+    const double mhat = m[i] / args.bias_correction1;
+    const double vhat = v[i] / args.bias_correction2;
+    double update = mhat / (std::sqrt(vhat) + args.epsilon);
+    if (decay) update += args.weight_decay * w[i];
+    w[i] -= args.learning_rate * update;
   }
 }
 

@@ -50,11 +50,13 @@ Matrix Matrix::MatMul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix Matrix::MatMulTransA(const Matrix& a, const Matrix& b) {
-  // out = aᵀ b, shapes: a (m×n), b (m×p) -> out (n×p). The same GEMM over
-  // aᵀ sums each element over a's rows in ascending order.
+  // out = aᵀ b, shapes: a (m×n), b (m×p) -> out (n×p), each element
+  // summed over a's rows in ascending order, reading a in place.
   assert(a.rows_ == b.rows_);
-  const Matrix at = a.Transposed();
-  return MatMul(at, b);
+  Matrix out = Uninitialized(a.cols_, b.cols_);
+  kernels::GemmTransAF64(a.data(), a.rows_, a.cols_, b.data(), b.cols_,
+                         out.data());
+  return out;
 }
 
 Matrix Matrix::MatMulTransB(const Matrix& a, const Matrix& b) {

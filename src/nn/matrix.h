@@ -114,7 +114,8 @@ class Matrix {
   /// Returns a . b on kernels::GemmRowMajorF64 (ascending k, no FMA,
   /// bit-identical across ISAs).
   static Matrix MatMul(const Matrix& a, const Matrix& b);
-  /// Returns aᵀ . b: the same GEMM over a's transpose.
+  /// Returns aᵀ . b on kernels::GemmTransAF64: == MatMul(a.Transposed(),
+  /// b), without the transposed copy.
   static Matrix MatMulTransA(const Matrix& a, const Matrix& b);
   /// Returns a . bᵀ without materializing the transpose.
   static Matrix MatMulTransB(const Matrix& a, const Matrix& b);

@@ -1,8 +1,12 @@
 #include "nn/optimizer.h"
 
+#include <cassert>
 #include <cmath>
 #include <istream>
 #include <ostream>
+
+#include "common/thread_pool.h"
+#include "nn/kernels.h"
 
 namespace zerotune::nn {
 
@@ -25,31 +29,31 @@ void Adam::Reset() {
   }
 }
 
-void Adam::Step(const GradStore& grads) {
+void Adam::Step(const GradStore& grads, double grad_scale,
+                zerotune::ThreadPool* pool,
+                const std::function<void(int param_id)>& updated) {
   ++step_count_;
-  const double bc1 = 1.0 - std::pow(options_.beta1, step_count_);
-  const double bc2 = 1.0 - std::pow(options_.beta2, step_count_);
+  kernels::AdamStepF64Args args;
+  args.learning_rate = options_.learning_rate;
+  args.beta1 = options_.beta1;
+  args.beta2 = options_.beta2;
+  args.epsilon = options_.epsilon;
+  args.weight_decay = options_.weight_decay;
+  args.bias_correction1 = 1.0 - std::pow(options_.beta1, step_count_);
+  args.bias_correction2 = 1.0 - std::pow(options_.beta2, step_count_);
+  args.grad_scale = grad_scale;
   const auto& params = store_->parameters();
-  for (size_t i = 0; i < params.size(); ++i) {
+  // Parameters update independently, so any split over threads gives the
+  // same bits.
+  ParallelFor(pool, params.size(), [&](size_t i) {
     const Matrix* g = grads.Find(params[i]->param_id);
-    if (g == nullptr) continue;
+    if (g == nullptr) return;
     Matrix& value = params[i]->value;
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (size_t k = 0; k < value.size(); ++k) {
-      const double gk = g->data()[k];
-      m.data()[k] = options_.beta1 * m.data()[k] + (1.0 - options_.beta1) * gk;
-      v.data()[k] =
-          options_.beta2 * v.data()[k] + (1.0 - options_.beta2) * gk * gk;
-      const double mhat = m.data()[k] / bc1;
-      const double vhat = v.data()[k] / bc2;
-      double update = mhat / (std::sqrt(vhat) + options_.epsilon);
-      if (options_.weight_decay > 0.0) {
-        update += options_.weight_decay * value.data()[k];
-      }
-      value.data()[k] -= options_.learning_rate * update;
-    }
-  }
+    assert(g->SameShape(value));
+    kernels::AdamStepF64(value.data(), m_[i].data(), v_[i].data(), g->data(),
+                         value.size(), args);
+    if (updated) updated(params[i]->param_id);
+  });
   store_->BumpGeneration();
 }
 

@@ -1,11 +1,16 @@
 #ifndef ZEROTUNE_NN_OPTIMIZER_H_
 #define ZEROTUNE_NN_OPTIMIZER_H_
 
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
 #include "common/status.h"
 #include "nn/autograd.h"
+
+namespace zerotune {
+class ThreadPool;
+}  // namespace zerotune
 
 namespace zerotune::nn {
 
@@ -23,10 +28,18 @@ class Adam {
   explicit Adam(ParameterStore* store) : Adam(store, Options()) {}
   Adam(ParameterStore* store, Options options);
 
-  /// Applies one update using the accumulated gradients and moves the
-  /// store's generation. Parameters with no gradient entry are left
-  /// untouched.
-  void Step(const GradStore& grads);
+  /// Applies one update using the accumulated gradients, each element
+  /// multiplied by `grad_scale` first (the trainer's clipping factor; 1
+  /// leaves them exactly as they are), and moves the store's generation.
+  /// Parameters with no gradient entry are left untouched. Every
+  /// parameter's update runs kernels::AdamStepF64, spread over `pool`
+  /// (inline when null); the result depends on neither the pool nor the
+  /// ISA. When set,
+  /// `updated(param_id)` runs right after each parameter's update, on the
+  /// thread that made it, while other parameters may be updating.
+  void Step(const GradStore& grads, double grad_scale = 1.0,
+            zerotune::ThreadPool* pool = nullptr,
+            const std::function<void(int param_id)>& updated = {});
 
   /// Resets moment estimates (used when fine-tuning restarts).
   void Reset();

@@ -1,8 +1,9 @@
 // nn::kernels contract tests: SIMD-vs-scalar parity of the fp32 GEMM and
-// bit-identity of the fp64 GEMM at awkward shapes (odd tails, 1-row/1-col,
-// the readout's n = 2, zero inputs, empty), the bit-identity guarantees
-// of the element-wise kernels, and tolerance of deliberately misaligned
-// rows.
+// bit-identity of the fp64 GEMMs at awkward shapes (odd tails, 1-row/1-col,
+// the readout's n = 2, zero inputs, empty), the strided-A fp64 GEMM equal
+// to the row-major one over a transposed copy, the bit-identity guarantees
+// of the element-wise kernels and of the Adam step, and tolerance of
+// deliberately misaligned rows.
 // Every SIMD comparison is skipped automatically on hardware without
 // AVX2+FMA and in ZEROTUNE_DISABLE_SIMD builds, where ActiveIsa() is
 // already kScalar and there is nothing to compare.
@@ -113,6 +114,28 @@ void ReferenceGemm(const std::vector<T>& a, size_t m, size_t k,
   }
 }
 
+/// GemmTransAF64 reads a (m×k) through its transpose at (k×m): in every
+/// implementation it must equal (==) the row-major GEMM over the copy,
+/// `want`, with the output poisoned first and the transpose's rows
+/// starting at an odd offset.
+void CheckTransAMatchesTransposedCopy(const std::vector<double>& a, size_t m,
+                                      size_t k, const std::vector<double>& b,
+                                      size_t n,
+                                      const std::vector<double>& want) {
+  std::vector<double> at(k * m + 1);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t kk = 0; kk < k; ++kk) at[1 + kk * m + i] = a[i * k + kk];
+  }
+  for (bool force : {true, false}) {
+    if (!force && !SimdActiveByDefault()) continue;
+    ScopedForceScalar guard(force);
+    std::vector<double> got(m * n, 1e30);
+    GemmTransAF64(at.data() + 1, k, m, b.data(), n, got.data());
+    EXPECT_TRUE(BitsEqual(got.data(), want.data(), m * n))
+        << "trans-A, " << (force ? "scalar" : "simd");
+  }
+}
+
 /// With `zeros`, every third a-element (and one negative zero) is zero,
 /// so the kernels' zero-skip branch runs.
 template <typename T>
@@ -141,6 +164,9 @@ void CheckGemmShape(size_t m, size_t k, size_t n, Rng* rng,
     // two are exactly equal (a skipped zero term adds ±0 to the
     // reference, which leaves a sum unchanged).
     EXPECT_EQ(scalar_out[i], ref[i]) << "scalar kernel diverged at " << i;
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    CheckTransAMatchesTransposedCopy(a, m, k, b, n, scalar_out);
   }
   if (!SimdActiveByDefault()) return;
   Gemm(a.data(), m, k, b.data(), n, simd_out.data());
@@ -268,6 +294,82 @@ TEST(GemmKernelTest, SparseRowsSkipZeroContributions) {
     for (size_t j = 0; j < n; ++j) EXPECT_EQ(out[j], b[17 * n + j]);
     GemmRowMajorF64(a64.data(), 1, k, b64.data(), n, out64.data());
     for (size_t j = 0; j < n; ++j) EXPECT_EQ(out64[j], b64[17 * n + j]);
+  }
+}
+
+// --- Adam ---------------------------------------------------------------
+
+/// Adam::Step's per-element arithmetic, written out as nn/kernels.h
+/// specifies it.
+void ReferenceAdam(std::vector<double>* w, std::vector<double>* m,
+                   std::vector<double>* v, const std::vector<double>& grad,
+                   const AdamStepF64Args& a) {
+  for (size_t i = 0; i < w->size(); ++i) {
+    const double g = grad[i] * a.grad_scale;
+    (*m)[i] = a.beta1 * (*m)[i] + (1.0 - a.beta1) * g;
+    (*v)[i] = a.beta2 * (*v)[i] + (1.0 - a.beta2) * g * g;
+    const double mhat = (*m)[i] / a.bias_correction1;
+    const double vhat = (*v)[i] / a.bias_correction2;
+    double update = mhat / (std::sqrt(vhat) + a.epsilon);
+    if (a.weight_decay > 0.0) update += a.weight_decay * (*w)[i];
+    (*w)[i] -= a.learning_rate * update;
+  }
+}
+
+/// == elementwise, where two NaNs count as equal: a NaN gradient must
+/// poison the same elements in every implementation.
+bool SameValues(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) != std::isnan(b[i])) return false;
+    if (!std::isnan(a[i]) && !BitsEqual(&a[i], &b[i], 1)) return false;
+  }
+  return true;
+}
+
+TEST(AdamKernelTest, BitIdenticalAcrossIsasAndToTheFormula) {
+  Rng rng(83);
+  AdamStepF64Args args;
+  args.learning_rate = 1e-3;
+  args.beta1 = 0.9;
+  args.beta2 = 0.999;
+  args.epsilon = 1e-8;
+  args.bias_correction1 = 1.0 - std::pow(0.9, 7);
+  args.bias_correction2 = 1.0 - std::pow(0.999, 7);
+  for (size_t n : {1, 3, 4, 5, 48, 4608}) {
+    for (double decay : {0.0, 1e-5}) {
+      for (double scale : {1.0, 0.37}) {
+        for (bool nan : {false, true}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " decay=" +
+                       std::to_string(decay) + " scale=" +
+                       std::to_string(scale) + (nan ? " with NaN" : ""));
+          args.weight_decay = decay;
+          args.grad_scale = scale;
+          // Signed gradients with zeros, moments from earlier steps.
+          std::vector<double> grad = RandomVec(n, &rng);
+          for (size_t i = 0; i < n; i += 4) grad[i] = 0.0;
+          if (nan) grad[n / 2] = std::nan("");
+          const std::vector<double> w0 = RandomVec(n, &rng);
+          std::vector<double> m0 = RandomVec(n, &rng);
+          std::vector<double> v0(n);
+          for (double& x : v0) x = std::abs(rng.Gaussian(0.0, 1.0));
+          std::vector<double> w_ref(w0), m_ref(m0), v_ref(v0);
+          ReferenceAdam(&w_ref, &m_ref, &v_ref, grad, args);
+          for (bool force : {true, false}) {
+            if (!force && !SimdActiveByDefault()) continue;
+            ScopedForceScalar guard(force);
+            std::vector<double> w(w0), m(m0), v(v0);
+            AdamStepF64(w.data(), m.data(), v.data(), grad.data(), n, args);
+            EXPECT_TRUE(SameValues(w, w_ref)) << (force ? "scalar" : "simd");
+            EXPECT_TRUE(SameValues(m, m_ref)) << (force ? "scalar" : "simd");
+            EXPECT_TRUE(SameValues(v, v_ref)) << (force ? "scalar" : "simd");
+          }
+          if (nan) {
+            EXPECT_TRUE(std::isnan(w_ref[n / 2]));
+          }
+        }
+      }
+    }
   }
 }
 
@@ -411,6 +513,27 @@ TEST(AlignmentKernelTest, KernelsAcceptDeliberatelyMisalignedRows) {
   AddF64(acc_simd.data() + 1, x_buf.data() + 1, n);
   EXPECT_TRUE(BitsEqual(acc_scalar.data(), acc_simd.data(), n + 1));
 
+  // The Adam step over parameter, moment and gradient rows one double
+  // off, with decay on.
+  AdamStepF64Args adam;
+  adam.learning_rate = 1e-2;
+  adam.beta1 = 0.9;
+  adam.beta2 = 0.999;
+  adam.epsilon = 1e-8;
+  adam.weight_decay = 1e-3;
+  std::vector<double> w_scalar(acc_buf), m_scalar(n + 1), v_scalar(n + 1);
+  std::vector<double> w_simd(acc_buf), m_simd(n + 1), v_simd(n + 1);
+  {
+    ScopedForceScalar guard(true);
+    AdamStepF64(w_scalar.data() + 1, m_scalar.data() + 1, v_scalar.data() + 1,
+                x_buf.data() + 1, n, adam);
+  }
+  AdamStepF64(w_simd.data() + 1, m_simd.data() + 1, v_simd.data() + 1,
+              x_buf.data() + 1, n, adam);
+  EXPECT_TRUE(BitsEqual(w_scalar.data(), w_simd.data(), n + 1));
+  EXPECT_TRUE(BitsEqual(m_scalar.data(), m_simd.data(), n + 1));
+  EXPECT_TRUE(BitsEqual(v_scalar.data(), v_simd.data(), n + 1));
+
   // The GEMM with every pointer one double off the allocator's alignment,
   // at the hidden width's 48-wide tile and the readout's n = 2, with an
   // odd k: bit-identical across ISAs.
@@ -430,6 +553,22 @@ TEST(AlignmentKernelTest, KernelsAcceptDeliberatelyMisalignedRows) {
     EXPECT_TRUE(BitsEqual(scalar_out.data() + 1, simd_out.data() + 1,
                           m * cols))
         << "n=" << cols;
+    // The strided-A form over a transposed copy, also one double off.
+    std::vector<double> at_buf(k * m + 1);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t kk = 0; kk < k; ++kk) {
+        at_buf[1 + kk * m + i] = a_buf[1 + i * k + kk];
+      }
+    }
+    for (bool force : {true, false}) {
+      ScopedForceScalar guard(force);
+      std::vector<double> trans_out(m * cols + 1);
+      GemmTransAF64(at_buf.data() + 1, k, m, b_buf.data() + 1, cols,
+                    trans_out.data() + 1);
+      EXPECT_TRUE(BitsEqual(scalar_out.data() + 1, trans_out.data() + 1,
+                            m * cols))
+          << "trans-A n=" << cols << (force ? " scalar" : " default");
+    }
   }
 }
 

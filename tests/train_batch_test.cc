@@ -285,7 +285,7 @@ TEST(TrainBatchTest, GradientsMatchAutogradAtEveryChunkSize) {
       }
     }
     nn::GradStore got;
-    pass.Backward(d_outputs, &got);
+    pass.Backward(d_outputs, TransposedWeights(model), &got);
     ASSERT_EQ(got.size(), want.size());
     for (const NodePtr& p : model.params().parameters()) {
       const Matrix* g = got.Find(p->param_id);
@@ -310,7 +310,7 @@ TEST(TrainBatchTest, ScalarKernelsGiveBitIdenticalOutputsAndGradients) {
     nn::kernels::ForceScalar(force_scalar);
     TrainBatch pass(model, Pointers(graphs, 0, graphs.size()));
     Matrix d_outputs(graphs.size(), 2, 0.5);
-    pass.Backward(d_outputs, grads);
+    pass.Backward(d_outputs, TransposedWeights(model), grads);
     nn::kernels::ForceScalar(false);
     return pass.outputs();
   };
