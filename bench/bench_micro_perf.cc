@@ -30,6 +30,7 @@
 #include "core/train_batch.h"
 #include "core/trainer.h"
 #include "nn/kernels.h"
+#include "nn/mlp_pass.h"
 #include "nn/optimizer.h"
 #include "nn/quantized.h"
 #include "sim/cost_engine.h"
@@ -85,11 +86,15 @@ TrainChunk MakeTrainChunk(size_t n) {
   return chunk;
 }
 
-/// d(MSE)/d(outputs) of a chunk's forward pass.
+/// d(MSE)/d(outputs) of a chunk's forward pass, row by row as the
+/// trainer takes it.
 nn::Matrix MseGradient(const nn::Matrix& outputs, const nn::Matrix& targets) {
   nn::Matrix d(outputs.rows(), outputs.cols());
-  for (size_t i = 0; i < d.size(); ++i) {
-    d.data()[i] = outputs.data()[i] - targets.data()[i];
+  for (size_t r = 0; r < d.rows(); ++r) {
+    nn::MseRow(outputs, r,
+               nn::Matrix::RowVector(targets.data() + r * targets.cols(),
+                                     targets.cols()),
+               &d);
   }
   return d;
 }
@@ -106,7 +111,7 @@ void BM_TrainStep(benchmark::State& state) {
     core::TrainBatch pass(model, chunk.ptrs);
     nn::GradStore grads;
     pass.Backward(MseGradient(pass.outputs(), chunk.targets),
-                  core::TransposedWeights(model), &grads);
+                  nn::TransposedWeights(model.params()), &grads);
     adam.Step(grads);
   }
   state.SetItemsProcessed(state.iterations() * 16);
@@ -453,7 +458,7 @@ int RunTrajectory() {
           train_forward);
   core::TrainBatch pass(model, chunk.ptrs);
   const nn::Matrix d_outputs = MseGradient(pass.outputs(), chunk.targets);
-  const core::TransposedWeights weights_t(model);
+  const nn::TransposedWeights weights_t(model.params());
   nn::GradStore step_grads;
   const auto train_backward = [&] {
     nn::GradStore grads;
@@ -493,7 +498,7 @@ int RunTrajectory() {
     part.Backward(MseGradient(part.outputs(), targets), weights_t,
                   &chunk_grads[c]);
   }
-  core::TransposedWeights stepped_t(stepped);
+  nn::TransposedWeights stepped_t(stepped.params());
   std::vector<nn::GradStore> step_input;
   const auto optimizer_step = [&] {
     nn::GradStore total;

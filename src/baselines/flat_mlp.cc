@@ -6,6 +6,7 @@
 
 #include "baselines/flat_vector.h"
 #include "common/statistics.h"
+#include "nn/mlp_pass.h"
 
 namespace zerotune::baselines {
 
@@ -26,7 +27,7 @@ std::vector<double> FlatMlpModel::Standardize(std::vector<double> x) const {
 }
 
 Status FlatMlpModel::Fit(const workload::Dataset& train) {
-  if (train.empty()) return Status::InvalidArgument("empty training set");
+  ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
   const size_t n = train.size();
   const size_t d = FlatVectorEncoder::Dim();
 
@@ -56,34 +57,57 @@ Status FlatMlpModel::Fit(const workload::Dataset& train) {
   lat_std_ = std::max(StdDev(lat), 1e-3);
   tpt_mean_ = Mean(tpt);
   tpt_std_ = std::max(StdDev(tpt), 1e-3);
+  std::vector<nn::Matrix> targets;
+  targets.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    nn::Matrix target(1, 2);
+    target(0, 0) = (lat[i] - lat_mean_) / lat_std_;
+    target(0, 1) = (tpt[i] - tpt_mean_) / tpt_std_;
+    targets.push_back(std::move(target));
+  }
 
   nn::Adam::Options adam_opts;
   adam_opts.learning_rate = options_.learning_rate;
   adam_opts.weight_decay = options_.weight_decay;
   nn::Adam adam(&params_, adam_opts);
+  // The backward pass reads the weights transposed: one copy for the
+  // fit, each parameter refreshed as Adam writes it.
+  nn::TransposedWeights weights_t(params_);
 
   Rng rng(options_.seed + 1);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
+  // One MlpPass per mini-batch, a row per sample in batch order: the
+  // weight gradients sum the rows in that order, as adding up per-sample
+  // gradients would.
+  nn::MlpPass pass;
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < n; start += options_.batch_size) {
-      const size_t end = std::min(n, start + options_.batch_size);
-      nn::GradStore grads;
-      for (size_t k = start; k < end; ++k) {
-        const size_t i = order[k];
-        nn::Matrix target(1, 2);
-        target(0, 0) = (lat[i] - lat_mean_) / lat_std_;
-        target(0, 1) = (tpt[i] - tpt_mean_) / tpt_std_;
-        const nn::NodePtr out =
-            mlp_->Forward(nn::Constant(nn::Matrix::RowVector(xs[i])));
-        const nn::NodePtr loss = nn::MseLoss(out, target);
-        nn::Backward(loss, &grads);
+      const size_t rows = std::min(n, start + options_.batch_size) - start;
+      pass.Init(mlp_.get(), rows);
+      for (size_t r = 0; r < rows; ++r) {
+        const std::vector<double>& x = xs[order[start + r]];
+        std::copy(x.begin(), x.end(), pass.input(r));
       }
-      grads.Scale(1.0 / static_cast<double>(end - start));
+      pass.Forward(0, rows);
+      nn::Matrix d_outputs(rows, 2);
+      for (size_t r = 0; r < rows; ++r) {
+        nn::MseRow(pass.output(), r, targets[order[start + r]], &d_outputs);
+      }
+      pass.StartBackward(/*input_grad=*/false);
+      for (size_t r = 0; r < rows; ++r) {
+        std::copy(d_outputs.data() + r * 2, d_outputs.data() + (r + 1) * 2,
+                  pass.output_grad(r));
+      }
+      pass.Backward(0, rows, weights_t);
+      nn::GradStore grads;
+      pass.AccumulateParamGrads(&grads);
+      grads.Scale(1.0 / static_cast<double>(rows));
       grads.ClipGlobalNorm(5.0);
-      adam.Step(grads);
+      adam.Step(grads, 1.0, nullptr,
+                [&](int param_id) { weights_t.Refresh(param_id); });
     }
   }
   fitted_ = true;
@@ -101,13 +125,15 @@ Result<core::CostPrediction> FlatMlpModel::Predict(
   }
   const std::vector<double> x =
       Standardize(FlatVectorEncoder::Encode(plan));
-  const nn::NodePtr out =
-      mlp_->Forward(nn::Constant(nn::Matrix::RowVector(x)));
+  nn::MlpPass pass;
+  pass.Init(mlp_.get(), 1);
+  std::copy(x.begin(), x.end(), pass.input(0));
+  pass.Forward(0, 1);
+  const double* out = pass.output(0);
   core::CostPrediction p;
-  p.latency_ms =
-      std::max(0.0, std::expm1(out->value(0, 0) * lat_std_ + lat_mean_));
+  p.latency_ms = std::max(0.0, std::expm1(out[0] * lat_std_ + lat_mean_));
   p.throughput_tps =
-      std::max(0.0, std::expm1(out->value(0, 1) * tpt_std_ + tpt_mean_));
+      std::max(0.0, std::expm1(out[1] * tpt_std_ + tpt_mean_));
   return p;
 }
 

@@ -13,9 +13,10 @@ namespace zerotune::baselines {
 
 /// "Flat Vector MLP" baseline of Fig. 5: a plain MLP trained on the
 /// non-structural flat plan vector, predicting normalized log latency and
-/// throughput. Shares the nn library with ZeroTune; the only difference
-/// from the paper's model is the representation — which is the point of
-/// the comparison.
+/// throughput. Shares the nn library with ZeroTune: it trains on
+/// nn::MlpPass, the fp64 pass every block of the GNN runs on, one pass
+/// per mini-batch. The only difference from the paper's model is the
+/// representation — which is the point of the comparison.
 class FlatMlpModel : public core::CostPredictor {
  public:
   struct Options {

@@ -41,7 +41,7 @@ Status SolveLinearSystem(std::vector<double>& a, std::vector<double>& b,
 }
 
 Status LinearRegressionModel::Fit(const workload::Dataset& train) {
-  if (train.empty()) return Status::InvalidArgument("empty training set");
+  ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
   const size_t d = FlatVectorEncoder::Dim();
   const size_t n = train.size();
 

@@ -134,7 +134,7 @@ int RandomForestModel::BuildNode(Tree* tree, const TrainData& data,
 }
 
 Status RandomForestModel::Fit(const workload::Dataset& train) {
-  if (train.empty()) return Status::InvalidArgument("empty training set");
+  ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
   TrainData data;
   data.x.reserve(train.size());
   for (const auto& q : train.samples()) {

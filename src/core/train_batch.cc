@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "nn/kernels.h"
-
 namespace zerotune::core {
 
 namespace {
 
 using nn::Matrix;
-using nn::kernels::GemmRowMajorF64;
-using nn::kernels::GemmTransAF64;
-using nn::kernels::kLeakyReluSlope;
 
 void AddTo(double* acc, const double* x, size_t n) {
   for (size_t j = 0; j < n; ++j) acc[j] += x[j];
@@ -23,7 +18,8 @@ void AddScaledTo(double* acc, const double* x, double scale, size_t n) {
 }
 
 /// dst = (row(0) + row(1) + … + row(count − 1)) · (1/count), summed in
-/// row order: the arithmetic of nn::MeanAll.
+/// row order: the arithmetic of the per-node graph's MeanAll
+/// (tests/support/autograd_oracle.h).
 template <typename RowFn>
 void MeanOfRows(double* dst, size_t count, size_t n, const RowFn& row) {
   const double* first = row(0);
@@ -34,120 +30,6 @@ void MeanOfRows(double* dst, size_t count, size_t n, const RowFn& row) {
 }
 
 }  // namespace
-
-// --- TransposedWeights ---------------------------------------------------
-
-TransposedWeights::TransposedWeights(const ZeroTuneModel& model)
-    : params_(&model.params()),
-      by_id_(model.params().parameters().size()) {
-  const ZeroTuneModel::GnnBlocks b = model.blocks();
-  for (const nn::Mlp* mlp :
-       {b.op_encoder, b.res_encoder, b.flow_update, b.res_update,
-        b.map_message, b.map_update, b.flow_update2, b.readout}) {
-    for (const nn::Linear& layer : mlp->layers()) {
-      const Matrix& w = layer.weight_value();
-      by_id_[static_cast<size_t>(layer.weight_id())] =
-          Matrix::Uninitialized(w.cols(), w.rows());
-      Refresh(layer.weight_id());
-    }
-  }
-}
-
-void TransposedWeights::Refresh(int param_id) {
-  Matrix& t = by_id_[static_cast<size_t>(param_id)];
-  if (t.empty()) return;
-  const Matrix& w = params_->parameters()[static_cast<size_t>(param_id)]->value;
-  for (size_t i = 0; i < w.rows(); ++i) {
-    for (size_t j = 0; j < w.cols(); ++j) t(j, i) = w(i, j);
-  }
-}
-
-// --- Block ---------------------------------------------------------------
-
-void TrainBatch::Block::Init(const nn::Mlp* mlp, size_t rows) {
-  mlp_ = mlp;
-  rows_ = rows;
-  acts_.clear();
-  acts_.emplace_back(rows, mlp->in_features());
-  for (const nn::Linear& layer : mlp->layers()) {
-    acts_.push_back(Matrix::Uninitialized(rows, layer.out_features()));
-  }
-}
-
-bool TrainBatch::Block::Activated(size_t layer) const {
-  return layer + 1 < mlp_->layers().size() || mlp_->options().activate_output;
-}
-
-void TrainBatch::Block::Forward(size_t r0, size_t r1) {
-  const std::vector<nn::Linear>& layers = mlp_->layers();
-  for (size_t l = 0; l < layers.size(); ++l) {
-    const nn::Linear& layer = layers[l];
-    const size_t in = layer.in_features();
-    const size_t out = layer.out_features();
-    double* z = acts_[l + 1].data() + r0 * out;
-    GemmRowMajorF64(acts_[l].data() + r0 * in, r1 - r0, in,
-                    layer.weight_value().data(), out, z);
-    const double* bias = layer.bias_value().data();
-    const bool activated = Activated(l);
-    for (size_t r = r0; r < r1; ++r, z += out) {
-      AddTo(z, bias, out);
-      if (!activated) continue;
-      for (size_t j = 0; j < out; ++j) {
-        z[j] = z[j] > 0.0 ? z[j] : kLeakyReluSlope * z[j];
-      }
-    }
-  }
-}
-
-void TrainBatch::Block::StartBackward(bool input_grad) {
-  const std::vector<nn::Linear>& layers = mlp_->layers();
-  input_grad_ = input_grad;
-  grads_.assign(acts_.size(), Matrix());
-  grads_.back() = Matrix(rows_, out_width());
-  for (size_t l = input_grad ? 0 : 1; l < layers.size(); ++l) {
-    grads_[l] = Matrix::Uninitialized(rows_, layers[l].in_features());
-  }
-}
-
-void TrainBatch::Block::Backward(size_t r0, size_t r1,
-                                 const TransposedWeights& weights_t) {
-  const std::vector<nn::Linear>& layers = mlp_->layers();
-  for (size_t l = layers.size(); l-- > 0;) {
-    const size_t in = layers[l].in_features();
-    const size_t out = layers[l].out_features();
-    double* dz = grads_[l + 1].data() + r0 * out;
-    if (Activated(l)) {
-      // LeakyReLU's slope, read from the output's sign (the output is
-      // positive exactly where the pre-activation is).
-      const double* a = acts_[l + 1].data() + r0 * out;
-      for (size_t e = 0; e < (r1 - r0) * out; ++e) {
-        dz[e] *= a[e] > 0.0 ? 1.0 : kLeakyReluSlope;
-      }
-    }
-    if (l == 0 && !input_grad_) break;
-    GemmRowMajorF64(dz, r1 - r0, out, weights_t.of(layers[l]).data(), in,
-                    grads_[l].data() + r0 * in);
-  }
-}
-
-void TrainBatch::Block::AccumulateParamGrads(nn::GradStore* grads) const {
-  // A block no row ran through has no gradient, as under autograd.
-  if (rows_ == 0) return;
-  const std::vector<nn::Linear>& layers = mlp_->layers();
-  for (size_t l = 0; l < layers.size(); ++l) {
-    const size_t in = layers[l].in_features();
-    const size_t out = layers[l].out_features();
-    const double* dz = grads_[l + 1].data();
-    Matrix dw = Matrix::Uninitialized(in, out);
-    GemmTransAF64(acts_[l].data(), rows_, in, dz, out, dw.data());
-    Matrix db(1, out);
-    for (size_t r = 0; r < rows_; ++r) AddTo(db.data(), dz + r * out, out);
-    grads->Accumulate(layers[l].weight_id(), std::move(dw));
-    grads->Accumulate(layers[l].bias_id(), std::move(db));
-  }
-}
-
-// --- TrainBatch ----------------------------------------------------------
 
 TrainBatch::TrainBatch(const ZeroTuneModel& model,
                        std::span<const PlanGraph* const> graphs)
@@ -345,7 +227,7 @@ TrainBatch::TrainBatch(const ZeroTuneModel& model,
 }
 
 void TrainBatch::Backward(const Matrix& d_outputs,
-                          const TransposedWeights& weights_t,
+                          const nn::TransposedWeights& weights_t,
                           nn::GradStore* grads) {
   assert(d_outputs.SameShape(outputs()));
   const size_t h = hidden_;
@@ -355,8 +237,8 @@ void TrainBatch::Backward(const Matrix& d_outputs,
   const size_t n_graphs = sink_.size();
   op_encoder_.StartBackward(false);
   res_encoder_.StartBackward(false);
-  for (Block* b : {&flow_update_, &res_update_, &map_message_, &map_update_,
-                   &flow_update2_, &readout_}) {
+  for (nn::MlpPass* b : {&flow_update_, &res_update_, &map_message_,
+                         &map_update_, &flow_update2_, &readout_}) {
     b->StartBackward(true);
   }
 
@@ -457,9 +339,9 @@ void TrainBatch::Backward(const Matrix& d_outputs,
   }
   op_encoder_.Backward(0, n_ops, weights_t);
 
-  for (const Block* b : {&op_encoder_, &res_encoder_, &flow_update_,
-                         &res_update_, &map_message_, &map_update_,
-                         &flow_update2_, &readout_}) {
+  for (const nn::MlpPass* b :
+       {&op_encoder_, &res_encoder_, &flow_update_, &res_update_,
+        &map_message_, &map_update_, &flow_update2_, &readout_}) {
     b->AccumulateParamGrads(grads);
   }
 }

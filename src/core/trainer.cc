@@ -12,6 +12,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "core/train_batch.h"
+#include "nn/mlp_pass.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -44,21 +45,6 @@ TargetStats FitTargetStats(const Dataset& train) {
 // with more threads leaves the rest idle during a mini-batch, the price
 // of weights that do not depend on the machine.
 constexpr size_t kChunksPerBatch = 4;
-
-/// nn::MseLoss of output row `row` against a 1×n target. With `grad`,
-/// also writes d(loss)/d(output) = (2/n)·(prediction − target) into the
-/// same row of *grad.
-double MseRow(const nn::Matrix& outputs, size_t row, const nn::Matrix& target,
-              nn::Matrix* grad) {
-  const size_t n = target.size();
-  double loss = 0.0;
-  for (size_t j = 0; j < n; ++j) {
-    const double d = outputs(row, j) - target.data()[j];
-    loss += d * d;
-    if (grad != nullptr) (*grad)(row, j) = 2.0 / static_cast<double>(n) * d;
-  }
-  return loss / static_cast<double>(n);
-}
 
 constexpr char kCheckpointMagic[] = "zerotune-trainer-ckpt-v1";
 
@@ -270,7 +256,7 @@ double Trainer::EpochLoss(const std::vector<PlanGraph>& graphs,
     for (size_t k = lo; k < hi; ++k) chunk.push_back(&graphs[k]);
     const TrainBatch pass(*model_, chunk);
     for (size_t k = lo; k < hi; ++k) {
-      losses[k] = MseRow(pass.outputs(), k - lo, targets[k], nullptr);
+      losses[k] = nn::MseRow(pass.outputs(), k - lo, targets[k], nullptr);
     }
   });
   return Mean(losses);
@@ -278,17 +264,7 @@ double Trainer::EpochLoss(const std::vector<PlanGraph>& graphs,
 
 Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
   ZT_RETURN_IF_ERROR(options_status_);
-  if (train.empty()) return Status::InvalidArgument("empty training set");
-  for (size_t i = 0; i < train.samples().size(); ++i) {
-    const auto& q = train.samples()[i];
-    if (!std::isfinite(q.latency_ms) || !std::isfinite(q.throughput_tps)) {
-      return Status::InvalidArgument(
-          "training sample " + std::to_string(i) +
-          " has a non-finite label (latency_ms=" +
-          std::to_string(q.latency_ms) + ", throughput_tps=" +
-          std::to_string(q.throughput_tps) + ")");
-    }
-  }
+  ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
   Clock* clock =
       options_.clock != nullptr ? options_.clock : SystemClock::Default();
   const int64_t t_start = clock->NowNanos();
@@ -411,7 +387,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
 
   // The chunks' backward passes read the weights transposed: one copy for
   // the run, each weight refreshed as Adam writes it.
-  TransposedWeights weights_t(*model_);
+  nn::TransposedWeights weights_t(model_->params());
 
   // Divergence recovery: roll the model back to the best parameters seen,
   // back the learning rate off, and reset Adam's moments. Returns false
@@ -423,7 +399,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       return false;
     }
     ZT_RETURN_IF_ERROR(model_->mutable_params()->Restore(best_params));
-    weights_t = TransposedWeights(*model_);
+    weights_t = nn::TransposedWeights(model_->params());
     adam.options().learning_rate *= options_.lr_backoff;
     adam.Reset();
     ++report.recovery_attempts;
@@ -465,7 +441,7 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       const size_t chunk_size = (batch + chunks - 1) / chunks;
       std::vector<nn::GradStore> locals(chunks);
       std::vector<double> local_losses(chunks, 0.0);
-      auto run_chunk = [&](size_t c) {
+      ParallelFor(options_.pool, chunks, [&](size_t c) {
         const size_t lo = start + c * chunk_size;
         const size_t hi = std::min(end, lo + chunk_size);
         if (lo >= hi) return;
@@ -474,19 +450,11 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
         TrainBatch pass(*model_, chunk);
         nn::Matrix d_outputs(hi - lo, 2);
         for (size_t k = lo; k < hi; ++k) {
-          local_losses[c] += MseRow(pass.outputs(), k - lo,
-                                    targets[order[k]], &d_outputs);
+          local_losses[c] += nn::MseRow(pass.outputs(), k - lo,
+                                        targets[order[k]], &d_outputs);
         }
         pass.Backward(d_outputs, weights_t, &locals[c]);
-      };
-      if (options_.pool != nullptr && chunks > 1) {
-        for (size_t c = 0; c < chunks; ++c) {
-          options_.pool->Submit([&, c] { run_chunk(c); });
-        }
-        options_.pool->Wait();
-      } else {
-        for (size_t c = 0; c < chunks; ++c) run_chunk(c);
-      }
+      });
       for (size_t c = 0; c < chunks; ++c) batch_loss += local_losses[c];
 
       // The optimizer step: one pass per parameter merges the chunks in

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <unordered_map>
@@ -19,13 +18,14 @@ class ThreadPool;
 
 namespace zerotune::nn {
 
-class Node;
+struct Node;
 using NodePtr = std::shared_ptr<Node>;
 
-/// Gradient accumulator keyed by parameter id. Backward passes write into a
-/// GradStore rather than into the nodes themselves, which makes backward
-/// re-entrant and lets worker threads accumulate gradients independently
-/// and merge afterwards (data-parallel training).
+/// Gradient accumulator keyed by parameter id. Backward passes
+/// (MlpPass::AccumulateParamGrads, nn/mlp_pass.h) write into a GradStore
+/// rather than into the parameters themselves, which lets worker threads
+/// accumulate gradients independently and merge afterwards (data-parallel
+/// training).
 class GradStore {
  public:
   /// grads[param_id] += g; g is moved in when param_id has no gradient
@@ -86,57 +86,13 @@ class GradStore {
   std::unordered_map<int, Matrix> grads_;
 };
 
-/// A node in a dynamically-built computation graph. Nodes are created by
-/// the free functions below (MatMul, Add, LeakyRelu, ...). The graph is a
-/// DAG of shared_ptrs; calling Backward() walks it in reverse topological
-/// order.
-///
-/// Thread-safety: node values are immutable after construction, so a graph
-/// built by one thread over *shared parameter nodes* can run concurrently
-/// with graphs on other threads, as long as parameter values are not
-/// updated during the forward/backward passes.
-class Node {
- public:
-  /// Signature of a backward step: given d(loss)/d(this->value), add each
-  /// parent's contribution into parent_grads[i] (already zero-initialized
-  /// with the parent's shape).
-  using BackwardFn =
-      std::function<void(const Matrix& out_grad, const std::vector<Node*>& parents,
-                         const std::vector<Matrix*>& parent_grads)>;
-
+/// One trainable parameter: its value and its key in GradStore and Adam.
+/// ParameterStore creates them; layers, the optimizer and serialization
+/// share them through NodePtr.
+struct Node {
   Matrix value;
-  std::vector<NodePtr> parents;
-  BackwardFn backward_fn;  // null for leaves
-  int param_id = -1;       // >= 0 for trainable parameters
-
-  bool is_parameter() const { return param_id >= 0; }
+  int param_id = -1;
 };
-
-/// Leaf node holding a constant (inputs, feature vectors).
-NodePtr Constant(Matrix value);
-
-/// a·b matrix product.
-NodePtr MatMul(const NodePtr& a, const NodePtr& b);
-/// Elementwise sum (same shape).
-NodePtr Add(const NodePtr& a, const NodePtr& b);
-/// Adds a 1×c bias row to every row of a (n×c).
-NodePtr AddRowBroadcast(const NodePtr& a, const NodePtr& bias);
-/// x > 0 ? x : kernels::kLeakyReluSlope·x, the activation of every
-/// hidden layer.
-NodePtr LeakyRelu(const NodePtr& a);
-/// Horizontal concatenation of row-aligned matrices.
-NodePtr ConcatCols(const std::vector<NodePtr>& parts);
-/// Elementwise mean of same-shape tensors (used to aggregate messages from
-/// a variable number of upstream nodes).
-NodePtr MeanAll(const std::vector<NodePtr>& parts);
-
-/// Mean squared error against a constant target; returns a 1×1 node.
-NodePtr MseLoss(const NodePtr& prediction, const Matrix& target);
-
-/// Runs reverse-mode differentiation from `loss` (must be 1×1), adding
-/// parameter gradients into `grads`. The graph may be reused for multiple
-/// Backward calls.
-void Backward(const NodePtr& loss, GradStore* grads);
 
 /// Owns the trainable parameters of a model. Layers allocate parameters
 /// here; the optimizer updates them in place; SaveToStream/LoadFromStream

@@ -7,8 +7,8 @@ namespace zerotune::nn::kernels {
 
 /// The low-level compute kernels behind batched inference (the fp32
 /// QuantizedMlp blocks and the batch engine's aggregations) and training
-/// (the fp64 GEMMs of the row-batched training pass, core/train_batch.h,
-/// and of Matrix::MatMul/MatMulTransA, Matrix::Add, and the Adam update).
+/// (the fp64 GEMMs of nn::MlpPass, nn/mlp_pass.h, which trains the GNN
+/// and the flat-vector MLP baseline, Matrix::Add, and the Adam update).
 /// Two implementations exist behind one API:
 ///
 ///   - a portable scalar implementation (plain loops, no fused rounding),
@@ -74,8 +74,8 @@ Isa ActiveIsa();
 /// between measurements, not during them.
 void ForceScalar(bool on);
 
-/// The LeakyReLU slope for x ≤ 0 — the one definition shared by the
-/// autograd LeakyRelu (fp64) and BiasActRowF32 (fp32, rounded to float).
+/// The LeakyReLU slope for x ≤ 0 — the one definition shared by
+/// nn::MlpPass (fp64) and BiasActRowF32 (fp32, rounded to float).
 inline constexpr double kLeakyReluSlope = 0.01;
 
 /// What BiasActRowF32 applies after the bias: nothing (a regression

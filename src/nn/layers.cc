@@ -11,11 +11,6 @@ Linear::Linear(ParameterStore* store, size_t in_features, size_t out_features,
       weight_(store->CreateParameter(in_features, out_features, rng)),
       bias_(store->CreateParameter(1, out_features, rng, /*zero_init=*/true)) {}
 
-NodePtr Linear::Forward(const NodePtr& x) const {
-  assert(x->value.cols() == in_features_);
-  return AddRowBroadcast(MatMul(x, weight_), bias_);
-}
-
 Mlp::Mlp(ParameterStore* store, const std::vector<size_t>& layer_sizes,
          zerotune::Rng* rng, Options options)
     : options_(options) {
@@ -24,16 +19,6 @@ Mlp::Mlp(ParameterStore* store, const std::vector<size_t>& layer_sizes,
   for (size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
     layers_.emplace_back(store, layer_sizes[i], layer_sizes[i + 1], rng);
   }
-}
-
-NodePtr Mlp::Forward(const NodePtr& x) const {
-  NodePtr h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
-    const bool is_last = (i + 1 == layers_.size());
-    if (!is_last || options_.activate_output) h = LeakyRelu(h);
-  }
-  return h;
 }
 
 }  // namespace zerotune::nn

@@ -16,18 +16,15 @@ class Linear {
   Linear(ParameterStore* store, size_t in_features, size_t out_features,
          zerotune::Rng* rng);
 
-  /// x is n×in; returns n×out.
-  NodePtr Forward(const NodePtr& x) const;
-
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
 
   /// Raw parameter values, consumed by nn::QuantizedMlp's converter and
-  /// the GNN's row-batched training pass.
+  /// the fp64 pass (nn/mlp_pass.h).
   const Matrix& weight_value() const { return weight_->value; }
   const Matrix& bias_value() const { return bias_->value; }
-  /// The parameters' GradStore keys, for passes that compute gradients
-  /// without autograd.
+  /// The parameters' GradStore keys, under which the fp64 pass adds
+  /// their gradients.
   int weight_id() const { return weight_->param_id; }
   int bias_id() const { return bias_->param_id; }
 
@@ -39,7 +36,8 @@ class Linear {
 };
 
 /// Multi-layer perceptron: Linear→LeakyReLU→…→Linear(→optional
-/// LeakyReLU).
+/// LeakyReLU). It holds the parameters; nn::MlpPass (nn/mlp_pass.h) runs
+/// it in fp64 and nn::QuantizedMlp in fp32.
 ///
 /// This is the building block the paper uses for every graph node encoder
 /// and for the final readout regression head.
@@ -58,12 +56,11 @@ class Mlp {
   Mlp(ParameterStore* store, const std::vector<size_t>& layer_sizes,
       zerotune::Rng* rng, Options options);
 
-  NodePtr Forward(const NodePtr& x) const;
-
   size_t in_features() const { return layers_.front().in_features(); }
   size_t out_features() const { return layers_.back().out_features(); }
 
-  /// Layer handles and options, consumed by nn::QuantizedMlp's converter.
+  /// Layer handles and options, read by nn::MlpPass and nn::QuantizedMlp's
+  /// converter.
   const std::vector<Linear>& layers() const { return layers_; }
   const Options& options() const { return options_; }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -101,28 +100,10 @@ class Matrix {
 
   /// this += other (shapes must match).
   void Add(const Matrix& other);
-  /// this += scale * other.
-  void AddScaled(const Matrix& other, double scale);
   /// this *= scale.
   void Scale(double scale);
-  /// Sets all entries to zero, keeping the shape.
-  void SetZero();
-
   /// Frobenius-norm squared; used for gradient clipping and tests.
   double SquaredNorm() const;
-
-  /// Returns a . b on kernels::GemmRowMajorF64 (ascending k, no FMA,
-  /// bit-identical across ISAs).
-  static Matrix MatMul(const Matrix& a, const Matrix& b);
-  /// Returns aᵀ . b on kernels::GemmTransAF64: == MatMul(a.Transposed(),
-  /// b), without the transposed copy.
-  static Matrix MatMulTransA(const Matrix& a, const Matrix& b);
-  /// Returns a . bᵀ without materializing the transpose.
-  static Matrix MatMulTransB(const Matrix& a, const Matrix& b);
-
-  Matrix Transposed() const;
-
-  std::string DebugString(size_t max_entries = 16) const;
 
  private:
   size_t rows_;

@@ -1,6 +1,8 @@
 #include "workload/dataset.h"
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 namespace zerotune::workload {
 
@@ -59,6 +61,21 @@ Dataset Dataset::Take(size_t n) const {
     out.samples_.push_back(samples_[i]);
   }
   return out;
+}
+
+Status CheckTrainingSet(const Dataset& train) {
+  if (train.empty()) return Status::InvalidArgument("empty training set");
+  for (size_t i = 0; i < train.size(); ++i) {
+    const LabeledQuery& q = train.sample(i);
+    if (!std::isfinite(q.latency_ms) || !std::isfinite(q.throughput_tps)) {
+      return Status::InvalidArgument(
+          "training sample " + std::to_string(i) +
+          " has a non-finite label (latency_ms=" +
+          std::to_string(q.latency_ms) + ", throughput_tps=" +
+          std::to_string(q.throughput_tps) + ")");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace zerotune::workload

@@ -62,6 +62,11 @@ class Dataset {
   std::vector<LabeledQuery> samples_;
 };
 
+/// What every learner's Fit checks first: InvalidArgument for an empty
+/// set, and for the first sample whose latency or throughput label is
+/// NaN or infinite (naming its index and both labels).
+Status CheckTrainingSet(const Dataset& train);
+
 }  // namespace zerotune::workload
 
 #endif  // ZEROTUNE_WORKLOAD_DATASET_H_

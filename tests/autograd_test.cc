@@ -1,3 +1,6 @@
+// The autograd oracle (tests/support/autograd_oracle.h) against central
+// finite differences, and the GradStore and ParameterStore that every
+// training pass writes into.
 #include "nn/autograd.h"
 
 #include <cmath>
@@ -7,9 +10,20 @@
 
 #include "common/rng.h"
 #include "nn/optimizer.h"
+#include "support/autograd_oracle.h"
 
 namespace zerotune::nn {
 namespace {
+
+using oracle::AddRowBroadcast;
+using oracle::Backward;
+using oracle::ConcatCols;
+using oracle::Constant;
+using oracle::LeakyRelu;
+using oracle::MatMul;
+using oracle::MeanAll;
+using oracle::MseLoss;
+using oracle::Parameter;
 
 /// Central-difference numeric gradient of `loss_fn` w.r.t. one parameter
 /// entry (the graph is rebuilt on every evaluation).
@@ -26,11 +40,11 @@ double NumericGrad(const std::function<double()>& loss_fn, const NodePtr& p,
 
 /// Checks every entry of every parameter against numeric gradients.
 void CheckGradients(const ParameterStore& store,
-                    const std::function<NodePtr()>& build_loss,
+                    const std::function<oracle::NodePtr()>& build_loss,
                     double tol = 1e-5) {
   GradStore grads;
   Backward(build_loss(), &grads);
-  auto loss_value = [&] { return build_loss()->value(0, 0); };
+  auto loss_value = [&] { return build_loss()->value()(0, 0); };
   for (const NodePtr& p : store.parameters()) {
     const Matrix* g = grads.Find(p->param_id);
     for (size_t i = 0; i < p->value.size(); ++i) {
@@ -56,7 +70,9 @@ TEST_F(AutogradGradCheckTest, MatMulAndBias) {
   target(0, 0) = 0.3;
   target(0, 1) = -0.7;
   CheckGradients(store_, [&] {
-    return MseLoss(AddRowBroadcast(MatMul(Constant(x), w), b), target);
+    return MseLoss(
+        AddRowBroadcast(MatMul(Constant(x), Parameter(w)), Parameter(b)),
+        target);
   });
 }
 
@@ -66,7 +82,9 @@ TEST_F(AutogradGradCheckTest, LeakyReluChain) {
   const Matrix x = Matrix::RowVector({1.0, -0.5});
   const Matrix target(1, 1, 0.25);
   CheckGradients(store_, [&] {
-    return MseLoss(MatMul(LeakyRelu(MatMul(Constant(x), w1)), w2), target);
+    return MseLoss(
+        MatMul(LeakyRelu(MatMul(Constant(x), Parameter(w1))), Parameter(w2)),
+        target);
   });
 }
 
@@ -77,9 +95,10 @@ TEST_F(AutogradGradCheckTest, SharedParameterAcrossBranches) {
   const Matrix x2 = Matrix::RowVector({-1.0, 0.5});
   const Matrix target(1, 2, 0.0);
   CheckGradients(store_, [&] {
-    NodePtr a = MatMul(Constant(x1), w);
-    NodePtr b = MatMul(Constant(x2), w);
-    return MseLoss(Add(a, b), target);
+    const oracle::NodePtr shared = Parameter(w);
+    oracle::NodePtr a = MatMul(Constant(x1), shared);
+    oracle::NodePtr b = MatMul(Constant(x2), shared);
+    return MseLoss(oracle::Add(a, b), target);
   });
 }
 
@@ -90,11 +109,11 @@ TEST_F(AutogradGradCheckTest, ConcatAndMean) {
   const Matrix x = Matrix::RowVector({0.4, -0.9});
   const Matrix target(1, 1, 1.0);
   CheckGradients(store_, [&] {
-    NodePtr a = LeakyRelu(MatMul(Constant(x), w1));
-    NodePtr b = LeakyRelu(MatMul(Constant(x), w2));
-    NodePtr m = MeanAll({a, b});
-    NodePtr cat = ConcatCols({m, a});
-    return MseLoss(MatMul(cat, w3), target);
+    oracle::NodePtr a = LeakyRelu(MatMul(Constant(x), Parameter(w1)));
+    oracle::NodePtr b = LeakyRelu(MatMul(Constant(x), Parameter(w2)));
+    oracle::NodePtr m = MeanAll({a, b});
+    oracle::NodePtr cat = ConcatCols({m, a});
+    return MseLoss(MatMul(cat, Parameter(w3)), target);
   });
 }
 
@@ -104,7 +123,9 @@ TEST(AutogradTest, BackwardAccumulatesIntoExistingStore) {
   NodePtr w = store.CreateParameter(1, 1, &rng);
   const Matrix x = Matrix::RowVector({2.0});
   const Matrix target(1, 1, 0.0);
-  auto make_loss = [&] { return MseLoss(MatMul(Constant(x), w), target); };
+  auto make_loss = [&] {
+    return MseLoss(MatMul(Constant(x), Parameter(w)), target);
+  };
   GradStore grads;
   Backward(make_loss(), &grads);
   const double g1 = grads.Find(w->param_id)->data()[0];

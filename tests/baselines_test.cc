@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "baselines/dhalion.h"
 #include "baselines/ds2.h"
 #include "baselines/flat_mlp.h"
@@ -10,6 +15,8 @@
 #include "common/statistics.h"
 #include "core/dataset_builder.h"
 #include "core/enumeration.h"
+#include "core/model.h"
+#include "core/trainer.h"
 
 namespace zerotune::baselines {
 namespace {
@@ -134,6 +141,54 @@ TEST(FlatMlpTest, PredictBeforeFitFails) {
   const auto corpus = SmallCorpus(2);
   FlatMlpModel model;
   EXPECT_FALSE(model.Predict(AnyPlan(corpus)).ok());
+}
+
+// A set with a NaN or infinite label fails every learner's Fit with the
+// sample's index, before any fitting: a learner that trained on it would
+// predict 0 everywhere.
+TEST(TrainingSetCheckTest, EveryLearnerRejectsNonFiniteLabels) {
+  const workload::Dataset corpus = SmallCorpus(40);
+  struct Case {
+    const char* name;
+    double latency_ms;
+    double throughput_tps;
+  };
+  const double good_lat = corpus.sample(3).latency_ms;
+  const double good_tpt = corpus.sample(3).throughput_tps;
+  for (const Case& c :
+       {Case{"NaN latency", std::nan(""), good_tpt},
+        Case{"+inf throughput", good_lat,
+             std::numeric_limits<double>::infinity()}}) {
+    SCOPED_TRACE(c.name);
+    workload::Dataset bad;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      workload::LabeledQuery q = corpus.sample(i);
+      if (i == 3) {
+        q.latency_ms = c.latency_ms;
+        q.throughput_tps = c.throughput_tps;
+      }
+      bad.Add(std::move(q));
+    }
+    core::ZeroTuneModel gnn;
+    core::TrainOptions train_opts;
+    train_opts.epochs = 1;
+    const std::pair<const char*, Status> fits[] = {
+        {"FlatMlpModel", FlatMlpModel().Fit(bad)},
+        {"LinearRegressionModel", LinearRegressionModel().Fit(bad)},
+        {"RandomForestModel", RandomForestModel().Fit(bad)},
+        {"Trainer",
+         core::Trainer(&gnn, train_opts).Train(bad, workload::Dataset())
+             .status()},
+    };
+    for (const auto& [learner, status] : fits) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << learner << ": " << status.ToString();
+      EXPECT_NE(status.message().find("training sample 3 has a non-finite "
+                                      "label"),
+                std::string::npos)
+          << learner << ": " << status.ToString();
+    }
+  }
 }
 
 TEST(RandomForestTest, FitsAndPredicts) {

@@ -3,27 +3,30 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/mlp_rows.h"
 
 namespace zerotune::nn {
 namespace {
 
+// A one-layer Mlp is one Linear with no activation: the fp64 pass runs
+// layers only as parts of an Mlp.
 TEST(LinearTest, OutputShape) {
   zerotune::Rng rng(1);
   ParameterStore store;
-  Linear layer(&store, 4, 3, &rng);
-  const NodePtr out = layer.Forward(Constant(Matrix(2, 4, 1.0)));
-  EXPECT_EQ(out->value.rows(), 2u);
-  EXPECT_EQ(out->value.cols(), 3u);
+  Mlp layer(&store, {4, 3}, &rng);
+  const Matrix out = ForwardRows(layer, Matrix(2, 4, 1.0));
+  EXPECT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.cols(), 3u);
 }
 
 TEST(LinearTest, BiasStartsAtZero) {
   zerotune::Rng rng(1);
   ParameterStore store;
-  Linear layer(&store, 2, 2, &rng);
+  Mlp layer(&store, {2, 2}, &rng);
   // With zero input, output equals bias (zero-initialized).
-  const NodePtr out = layer.Forward(Constant(Matrix(1, 2, 0.0)));
-  EXPECT_DOUBLE_EQ(out->value(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(out->value(0, 1), 0.0);
+  const Matrix out = ForwardRows(layer, Matrix(1, 2, 0.0));
+  EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(out(0, 1), 0.0);
 }
 
 TEST(LinearTest, AllocatesTwoParameters) {
@@ -41,8 +44,8 @@ TEST(MlpTest, LayerSizesRespected) {
   Mlp mlp(&store, {6, 8, 3}, &rng);
   EXPECT_EQ(mlp.in_features(), 6u);
   EXPECT_EQ(mlp.out_features(), 3u);
-  const NodePtr out = mlp.Forward(Constant(Matrix(1, 6, 0.5)));
-  EXPECT_EQ(out->value.cols(), 3u);
+  const Matrix out = ForwardRows(mlp, Matrix(1, 6, 0.5));
+  EXPECT_EQ(out.cols(), 3u);
 }
 
 // The output LeakyReLU passes positive pre-activations through and
@@ -55,9 +58,9 @@ TEST(MlpTest, ReluOutputActivationClampsNegatives) {
   opts.activate_output = true;
   Mlp mlp(&store, {2, 4, 4}, &rng, opts);
   Mlp raw(&raw_store, {2, 4, 4}, &same_rng);
-  const NodePtr x = Constant(Matrix::RowVector({1.0, -1.0}));
-  const Matrix out = mlp.Forward(x)->value;
-  const Matrix pre = raw.Forward(x)->value;
+  const Matrix x = Matrix::RowVector({1.0, -1.0});
+  const Matrix out = ForwardRows(mlp, x);
+  const Matrix pre = ForwardRows(raw, x);
   bool saw_negative = false;
   for (size_t i = 0; i < out.size(); ++i) {
     const double p = pre.data()[i];
@@ -74,9 +77,9 @@ TEST(MlpTest, RegressionHeadCanGoNegative) {
   bool saw_negative = false;
   for (int i = 0; i < 50 && !saw_negative; ++i) {
     zerotune::Rng xr(static_cast<uint64_t>(i + 1));
-    const NodePtr out = mlp.Forward(Constant(
-        Matrix::RowVector({xr.Gaussian(0, 3), xr.Gaussian(0, 3)})));
-    saw_negative = out->value(0, 0) < 0.0;
+    const Matrix out = ForwardRows(
+        mlp, Matrix::RowVector({xr.Gaussian(0, 3), xr.Gaussian(0, 3)}));
+    saw_negative = out(0, 0) < 0.0;
   }
   EXPECT_TRUE(saw_negative);
 }
@@ -86,7 +89,7 @@ TEST(MlpTest, DeterministicGivenSeed) {
     zerotune::Rng rng(77);
     auto store = std::make_unique<ParameterStore>();
     Mlp mlp(store.get(), {3, 5, 2}, &rng);
-    return mlp.Forward(Constant(Matrix::RowVector({1, 2, 3})))->value;
+    return ForwardRows(mlp, Matrix::RowVector({1, 2, 3}));
   };
   const Matrix a = build();
   const Matrix b = build();

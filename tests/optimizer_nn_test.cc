@@ -5,29 +5,38 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/mlp_pass.h"
+#include "support/mlp_rows.h"
 
 namespace zerotune::nn {
 namespace {
 
-/// Trains y = 2x1 - 3x2 + 1 from samples; returns final MSE.
-double FitLinear(Adam* opt, const Linear& layer, int steps) {
+/// Trains y = 2x1 - 3x2 + 1 from samples, 16 rows of one fp64 pass per
+/// step; returns final MSE.
+double FitLinear(Adam* opt, const ParameterStore& store, const Mlp& layer,
+                 int steps) {
   zerotune::Rng rng(10);
+  TransposedWeights weights_t(store);
   double last_loss = 0.0;
   for (int s = 0; s < steps; ++s) {
-    GradStore grads;
-    double loss_sum = 0.0;
-    for (int b = 0; b < 16; ++b) {
-      const double x1 = rng.Uniform(-1, 1);
-      const double x2 = rng.Uniform(-1, 1);
-      const Matrix target(1, 1, 2.0 * x1 - 3.0 * x2 + 1.0);
-      const NodePtr out =
-          layer.Forward(Constant(Matrix::RowVector({x1, x2})));
-      const NodePtr loss = MseLoss(out, target);
-      loss_sum += loss->value(0, 0);
-      Backward(loss, &grads);
+    Matrix x(16, 2);
+    for (size_t b = 0; b < 16; ++b) {
+      x(b, 0) = rng.Uniform(-1, 1);
+      x(b, 1) = rng.Uniform(-1, 1);
     }
+    MlpPass pass;
+    ForwardRows(layer, x, &pass);
+    Matrix d_outputs(16, 1);
+    double loss_sum = 0.0;
+    for (size_t b = 0; b < 16; ++b) {
+      const Matrix target(1, 1, 2.0 * x(b, 0) - 3.0 * x(b, 1) + 1.0);
+      loss_sum += MseRow(pass.output(), b, target, &d_outputs);
+    }
+    GradStore grads;
+    BackwardRows(d_outputs, weights_t, &pass, &grads);
     grads.Scale(1.0 / 16.0);
-    opt->Step(grads);
+    opt->Step(grads, 1.0, nullptr,
+              [&](int param_id) { weights_t.Refresh(param_id); });
     last_loss = loss_sum / 16.0;
   }
   return last_loss;
@@ -36,11 +45,11 @@ double FitLinear(Adam* opt, const Linear& layer, int steps) {
 TEST(AdamTest, FitsLinearFunction) {
   zerotune::Rng rng(1);
   ParameterStore store;
-  Linear layer(&store, 2, 1, &rng);
+  Mlp layer(&store, {2, 1}, &rng);  // one Linear, no activation
   Adam::Options opts;
   opts.learning_rate = 0.05;
   Adam adam(&store, opts);
-  const double loss = FitLinear(&adam, layer, 300);
+  const double loss = FitLinear(&adam, store, layer, 300);
   EXPECT_LT(loss, 1e-3);
 }
 

@@ -43,8 +43,8 @@ class ReferenceAdam {
   }
 
   void Reset() {
-    for (Matrix& m : m_) m.SetZero();
-    for (Matrix& v : v_) v.SetZero();
+    for (Matrix& m : m_) m = Matrix(m.rows(), m.cols());
+    for (Matrix& v : v_) v = Matrix(v.rows(), v.cols());
     step_count_ = 0;
   }
   void BackOff(double factor) { lr_ *= factor; }
@@ -121,7 +121,7 @@ ReferenceRun ReferenceTrain(ZeroTuneModel* model,
       const size_t batch = end - start;
       const size_t chunks = std::min<size_t>(batch, 4);
       const size_t chunk_size = (batch + chunks - 1) / chunks;
-      const TransposedWeights weights_t(*model);
+      const nn::TransposedWeights weights_t(model->params());
       std::vector<GradStore> locals(chunks);
       std::vector<double> chunk_losses(chunks, 0.0);
       for (size_t c = 0; c < chunks; ++c) {
@@ -133,7 +133,7 @@ ReferenceRun ReferenceTrain(ZeroTuneModel* model,
         TrainBatch pass(*model, chunk);
         Matrix d_outputs(hi - lo, 2);
         for (size_t k = lo; k < hi; ++k) {
-          // nn::MseLoss over the row's two outputs, and its gradient.
+          // nn::MseRow over the row's two outputs, and its gradient.
           const double n = 2.0;
           double loss = 0.0;
           for (size_t j = 0; j < 2; ++j) {

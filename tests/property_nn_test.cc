@@ -1,6 +1,6 @@
 // Parameterized property tests for the neural-network library: gradient
-// correctness with and without the output activation, and optimizer
-// convergence across learning rates.
+// correctness of the fp64 pass with and without the output activation,
+// and optimizer convergence across learning rates.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -9,7 +9,9 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/mlp_pass.h"
 #include "nn/optimizer.h"
+#include "support/mlp_rows.h"
 
 namespace zerotune::nn {
 namespace {
@@ -25,6 +27,19 @@ double NumericGrad(const std::function<double()>& loss_fn, const NodePtr& p,
   return (up - down) / (2.0 * eps);
 }
 
+/// MseRow's loss and parameter gradients of one row through `mlp` on the
+/// fp64 pass.
+double LossAndGradients(const Mlp& mlp, const ParameterStore& store,
+                        const Matrix& x, const Matrix& target,
+                        GradStore* grads) {
+  MlpPass pass;
+  ForwardRows(mlp, x, &pass);
+  Matrix d_output(1, target.cols());
+  const double loss = MseRow(pass.output(), 0, target, &d_output);
+  BackwardRows(d_output, TransposedWeights(store), &pass, grads);
+  return loss;
+}
+
 // What the MLP's output layer applies; hidden layers always apply
 // LeakyReLU. The values match the instance ids this sweep has always
 // printed ("4-byte object <00-...>" and "<02-...>").
@@ -32,6 +47,8 @@ enum class OutputAct { kNone = 0, kLeakyRelu = 2 };
 
 class ActivationGradProperty : public ::testing::TestWithParam<OutputAct> {};
 
+// The hand-written backward of nn::MlpPass against central differences
+// of its own forward.
 TEST_P(ActivationGradProperty, MlpGradientsMatchNumeric) {
   zerotune::Rng rng(21);
   ParameterStore store;
@@ -43,12 +60,11 @@ TEST_P(ActivationGradProperty, MlpGradientsMatchNumeric) {
   target(0, 0) = 0.25;
   target(0, 1) = -0.5;
 
-  auto build_loss = [&] {
-    return MseLoss(mlp.Forward(Constant(x)), target);
-  };
   GradStore grads;
-  Backward(build_loss(), &grads);
-  auto loss_value = [&] { return build_loss()->value(0, 0); };
+  LossAndGradients(mlp, store, x, target, &grads);
+  auto loss_value = [&] {
+    return MseRow(ForwardRows(mlp, x), 0, target, nullptr);
+  };
 
   for (const NodePtr& p : store.parameters()) {
     const Matrix* g = grads.Find(p->param_id);
@@ -89,9 +105,9 @@ TEST_P(AdamLrProperty, ConvergesOnQuadratic) {
   const int steps = std::max(3000, static_cast<int>(6.0 / GetParam()));
   for (int step = 0; step < steps; ++step) {
     GradStore grads;
-    const NodePtr l = MseLoss(w, target);
-    loss = l->value(0, 0);
-    Backward(l, &grads);
+    Matrix grad(1, 4);
+    loss = MseRow(w->value, 0, target, &grad);
+    grads.Accumulate(w->param_id, std::move(grad));
     adam.Step(grads);
   }
   EXPECT_LT(loss, 1e-3) << "lr=" << GetParam();
@@ -116,11 +132,11 @@ TEST_P(MlpShapeProperty, ForwardShapesAndFiniteness) {
   for (size_t batch : {1u, 3u}) {
     Matrix x(batch, in);
     for (size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
-    const NodePtr y = mlp.Forward(Constant(x));
-    EXPECT_EQ(y->value.rows(), batch);
-    EXPECT_EQ(y->value.cols(), out);
-    for (size_t i = 0; i < y->value.size(); ++i) {
-      EXPECT_TRUE(std::isfinite(y->value.data()[i]));
+    const Matrix y = ForwardRows(mlp, x);
+    EXPECT_EQ(y.rows(), batch);
+    EXPECT_EQ(y.cols(), out);
+    for (size_t i = 0; i < y.size(); ++i) {
+      EXPECT_TRUE(std::isfinite(y.data()[i]));
     }
   }
 }
@@ -139,17 +155,29 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Backward on the same graph twice from different threads must not race:
-// gradients land in thread-local stores.
-TEST(AutogradThreadSafety, ConcurrentBackwardOnSharedParameters) {
+// Passes over one Mlp and one set of transposed weights from several
+// threads at once must not race: each pass writes only its own buffers
+// and gradients land in thread-local stores.
+TEST(MlpPassThreadSafety, ConcurrentBackwardOnSharedWeights) {
   zerotune::Rng rng(7);
   ParameterStore store;
   Mlp mlp(&store, {4, 8, 1}, &rng);
-  const Matrix x = Matrix::RowVector({1, 2, 3, 4});
+  const TransposedWeights weights_t(store);
+  Matrix x(3, 4);
+  for (size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
   const Matrix target(1, 1, 0.5);
+  const auto run = [&](GradStore* grads) {
+    MlpPass pass;
+    ForwardRows(mlp, x, &pass);
+    Matrix d_outputs(x.rows(), 1);
+    for (size_t r = 0; r < x.rows(); ++r) {
+      MseRow(pass.output(), r, target, &d_outputs);
+    }
+    BackwardRows(d_outputs, weights_t, &pass, grads);
+  };
 
   GradStore reference;
-  Backward(MseLoss(mlp.Forward(Constant(x)), target), &reference);
+  run(&reference);
 
   constexpr int kThreads = 4;
   std::vector<GradStore> stores(kThreads);
@@ -158,7 +186,7 @@ TEST(AutogradThreadSafety, ConcurrentBackwardOnSharedParameters) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 50; ++i) {
         GradStore local;
-        Backward(MseLoss(mlp.Forward(Constant(x)), target), &local);
+        run(&local);
         if (i == 0) stores[static_cast<size_t>(t)] = std::move(local);
       }
     });
@@ -172,7 +200,7 @@ TEST(AutogradThreadSafety, ConcurrentBackwardOnSharedParameters) {
       ASSERT_NE(a, nullptr);
       ASSERT_NE(b, nullptr);
       for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_DOUBLE_EQ(a->data()[i], b->data()[i]);
+        EXPECT_EQ(a->data()[i], b->data()[i]);
       }
     }
   }

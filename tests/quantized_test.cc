@@ -1,10 +1,10 @@
-// fp32 inference parity: QuantizedMlp against the fp64 Mlp it was
-// converted from, and the batched GNN engine (which runs on QuantizedMlp
-// snapshots) against the fp64 training pass (TrainBatch) on a real
-// trained model. The bounds encode the accuracy contract documented in
-// nn/quantized.h: fp32 stays within rounding-level error, far below the
-// model's own prediction error, which is what makes fp32 usable for
-// serving and candidate ranking.
+// fp32 inference parity: QuantizedMlp against the fp64 pass (nn::MlpPass)
+// of the Mlp it was converted from, and the batched GNN engine (which
+// runs on QuantizedMlp snapshots) against the fp64 training pass
+// (TrainBatch) on a real trained model. The bounds encode the accuracy
+// contract documented in nn/quantized.h: fp32 stays within rounding-level
+// error, far below the model's own prediction error, which is what makes
+// fp32 usable for serving and candidate ranking.
 #include "nn/quantized.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "core/train_batch.h"
 #include "core/trainer.h"
 #include "nn/layers.h"
+#include "support/mlp_rows.h"
 
 namespace zerotune::core {
 namespace {
@@ -68,7 +69,7 @@ TEST_F(QuantizedMlpTest, Fp32TracksFp64WithinRoundingError) {
   const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*mlp_);
   EXPECT_EQ(q.in_features(), mlp_->in_features());
   EXPECT_EQ(q.out_features(), mlp_->out_features());
-  const Matrix ref = mlp_->Forward(nn::Constant(input_))->value;
+  const Matrix ref = nn::ForwardRows(*mlp_, input_);
   const FloatBuffer got = Run(q, input_.data(), input_.rows());
   ASSERT_EQ(got.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -95,16 +96,14 @@ TEST_F(QuantizedMlpTest, ConversionSnapshotsParameters) {
   const nn::QuantizedMlp q = nn::QuantizedMlp::FromMlp(*mlp_);
   const FloatBuffer before = Run(q, input_.data(), input_.rows());
   // Perturb the source parameters; the snapshot must not move.
-  for (const nn::NodePtr& p : store_.parameters()) {
-    p->value.AddScaled(p->value, 0.5);
-  }
+  for (const nn::NodePtr& p : store_.parameters()) p->value.Scale(1.5);
   const FloatBuffer after = Run(q, input_.data(), input_.rows());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]);
   }
 }
 
-// --- end-to-end: batched fp32 GNN vs fp64 autograd on a trained model
+// --- end-to-end: batched fp32 GNN vs the fp64 pass on a trained model
 
 class QuantizedPredictTest : public ::testing::Test {
  protected:

@@ -1,8 +1,8 @@
 // TrainBatch, the row-batched fp64 pass that trains and evaluates the GNN,
-// against the per-node autograd forward pass it replaced (kept here as the
-// oracle): each plan's output must equal (==) the oracle's whatever else
-// shares the chunk, and the hand-written backward must match autograd's
-// gradients up to fp64 reassociation.
+// against the per-node forward pass it replaced, built here on the autograd
+// oracle (tests/support/autograd_oracle.h): each plan's output must equal
+// (==) the oracle's whatever else shares the chunk, and the hand-written
+// backward must match autograd's gradients up to fp64 reassociation.
 #include "core/train_batch.h"
 
 #include <gtest/gtest.h>
@@ -15,40 +15,45 @@
 #include "common/rng.h"
 #include "core/enumeration.h"
 #include "nn/kernels.h"
+#include "support/autograd_oracle.h"
 #include "workload/generator.h"
 
 namespace zerotune::core {
 namespace {
 
-using nn::ConcatCols;
-using nn::Constant;
 using nn::Matrix;
-using nn::MeanAll;
-using nn::NodePtr;
+using nn::oracle::ConcatCols;
+using nn::oracle::Constant;
+using nn::oracle::MeanAll;
+using nn::oracle::NodePtr;
 using workload::QueryStructure;
 
 NodePtr ZeroState(size_t dim) { return Constant(Matrix(1, dim)); }
 
 /// The per-node fp64 forward pass: one autograd node per operator,
 /// resource and edge, one graph at a time. TrainBatch must reproduce its
-/// outputs exactly; nn::Backward through it gives the reference
+/// outputs exactly; oracle::Backward through it gives the reference
 /// gradients.
 NodePtr ReferenceForward(const ZeroTuneModel& model, const PlanGraph& graph) {
   const ZeroTuneModel::GnnBlocks b = model.blocks();
   const size_t h = model.config().hidden_dim;
   const size_t n_ops = graph.num_operators();
   const size_t n_res = graph.num_resources();
+  nn::oracle::ParameterLeaves leaves;
+  const auto run = [&leaves](const nn::Mlp* mlp, const NodePtr& x) {
+    return nn::oracle::Forward(*mlp, x, &leaves);
+  };
 
   // Node-type encoders.
   std::vector<NodePtr> op_enc(n_ops);
   for (size_t i = 0; i < n_ops; ++i) {
-    op_enc[i] = b.op_encoder->Forward(
-        Constant(Matrix::RowVector(graph.operator_features[i])));
+    op_enc[i] = run(b.op_encoder,
+                    Constant(Matrix::RowVector(graph.operator_features[i])));
   }
   std::vector<NodePtr> res_enc(n_res);
   for (size_t i = 0; i < n_res; ++i) {
-    res_enc[i] = b.res_encoder->Forward(
-        Constant(Matrix::RowVector(graph.resource_features[i])));
+    res_enc[i] = run(b.res_encoder,
+                     Constant(Matrix::RowVector(graph.resource_features[i])));
   }
 
   // Stage 1: bottom-up data-flow message passing over operator nodes.
@@ -63,8 +68,8 @@ NodePtr ReferenceForward(const ZeroTuneModel& model, const PlanGraph& graph) {
       for (int u : ups) msgs.push_back(state[static_cast<size_t>(u)]);
       up_msg = MeanAll(msgs);
     }
-    state[static_cast<size_t>(id)] = b.flow_update->Forward(
-        ConcatCols({op_enc[static_cast<size_t>(id)], up_msg}));
+    state[static_cast<size_t>(id)] = run(
+        b.flow_update, ConcatCols({op_enc[static_cast<size_t>(id)], up_msg}));
   }
 
   // Stage 2: one exchange round among physical resource nodes.
@@ -80,13 +85,14 @@ NodePtr ReferenceForward(const ZeroTuneModel& model, const PlanGraph& graph) {
       }
       peer_msg = MeanAll(peers);
     }
-    res_state[i] = b.res_update->Forward(ConcatCols({res_enc[i], peer_msg}));
+    res_state[i] = run(b.res_update, ConcatCols({res_enc[i], peer_msg}));
   }
 
   // Stage 3: operator←resource mapping messages, residual update.
   std::vector<std::vector<NodePtr>> incoming(n_ops);
   for (const PlanGraph::MappingEdge& e : graph.mapping_edges) {
-    NodePtr msg = b.map_message->Forward(
+    NodePtr msg = run(
+        b.map_message,
         ConcatCols({res_state[static_cast<size_t>(e.resource_index)],
                     Constant(Matrix::RowVector(e.features.data(),
                                                e.features.size()))}));
@@ -95,8 +101,8 @@ NodePtr ReferenceForward(const ZeroTuneModel& model, const PlanGraph& graph) {
   std::vector<NodePtr> mapped(n_ops);
   for (size_t i = 0; i < n_ops; ++i) {
     NodePtr m = incoming[i].empty() ? ZeroState(h) : MeanAll(incoming[i]);
-    mapped[i] =
-        nn::Add(state[i], b.map_update->Forward(ConcatCols({state[i], m})));
+    mapped[i] = nn::oracle::Add(
+        state[i], run(b.map_update, ConcatCols({state[i], m})));
   }
 
   // Stage 4: second bottom-up pass, residual like stage 3.
@@ -111,14 +117,13 @@ NodePtr ReferenceForward(const ZeroTuneModel& model, const PlanGraph& graph) {
       for (int u : ups) msgs.push_back(final_state[static_cast<size_t>(u)]);
       up_msg = MeanAll(msgs);
     }
-    final_state[static_cast<size_t>(id)] = nn::Add(
+    final_state[static_cast<size_t>(id)] = nn::oracle::Add(
         mapped[static_cast<size_t>(id)],
-        b.flow_update2->Forward(
+        run(b.flow_update2,
             ConcatCols({mapped[static_cast<size_t>(id)], up_msg})));
   }
 
-  return b.readout->Forward(
-      final_state[static_cast<size_t>(graph.sink_index)]);
+  return run(b.readout, final_state[static_cast<size_t>(graph.sink_index)]);
 }
 
 // The nine structures the query generator builds.
@@ -178,7 +183,7 @@ void ExpectOutputsMatchOracle(const ZeroTuneModel& model,
                               const std::vector<PlanGraph>& graphs) {
   const TrainBatch all(model, Pointers(graphs, 0, graphs.size()));
   for (size_t i = 0; i < graphs.size(); ++i) {
-    const Matrix ref = ReferenceForward(model, graphs[i])->value;
+    const Matrix ref = ReferenceForward(model, graphs[i])->value();
     const Matrix alone = ForwardGraph(model, graphs[i]);
     for (size_t j = 0; j < 2; ++j) {
       EXPECT_EQ(alone(0, j), ref(0, j)) << "graph " << i << " output " << j;
@@ -274,8 +279,9 @@ TEST(TrainBatchTest, GradientsMatchAutogradAtEveryChunkSize) {
     SCOPED_TRACE("chunk of " + std::to_string(chunk));
     nn::GradStore want;
     for (size_t i = 0; i < chunk; ++i) {
-      nn::Backward(nn::MseLoss(ReferenceForward(model, graphs[i]), targets[i]),
-                   &want);
+      nn::oracle::Backward(
+          nn::oracle::MseLoss(ReferenceForward(model, graphs[i]), targets[i]),
+          &want);
     }
     TrainBatch pass(model, Pointers(graphs, 0, chunk));
     Matrix d_outputs(chunk, 2);
@@ -285,9 +291,9 @@ TEST(TrainBatchTest, GradientsMatchAutogradAtEveryChunkSize) {
       }
     }
     nn::GradStore got;
-    pass.Backward(d_outputs, TransposedWeights(model), &got);
+    pass.Backward(d_outputs, nn::TransposedWeights(model.params()), &got);
     ASSERT_EQ(got.size(), want.size());
-    for (const NodePtr& p : model.params().parameters()) {
+    for (const nn::NodePtr& p : model.params().parameters()) {
       const Matrix* g = got.Find(p->param_id);
       const Matrix* w = want.Find(p->param_id);
       ASSERT_NE(g, nullptr) << "parameter " << p->param_id;
@@ -310,7 +316,7 @@ TEST(TrainBatchTest, ScalarKernelsGiveBitIdenticalOutputsAndGradients) {
     nn::kernels::ForceScalar(force_scalar);
     TrainBatch pass(model, Pointers(graphs, 0, graphs.size()));
     Matrix d_outputs(graphs.size(), 2, 0.5);
-    pass.Backward(d_outputs, TransposedWeights(model), grads);
+    pass.Backward(d_outputs, nn::TransposedWeights(model.params()), grads);
     nn::kernels::ForceScalar(false);
     return pass.outputs();
   };
@@ -320,7 +326,7 @@ TEST(TrainBatchTest, ScalarKernelsGiveBitIdenticalOutputsAndGradients) {
   for (size_t i = 0; i < scalar_out.size(); ++i) {
     EXPECT_EQ(scalar_out.data()[i], default_out.data()[i]) << i;
   }
-  for (const NodePtr& p : model.params().parameters()) {
+  for (const nn::NodePtr& p : model.params().parameters()) {
     const Matrix& a = *scalar_grads.Find(p->param_id);
     const Matrix& b = *default_grads.Find(p->param_id);
     for (size_t i = 0; i < a.size(); ++i) {
