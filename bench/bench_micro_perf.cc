@@ -109,10 +109,10 @@ void BM_TrainStep(benchmark::State& state) {
   const TrainChunk chunk = MakeTrainChunk(16);
   for (auto _ : state) {
     core::TrainBatch pass(model, chunk.ptrs);
-    nn::GradStore grads;
+    std::vector<nn::GradStore> grads(1);
     pass.Backward(MseGradient(pass.outputs(), chunk.targets),
-                  nn::TransposedWeights(model.params()), &grads);
-    adam.Step(grads);
+                  nn::TransposedWeights(model.params()), &grads[0]);
+    adam.Step(std::move(grads), 1.0 / 16.0, /*clip_norm=*/0.0);
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }
@@ -444,8 +444,8 @@ int RunTrajectory() {
   // fp64 training pass: forward (TrainBatch construction), backward (its
   // hand-written reverse pass, which leaves the kept activations as they
   // were, so it can be timed on its own; the transposed weights it reads
-  // are kept current by the optimizer step, outside it) and the Adam
-  // update of every parameter.
+  // are kept current by the optimizer step, outside it) and the
+  // optimizer step.
   const TrainChunk chunk = MakeTrainChunk(kTrainChunk);
   const double n_train = static_cast<double>(kTrainChunk);
   const auto train_forward = [&] {
@@ -459,7 +459,6 @@ int RunTrajectory() {
   core::TrainBatch pass(model, chunk.ptrs);
   const nn::Matrix d_outputs = MseGradient(pass.outputs(), chunk.targets);
   const nn::TransposedWeights weights_t(model.params());
-  nn::GradStore step_grads;
   const auto train_backward = [&] {
     nn::GradStore grads;
     pass.Backward(d_outputs, weights_t, &grads);
@@ -469,22 +468,15 @@ int RunTrajectory() {
           train_backward);
   measure("train_backward", "simd", /*force_scalar=*/false, n_train,
           train_backward);
-  pass.Backward(d_outputs, weights_t, &step_grads);
-  // Adam writes the weights, so it steps a copy of the model.
-  core::ZeroTuneModel stepped;
-  ZT_CHECK_OK(stepped.mutable_params()->CopyFrom(model.params()));
-  nn::Adam adam(stepped.mutable_params(), nn::Adam::Options());
-  const auto adam_step = [&] { adam.Step(step_grads); };
-  measure("adam_step", "scalar", /*force_scalar=*/true, n_train, adam_step);
-  measure("adam_step", "simd", /*force_scalar=*/false, n_train, adam_step);
 
-  // The whole optimizer step Trainer::Train takes after a kTrainChunk-plan
-  // mini-batch, which it runs as four chunks: merge the four chunks'
-  // gradients, scale by 1/batch, clip at the trainer's default norm (it
-  // fires on these gradients), check finiteness, apply Adam and
-  // re-transpose each updated weight, with no pool. The step consumes
-  // its chunk gradients, so each call gets fresh copies, made untimed.
-  const double clip_norm = core::TrainOptions().grad_clip_norm;
+  // The optimizer step Trainer::Train takes after a kTrainChunk-plan
+  // mini-batch, which it runs as four chunks: Adam::Step over the four
+  // chunks' gradients with the trainer's batch scale and default clip
+  // norm (clipping fires on these gradients), with no pool. It merges,
+  // scales, takes the norm, checks finiteness, applies Adam and
+  // re-transposes each updated weight. Adam writes the weights, so it
+  // steps a copy of the model; the step consumes its chunk gradients, so
+  // each call gets fresh copies, made untimed.
   std::vector<nn::GradStore> chunk_grads(kChunksPerBatch);
   const size_t per_chunk = kTrainChunk / kChunksPerBatch;
   for (size_t c = 0; c < kChunksPerBatch; ++c) {
@@ -498,18 +490,15 @@ int RunTrajectory() {
     part.Backward(MseGradient(part.outputs(), targets), weights_t,
                   &chunk_grads[c]);
   }
+  core::ZeroTuneModel stepped;
+  ZT_CHECK_OK(stepped.mutable_params()->CopyFrom(model.params()));
+  nn::Adam adam(stepped.mutable_params(), nn::Adam::Options());
   nn::TransposedWeights stepped_t(stepped.params());
+  const double clip_norm = core::TrainOptions().grad_clip_norm;
   std::vector<nn::GradStore> step_input;
   const auto optimizer_step = [&] {
-    nn::GradStore total;
-    const nn::GradStore::MergeStats merged = total.MergeAndScale(
-        std::move(step_input), 1.0 / static_cast<double>(kTrainChunk),
-        nullptr);
-    const double clip = nn::GradStore::ClipFactor(
-        std::sqrt(merged.squared_norm), clip_norm);
-    if (!merged.all_finite) return;
-    adam.Step(total, clip, nullptr,
-              [&](int param_id) { stepped_t.Refresh(param_id); });
+    adam.Step(std::move(step_input), 1.0 / static_cast<double>(kTrainChunk),
+              clip_norm, nullptr, &stepped_t);
   };
   const auto copy_chunk_grads = [&] { step_input = chunk_grads; };
   measure("optimizer_step", "scalar", /*force_scalar=*/true, n_train,

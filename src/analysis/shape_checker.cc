@@ -18,27 +18,12 @@ void GnnShapeSpec::AddLinear(const std::string& name, size_t in, size_t out) {
   layers_.push_back({name + ".bias", 1, out});
 }
 
-void GnnShapeSpec::AddMlp(const std::string& name,
-                          const std::vector<size_t>& sizes) {
-  for (size_t i = 0; i + 1 < sizes.size(); ++i) {
-    AddLinear(name + ".linear" + std::to_string(i), sizes[i], sizes[i + 1]);
+void GnnShapeSpec::AddMlp(const std::string& name, const nn::Mlp& mlp) {
+  for (size_t i = 0; i < mlp.layers().size(); ++i) {
+    const nn::Linear& layer = mlp.layers()[i];
+    AddLinear(name + ".linear" + std::to_string(i), layer.in_features(),
+              layer.out_features());
   }
-}
-
-GnnShapeSpec GnnShapeSpec::ForZeroTune(size_t hidden_dim, size_t operator_dim,
-                                       size_t resource_dim,
-                                       size_t mapping_dim) {
-  const size_t h = hidden_dim;
-  GnnShapeSpec spec;
-  spec.AddMlp("op_encoder", {operator_dim, h, h});
-  spec.AddMlp("res_encoder", {resource_dim, h, h});
-  spec.AddMlp("flow_update", {2 * h, h, h});
-  spec.AddMlp("res_update", {2 * h, h, h});
-  spec.AddMlp("map_message", {h + mapping_dim, h, h});
-  spec.AddMlp("map_update", {2 * h, h, h});
-  spec.AddMlp("flow_update2", {2 * h, h, h});
-  spec.AddMlp("readout", {h, h, 2});
-  return spec;
 }
 
 DiagnosticReport GnnShapeSpec::VerifyParamStream(std::istream& is) const {
@@ -98,32 +83,6 @@ DiagnosticReport GnnShapeSpec::VerifyParamStream(std::istream& is) const {
                         -1, "", "the model file is incomplete or corrupt");
         return report;
       }
-    }
-  }
-  return report;
-}
-
-DiagnosticReport GnnShapeSpec::VerifyStore(
-    const nn::ParameterStore& store) const {
-  DiagnosticReport report;
-  const auto& params = store.parameters();
-  if (params.size() != layers_.size()) {
-    report.AddError("ZT-M001",
-                    "store holds " + std::to_string(params.size()) +
-                        " tensors, architecture expects " +
-                        std::to_string(layers_.size()),
-                    -1, "", "model and shape spec disagree on architecture");
-  }
-  const size_t check = std::min(params.size(), layers_.size());
-  for (size_t i = 0; i < check; ++i) {
-    const LayerShape& want = layers_[i];
-    const nn::Matrix& got = params[i]->value;
-    if (got.rows() != want.rows || got.cols() != want.cols) {
-      report.AddError("ZT-M003",
-                      "layer " + want.name + " has shape " +
-                          Shape(got.rows(), got.cols()) +
-                          ", spec expects " + Shape(want.rows, want.cols),
-                      -1, "", "model and shape spec disagree on dimensions");
     }
   }
   return report;

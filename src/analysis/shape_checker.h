@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
-#include "nn/autograd.h"
+#include "nn/layers.h"
 
 namespace zerotune::analysis {
 
@@ -19,12 +19,10 @@ struct LayerShape {
   size_t cols = 0;
 };
 
-/// Symbolic shape inference for the ZeroTune GNN. From the model config
-/// alone (hidden width plus the three feature-vector dimensions) it derives
-/// the full named parameter list in ParameterStore creation order — per
-/// Linear: weight (in×out) then bias (1×out); per Mlp: its Linears in
-/// sequence; blocks in constructor order. That lets model files be
-/// verified against the architecture before any tensor is materialized.
+/// The named parameter list of a model in ParameterStore creation order —
+/// per Linear: weight (in×out) then bias (1×out); per Mlp: its Linears in
+/// sequence. core::ZeroTuneModel::Load builds one from its own blocks and
+/// verifies a model file against it before any tensor is materialized.
 ///
 /// Diagnostic codes:
 ///   ZT-M001 parameter count mismatch      ZT-M003 layer shape mismatch
@@ -33,27 +31,13 @@ class GnnShapeSpec {
  public:
   /// Appends one Linear layer (weight then bias).
   void AddLinear(const std::string& name, size_t in, size_t out);
-  /// Appends an MLP with sizes {in, h1, ..., out} as linear0, linear1, ...
-  void AddMlp(const std::string& name, const std::vector<size_t>& sizes);
-
-  const std::vector<LayerShape>& layers() const { return layers_; }
-  /// Number of parameter tensors (2 per Linear).
-  size_t num_tensors() const { return layers_.size(); }
-
-  /// The eight-block architecture of core::ZeroTuneModel, mirroring its
-  /// constructor: op/res encoders, staged message passing, readout head.
-  /// Dimensions are passed in so this layer needs no dependency on core.
-  static GnnShapeSpec ForZeroTune(size_t hidden_dim, size_t operator_dim,
-                                  size_t resource_dim, size_t mapping_dim);
+  /// Appends every Linear of `mlp` as name.linear0, name.linear1, ...
+  void AddMlp(const std::string& name, const nn::Mlp& mlp);
 
   /// Verifies a "zerotune-params-v1" stream against the expected shapes
   /// without loading any values. Reports every shape mismatch it can reach
   /// (truncation necessarily stops the scan).
   DiagnosticReport VerifyParamStream(std::istream& is) const;
-
-  /// Verifies a live ParameterStore (e.g. after construction) against the
-  /// spec; catches architecture drift between model and checker.
-  DiagnosticReport VerifyStore(const nn::ParameterStore& store) const;
 
  private:
   std::vector<LayerShape> layers_;

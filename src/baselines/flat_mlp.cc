@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "baselines/flat_vector.h"
 #include "common/statistics.h"
@@ -28,6 +29,7 @@ std::vector<double> FlatMlpModel::Standardize(std::vector<double> x) const {
 
 Status FlatMlpModel::Fit(const workload::Dataset& train) {
   ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
+  fitted_ = false;
   const size_t n = train.size();
   const size_t d = FlatVectorEncoder::Dim();
 
@@ -93,8 +95,10 @@ Status FlatMlpModel::Fit(const workload::Dataset& train) {
       }
       pass.Forward(0, rows);
       nn::Matrix d_outputs(rows, 2);
+      double loss = 0.0;
       for (size_t r = 0; r < rows; ++r) {
-        nn::MseRow(pass.output(), r, targets[order[start + r]], &d_outputs);
+        loss += nn::MseRow(pass.output(), r, targets[order[start + r]],
+                           &d_outputs);
       }
       pass.StartBackward(/*input_grad=*/false);
       for (size_t r = 0; r < rows; ++r) {
@@ -102,12 +106,20 @@ Status FlatMlpModel::Fit(const workload::Dataset& train) {
                   pass.output_grad(r));
       }
       pass.Backward(0, rows, weights_t);
-      nn::GradStore grads;
-      pass.AccumulateParamGrads(&grads);
-      grads.Scale(1.0 / static_cast<double>(rows));
-      grads.ClipGlobalNorm(5.0);
-      adam.Step(grads, 1.0, nullptr,
-                [&](int param_id) { weights_t.Refresh(param_id); });
+      std::vector<nn::GradStore> grads(1);
+      pass.AccumulateParamGrads(&grads[0]);
+      // The trainer's divergence test. Without its rollback, a diverged
+      // fit fails rather than leave weights that predict 0 everywhere.
+      if (!std::isfinite(loss) ||
+          !adam.Step(std::move(grads), 1.0 / static_cast<double>(rows),
+                     /*clip_norm=*/5.0, nullptr, &weights_t)
+               .applied) {
+        return Status::Internal(
+            name() + " diverged: epoch " + std::to_string(epoch + 1) +
+            ", batch " + std::to_string(start / options_.batch_size + 1) +
+            " has a non-finite loss or gradient (learning_rate " +
+            std::to_string(options_.learning_rate) + ")");
+      }
     }
   }
   fitted_ = true;

@@ -31,6 +31,9 @@ class FlatMlpModel : public core::CostPredictor {
   FlatMlpModel() : FlatMlpModel(Options()) {}
   explicit FlatMlpModel(Options options);
 
+  /// Fits on `train`. Fails with Internal, naming the epoch and batch,
+  /// when a mini-batch's loss or gradient is NaN or infinite; the model
+  /// is then unfitted.
   Status Fit(const workload::Dataset& train);
 
   Result<core::CostPrediction> Predict(

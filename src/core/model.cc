@@ -165,12 +165,20 @@ Status ZeroTuneModel::Load(const std::string& path) {
   }
   // Static shape check before any tensor is loaded: a dimension-corrupted
   // file fails here with the offending layer named (ZT-M003) instead of a
-  // mid-matmul assertion later. The stream is rewound afterwards so the
-  // actual load re-reads the verified section.
+  // mid-matmul assertion later. The spec lists this model's own blocks,
+  // named, in the order the constructor created their parameters. The
+  // stream is rewound afterwards so the actual load re-reads the verified
+  // section.
   const std::istream::pos_type params_pos = f.tellg();
-  const analysis::GnnShapeSpec spec = analysis::GnnShapeSpec::ForZeroTune(
-      config_.hidden_dim, FeatureEncoder::OperatorDim(),
-      FeatureEncoder::ResourceDim(), FeatureEncoder::MappingDim());
+  analysis::GnnShapeSpec spec;
+  spec.AddMlp("op_encoder", *op_encoder_);
+  spec.AddMlp("res_encoder", *res_encoder_);
+  spec.AddMlp("flow_update", *flow_update_);
+  spec.AddMlp("res_update", *res_update_);
+  spec.AddMlp("map_message", *map_message_);
+  spec.AddMlp("map_update", *map_update_);
+  spec.AddMlp("flow_update2", *flow_update2_);
+  spec.AddMlp("readout", *readout_);
   const analysis::DiagnosticReport shape_report = spec.VerifyParamStream(f);
   if (shape_report.HasErrors()) return shape_report.ToStatus();
   f.clear();

@@ -265,6 +265,7 @@ double Trainer::EpochLoss(const std::vector<PlanGraph>& graphs,
 Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
   ZT_RETURN_IF_ERROR(options_status_);
   ZT_RETURN_IF_ERROR(workload::CheckTrainingSet(train));
+  ZT_RETURN_IF_ERROR(workload::CheckLabels(val, "validation"));
   Clock* clock =
       options_.clock != nullptr ? options_.clock : SystemClock::Default();
   const int64_t t_start = clock->NowNanos();
@@ -433,9 +434,9 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       const size_t batch = end - start;
 
       // Data-parallel gradient accumulation: each chunk runs one
-      // TrainBatch into its own GradStore; chunks are merged in index
-      // order after all finish, so the result is bit-identical whatever
-      // the pool and its scheduling.
+      // TrainBatch into its own GradStore; Adam::Step merges them in
+      // chunk order after all finish, so the result is bit-identical
+      // whatever the pool and its scheduling.
       double batch_loss = 0.0;
       const size_t chunks = std::min(batch, kChunksPerBatch);
       const size_t chunk_size = (batch + chunks - 1) / chunks;
@@ -457,25 +458,17 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
       });
       for (size_t c = 0; c < chunks; ++c) batch_loss += local_losses[c];
 
-      // The optimizer step: one pass per parameter merges the chunks in
-      // chunk order and scales by 1/batch, the global norm is summed
-      // serially in the merged store's order (as ClipGlobalNorm sums it),
-      // and a second pass applies the clip factor and Adam. Both passes
-      // run on the pool and give the bits of Merge, Scale, ClipGlobalNorm
-      // and Adam::Step in turn. An entry is finite after the clip exactly
-      // when it is before, so the batch is skipped exactly as when
-      // AllFinite ran after the clip.
-      nn::GradStore total;
-      const nn::GradStore::MergeStats merged = total.MergeAndScale(
-          std::move(locals), 1.0 / static_cast<double>(batch),
-          options_.pool);
-      double clip = 1.0;
-      if (options_.grad_clip_norm > 0.0) {
-        const double norm = std::sqrt(merged.squared_norm);
-        grad_norm_gauge->Set(norm);
-        clip = nn::GradStore::ClipFactor(norm, options_.grad_clip_norm);
+      // A non-finite loss skips the step before it runs; Adam::Step
+      // itself skips a batch whose merged gradient is non-finite.
+      bool applied = false;
+      if (std::isfinite(batch_loss)) {
+        const nn::Adam::StepResult step =
+            adam.Step(std::move(locals), 1.0 / static_cast<double>(batch),
+                      options_.grad_clip_norm, options_.pool, &weights_t);
+        grad_norm_gauge->Set(step.grad_norm);
+        applied = step.applied;
       }
-      if (!std::isfinite(batch_loss) || !merged.all_finite) {
+      if (!applied) {
         ++report.nonfinite_batches;
         nonfinite_total->Increment();
         ZT_ASSIGN_OR_RETURN(const bool recovered, recover());
@@ -485,8 +478,6 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
         }
         continue;  // skip the poisoned update, keep the epoch going
       }
-      adam.Step(total, clip, options_.pool,
-                [&](int param_id) { weights_t.Refresh(param_id); });
       epoch_loss_sum += batch_loss;
       epoch_count += batch;
     }

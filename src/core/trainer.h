@@ -92,15 +92,16 @@ struct ModelEvaluation {
 /// (core/train_batch.h). Graphs are encoded once and cached; each
 /// optimization step splits a mini-batch into a fixed number of chunks,
 /// runs each chunk's forward and backward as one TrainBatch (in parallel
-/// across pool workers), merges the chunk gradients in chunk order, clips
-/// the global norm, and applies Adam; the merge and the clip+Adam pass
-/// run per parameter on the same pool.
+/// across pool workers), and hands the chunk gradients to nn::Adam::Step,
+/// which merges them in chunk order, clips the global norm and applies
+/// Adam per parameter on the same pool.
 class Trainer {
  public:
   Trainer(ZeroTuneModel* model, TrainOptions options);
 
   /// Runs supervised training with early stopping on `val` (val may be
-  /// empty, disabling early stopping).
+  /// empty, disabling early stopping). Fails with InvalidArgument when a
+  /// training or validation label is NaN or infinite.
   Result<TrainReport> Train(const workload::Dataset& train,
                             const workload::Dataset& val);
 

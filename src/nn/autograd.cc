@@ -6,8 +6,6 @@
 #include <ostream>
 #include <string>
 
-#include "common/thread_pool.h"
-
 namespace zerotune::nn {
 
 void GradStore::Accumulate(int param_id, Matrix g) {
@@ -16,87 +14,9 @@ void GradStore::Accumulate(int param_id, Matrix g) {
   if (!inserted) it->second.Add(g);
 }
 
-void GradStore::Merge(GradStore other) {
-  for (auto& [id, g] : other.grads_) Accumulate(id, std::move(g));
-}
-
-void GradStore::Scale(double factor) {
-  for (auto& [id, g] : grads_) g.Scale(factor);
-}
-
-GradStore::MergeStats GradStore::MergeAndScale(std::vector<GradStore> parts,
-                                               double factor,
-                                               zerotune::ThreadPool* pool) {
-  // Entries enter this store serially, in exactly the try_emplace
-  // sequence Merge would make, so the hash table (and with it the
-  // iteration order the norm is summed in) ends up the same. A moved-in
-  // entry leaves its part; what stays behind in a part is added below.
-  for (GradStore& part : parts) {
-    for (auto it = part.grads_.begin(); it != part.grads_.end();) {
-      if (grads_.try_emplace(it->first, std::move(it->second)).second) {
-        it = part.grads_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  std::vector<std::pair<const int, Matrix>*> entries;
-  entries.reserve(grads_.size());
-  for (auto& entry : grads_) entries.push_back(&entry);
-  std::vector<double> squared(entries.size(), 0.0);
-  std::vector<char> finite(entries.size(), 1);
-  ParallelFor(pool, entries.size(), [&](size_t e) {
-    Matrix& g = entries[e]->second;
-    for (const GradStore& part : parts) {
-      if (const Matrix* more = part.Find(entries[e]->first)) g.Add(*more);
-    }
-    // Scale's multiply and SquaredNorm's sum in one pass. A NaN or an
-    // infinity makes the sum non-finite, so only then are the entries
-    // checked one by one (finite entries can overflow the sum too).
-    double sq = 0.0;
-    double* x = g.data();
-    for (size_t i = 0; i < g.size(); ++i) {
-      x[i] *= factor;
-      sq += x[i] * x[i];
-    }
-    squared[e] = sq;
-    finite[e] = std::isfinite(sq) ||
-                std::all_of(x, x + g.size(),
-                            [](double v) { return std::isfinite(v); });
-  });
-  MergeStats stats;
-  for (size_t e = 0; e < entries.size(); ++e) {
-    stats.squared_norm += squared[e];
-    stats.all_finite = stats.all_finite && finite[e] != 0;
-  }
-  return stats;
-}
-
-double GradStore::ClipGlobalNorm(double max_norm) {
-  double sq = 0.0;
-  for (const auto& [id, g] : grads_) sq += g.SquaredNorm();
-  const double norm = std::sqrt(sq);
-  const double factor = ClipFactor(norm, max_norm);
-  if (factor != 1.0) Scale(factor);
-  return norm;
-}
-
-double GradStore::ClipFactor(double norm, double max_norm) {
-  return norm > max_norm && norm > 0.0 ? max_norm / norm : 1.0;
-}
-
 const Matrix* GradStore::Find(int param_id) const {
   auto it = grads_.find(param_id);
   return it == grads_.end() ? nullptr : &it->second;
-}
-
-bool GradStore::AllFinite() const {
-  for (const auto& [id, g] : grads_) {
-    for (size_t i = 0; i < g.size(); ++i) {
-      if (!std::isfinite(g.data()[i])) return false;
-    }
-  }
-  return true;
 }
 
 NodePtr ParameterStore::CreateParameter(size_t rows, size_t cols,

@@ -12,10 +12,6 @@
 #include "common/status.h"
 #include "nn/matrix.h"
 
-namespace zerotune {
-class ThreadPool;
-}  // namespace zerotune
-
 namespace zerotune::nn {
 
 struct Node;
@@ -23,67 +19,33 @@ using NodePtr = std::shared_ptr<Node>;
 
 /// Gradient accumulator keyed by parameter id. Backward passes
 /// (MlpPass::AccumulateParamGrads, nn/mlp_pass.h) write into a GradStore
-/// rather than into the parameters themselves, which lets worker threads
-/// accumulate gradients independently and merge afterwards (data-parallel
-/// training).
+/// rather than into the parameters themselves, so worker threads
+/// accumulate independently and Adam::Step merges their stores
+/// (data-parallel training).
 class GradStore {
  public:
+  using Map = std::unordered_map<int, Matrix>;
+
   /// grads[param_id] += g; g is moved in when param_id has no gradient
   /// yet, so callers that are done with g pass it with std::move.
   void Accumulate(int param_id, Matrix g);
 
-  /// Merges all entries of `other` into this store, moving in the
-  /// entries this store lacks.
-  void Merge(GradStore other);
-
-  /// Scales every stored gradient (e.g. 1/batch_size).
-  void Scale(double factor);
-
-  /// What MergeAndScale found in the merged, scaled entries.
-  struct MergeStats {
-    /// The sum whose square root ClipGlobalNorm takes: each entry's
-    /// squared L2 norm, added in this store's iteration order.
-    double squared_norm = 0.0;
-    bool all_finite = true;
-  };
-
-  /// Merge(part) for every part in order, then Scale(factor), with the
-  /// arithmetic run per entry on `pool` (inline when null). The store
-  /// ends up with the same entries, in the same iteration order, holding
-  /// the same bits as those calls leave: an entry starts as the first
-  /// part's gradient that has it and adds the later parts' in part order,
-  /// ((g0 + g1) + g2) + …, then multiplies by `factor`. Returns what
-  /// ClipGlobalNorm and AllFinite would compute next.
-  MergeStats MergeAndScale(std::vector<GradStore> parts, double factor,
-                           zerotune::ThreadPool* pool);
-
-  /// Globally rescales so the total L2 norm is at most `max_norm`.
-  /// Returns the pre-clip norm.
-  ///
-  /// The norm sums the entries' squared norms in the map's iteration
-  /// order, which follows the hash table, not parameter creation order.
-  /// Trained weights depend on that order: clipping fires on most of the
-  /// trainer's mini-batches, and summing in creation order instead moved
-  /// the benchmark's finetune error_ratio from 1.8987 to 1.9035 (+0.25%).
-  /// Keep the order when changing how gradients are merged or clipped.
-  double ClipGlobalNorm(double max_norm);
-
-  /// The factor ClipGlobalNorm multiplies by at pre-clip norm `norm`:
-  /// max_norm / norm when norm exceeds max_norm, else 1.
-  static double ClipFactor(double norm, double max_norm);
-
   /// Returns the gradient for a parameter, or nullptr if none recorded.
   const Matrix* Find(int param_id) const;
 
-  /// True when every stored gradient entry is finite — the guard the
-  /// trainer uses to detect divergence before applying an update.
-  bool AllFinite() const;
-
-  void Clear() { grads_.clear(); }
   size_t size() const { return grads_.size(); }
 
+  /// The entries in the map's iteration order, which follows the hash
+  /// table and the order keys were inserted in, not parameter creation
+  /// order. Adam::Step sums the gradient norm in this order.
+  Map::const_iterator begin() const { return grads_.begin(); }
+  Map::const_iterator end() const { return grads_.end(); }
+
  private:
-  std::unordered_map<int, Matrix> grads_;
+  // Adam::Step moves the entries out of the stores it merges.
+  friend class Adam;
+
+  Map grads_;
 };
 
 /// One trainable parameter: its value and its key in GradStore and Adam.
@@ -119,8 +81,8 @@ class ParameterStore {
   size_t num_parameters() const;  // total scalar count
 
   /// Moves on every write to the parameter values: CreateParameter, a
-  /// successful LoadFromStream/CopyFrom/Restore, and Adam::Step. A failed
-  /// write does not move it. Reading a generation (acquire) makes the
+  /// successful LoadFromStream/CopyFrom/Restore, and an applied
+  /// Adam::Step. A failed write does not move it. Reading a generation (acquire) makes the
   /// writes that moved it visible.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);

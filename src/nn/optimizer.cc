@@ -1,5 +1,6 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <istream>
@@ -7,6 +8,7 @@
 
 #include "common/thread_pool.h"
 #include "nn/kernels.h"
+#include "nn/mlp_pass.h"
 
 namespace zerotune::nn {
 
@@ -29,9 +31,61 @@ void Adam::Reset() {
   }
 }
 
-void Adam::Step(const GradStore& grads, double grad_scale,
-                zerotune::ThreadPool* pool,
-                const std::function<void(int param_id)>& updated) {
+Adam::StepResult Adam::Step(std::vector<GradStore> parts,
+                            double batch_scale, double clip_norm,
+                            zerotune::ThreadPool* pool,
+                            TransposedWeights* weights_t) {
+  // Stage 1. Entries enter `merged` serially, in the try_emplace sequence
+  // accumulating every part in order would make, so the hash table (and
+  // with it the order stage 2 sums in) follows only the parts. A
+  // moved-in entry leaves its part; what stays behind is added below.
+  GradStore::Map merged;
+  for (GradStore& part : parts) {
+    for (auto it = part.grads_.begin(); it != part.grads_.end();) {
+      if (merged.try_emplace(it->first, std::move(it->second)).second) {
+        it = part.grads_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  std::vector<std::pair<const int, Matrix>*> entries;
+  entries.reserve(merged.size());
+  for (auto& entry : merged) entries.push_back(&entry);
+  std::vector<double> squared(entries.size(), 0.0);
+  std::vector<char> finite(entries.size(), 1);
+  ParallelFor(pool, entries.size(), [&](size_t e) {
+    Matrix& g = entries[e]->second;
+    for (const GradStore& part : parts) {
+      if (const Matrix* more = part.Find(entries[e]->first)) g.Add(*more);
+    }
+    // The scale and the squared norm in one pass. A NaN or an infinity
+    // makes the sum non-finite, so only then are the elements checked
+    // one by one (finite elements can overflow the sum too).
+    double sq = 0.0;
+    double* x = g.data();
+    for (size_t i = 0; i < g.size(); ++i) {
+      x[i] *= batch_scale;
+      sq += x[i] * x[i];
+    }
+    squared[e] = sq;
+    finite[e] = std::isfinite(sq) ||
+                std::all_of(x, x + g.size(),
+                            [](double v) { return std::isfinite(v); });
+  });
+
+  // Stage 2.
+  double sq = 0.0;
+  bool all_finite = true;
+  for (size_t e = 0; e < entries.size(); ++e) {
+    sq += squared[e];
+    all_finite = all_finite && finite[e] != 0;
+  }
+  StepResult result;
+  result.grad_norm = std::sqrt(sq);
+  if (!all_finite) return result;
+
+  // Stage 3.
   ++step_count_;
   kernels::AdamStepF64Args args;
   args.learning_rate = options_.learning_rate;
@@ -41,20 +95,25 @@ void Adam::Step(const GradStore& grads, double grad_scale,
   args.weight_decay = options_.weight_decay;
   args.bias_correction1 = 1.0 - std::pow(options_.beta1, step_count_);
   args.bias_correction2 = 1.0 - std::pow(options_.beta2, step_count_);
-  args.grad_scale = grad_scale;
+  args.grad_scale = clip_norm > 0.0 && result.grad_norm > clip_norm
+                        ? clip_norm / result.grad_norm
+                        : 1.0;
   const auto& params = store_->parameters();
   // Parameters update independently, so any split over threads gives the
   // same bits.
   ParallelFor(pool, params.size(), [&](size_t i) {
-    const Matrix* g = grads.Find(params[i]->param_id);
-    if (g == nullptr) return;
+    const auto it = merged.find(params[i]->param_id);
+    if (it == merged.end()) return;
+    const Matrix& g = it->second;
     Matrix& value = params[i]->value;
-    assert(g->SameShape(value));
-    kernels::AdamStepF64(value.data(), m_[i].data(), v_[i].data(), g->data(),
+    assert(g.SameShape(value));
+    kernels::AdamStepF64(value.data(), m_[i].data(), v_[i].data(), g.data(),
                          value.size(), args);
-    if (updated) updated(params[i]->param_id);
+    if (weights_t != nullptr) weights_t->Refresh(params[i]->param_id);
   });
   store_->BumpGeneration();
+  result.applied = true;
+  return result;
 }
 
 Status Adam::SaveState(std::ostream& os) const {

@@ -1,7 +1,6 @@
 #ifndef ZEROTUNE_NN_OPTIMIZER_H_
 #define ZEROTUNE_NN_OPTIMIZER_H_
 
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -13,6 +12,8 @@ class ThreadPool;
 }  // namespace zerotune
 
 namespace zerotune::nn {
+
+class TransposedWeights;  // nn/mlp_pass.h
 
 /// Adam optimizer (Kingma & Ba) over the parameters of a ParameterStore.
 class Adam {
@@ -28,18 +29,43 @@ class Adam {
   explicit Adam(ParameterStore* store) : Adam(store, Options()) {}
   Adam(ParameterStore* store, Options options);
 
-  /// Applies one update using the accumulated gradients, each element
-  /// multiplied by `grad_scale` first (the trainer's clipping factor; 1
-  /// leaves them exactly as they are), and moves the store's generation.
-  /// Parameters with no gradient entry are left untouched. Every
-  /// parameter's update runs kernels::AdamStepF64, spread over `pool`
-  /// (inline when null); the result depends on neither the pool nor the
-  /// ISA. When set,
-  /// `updated(param_id)` runs right after each parameter's update, on the
-  /// thread that made it, while other parameters may be updating.
-  void Step(const GradStore& grads, double grad_scale = 1.0,
-            zerotune::ThreadPool* pool = nullptr,
-            const std::function<void(int param_id)>& updated = {});
+  /// What one Step found and did.
+  struct StepResult {
+    /// The merged, scaled gradient's global L2 norm before clipping.
+    double grad_norm = 0.0;
+    /// False when some gradient entry was NaN or infinite: the step then
+    /// wrote no weight, moment or step count.
+    bool applied = false;
+  };
+
+  /// One optimizer step over a mini-batch whose gradients arrive as
+  /// `parts`, one GradStore per chunk in chunk order. Three stages:
+  ///   1. Merge and scale, per entry on `pool`. The parts' entries enter a
+  ///      fresh store serially, in part order and each part's iteration
+  ///      order (as GradStore::Accumulate of each entry would insert
+  ///      them), so an entry is the first part's gradient that has it
+  ///      plus the later parts' in part order, ((g0 + g1) + g2) + …; it
+  ///      is then multiplied by `batch_scale`, and its squared L2 norm
+  ///      and finiteness are taken.
+  ///   2. grad_norm: the entries' squared norms summed serially in the
+  ///      merged store's iteration order. That order follows the hash
+  ///      table, not parameter creation order, and trained weights
+  ///      depend on it: clipping fires on most of the trainer's
+  ///      mini-batches, and summing in creation order instead moved the
+  ///      benchmark's finetune error_ratio from 1.8987 to 1.9035
+  ///      (+0.25%). Keep the order when changing how the step merges or
+  ///      clips.
+  ///   3. Only when every entry is finite: kernels::AdamStepF64 per
+  ///      parameter on `pool`, every gradient element multiplied first by
+  ///      the clip factor (clip_norm / grad_norm when clip_norm > 0 and
+  ///      grad_norm exceeds it, else 1); with `weights_t`, each written
+  ///      weight's transposed copy is refreshed on the thread that wrote
+  ///      it. Parameters without an entry are left untouched, and the
+  ///      store's generation moves.
+  /// The result depends on neither the pool nor the ISA.
+  StepResult Step(std::vector<GradStore> parts, double batch_scale,
+                  double clip_norm, zerotune::ThreadPool* pool = nullptr,
+                  TransposedWeights* weights_t = nullptr);
 
   /// Resets moment estimates (used when fine-tuning restarts).
   void Reset();

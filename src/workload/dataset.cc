@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 #include <string>
+#include <string_view>
 
 namespace zerotune::workload {
 
@@ -63,19 +64,23 @@ Dataset Dataset::Take(size_t n) const {
   return out;
 }
 
-Status CheckTrainingSet(const Dataset& train) {
-  if (train.empty()) return Status::InvalidArgument("empty training set");
-  for (size_t i = 0; i < train.size(); ++i) {
-    const LabeledQuery& q = train.sample(i);
+Status CheckLabels(const Dataset& set, std::string_view role) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    const LabeledQuery& q = set.sample(i);
     if (!std::isfinite(q.latency_ms) || !std::isfinite(q.throughput_tps)) {
       return Status::InvalidArgument(
-          "training sample " + std::to_string(i) +
+          std::string(role) + " sample " + std::to_string(i) +
           " has a non-finite label (latency_ms=" +
           std::to_string(q.latency_ms) + ", throughput_tps=" +
           std::to_string(q.throughput_tps) + ")");
     }
   }
   return Status::OK();
+}
+
+Status CheckTrainingSet(const Dataset& train) {
+  if (train.empty()) return Status::InvalidArgument("empty training set");
+  return CheckLabels(train, "training");
 }
 
 }  // namespace zerotune::workload

@@ -2,6 +2,7 @@
 #define ZEROTUNE_WORKLOAD_DATASET_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -62,9 +63,13 @@ class Dataset {
   std::vector<LabeledQuery> samples_;
 };
 
+/// InvalidArgument for the first sample of `set` whose latency or
+/// throughput label is NaN or infinite, naming it as "<role> sample N"
+/// with both labels; OK when every label is finite.
+Status CheckLabels(const Dataset& set, std::string_view role);
+
 /// What every learner's Fit checks first: InvalidArgument for an empty
-/// set, and for the first sample whose latency or throughput label is
-/// NaN or infinite (naming its index and both labels).
+/// set, then CheckLabels(train, "training").
 Status CheckTrainingSet(const Dataset& train);
 
 }  // namespace zerotune::workload

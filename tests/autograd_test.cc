@@ -1,6 +1,6 @@
 // The autograd oracle (tests/support/autograd_oracle.h) against central
-// finite differences, and the GradStore and ParameterStore that every
-// training pass writes into.
+// finite differences, and the ParameterStore every model keeps its
+// weights in.
 #include "nn/autograd.h"
 
 #include <cmath>
@@ -133,40 +133,6 @@ TEST(AutogradTest, BackwardAccumulatesIntoExistingStore) {
   EXPECT_NEAR(grads.Find(w->param_id)->data()[0], 2.0 * g1, 1e-12);
 }
 
-TEST(GradStoreTest, MergeAndScale) {
-  GradStore a, b;
-  Matrix g(1, 2);
-  g(0, 0) = 1.0;
-  g(0, 1) = -2.0;
-  a.Accumulate(0, g);
-  b.Accumulate(0, g);
-  b.Accumulate(1, g);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.Find(0)->operator()(0, 0), 2.0);
-  ASSERT_NE(a.Find(1), nullptr);
-  a.Scale(0.5);
-  EXPECT_DOUBLE_EQ(a.Find(0)->operator()(0, 1), -2.0);
-}
-
-TEST(GradStoreTest, ClipGlobalNorm) {
-  GradStore s;
-  Matrix g(1, 2);
-  g(0, 0) = 3.0;
-  g(0, 1) = 4.0;  // norm 5
-  s.Accumulate(0, g);
-  const double pre = s.ClipGlobalNorm(1.0);
-  EXPECT_DOUBLE_EQ(pre, 5.0);
-  EXPECT_NEAR(s.Find(0)->operator()(0, 0), 0.6, 1e-12);
-}
-
-TEST(GradStoreTest, ClipBelowThresholdIsNoop) {
-  GradStore s;
-  Matrix g(1, 1, 0.5);
-  s.Accumulate(7, g);
-  s.ClipGlobalNorm(10.0);
-  EXPECT_DOUBLE_EQ(s.Find(7)->operator()(0, 0), 0.5);
-}
-
 TEST(ParameterStoreTest, SaveLoadRoundTrip) {
   zerotune::Rng rng(3);
   ParameterStore a;
@@ -262,8 +228,11 @@ TEST(ParameterStoreTest, GenerationMovesOnEveryWrite) {
   GradStore grads;
   grads.Accumulate(0, Matrix(2, 3, 1.0));
   Adam adam(&s);
-  adam.Step(grads);
+  ASSERT_TRUE(adam.Step({grads}, 1.0, 0.0).applied);
   EXPECT_TRUE(moved()) << "Adam::Step";
+  grads.Accumulate(1, Matrix(1, 3, std::nan("")));
+  ASSERT_FALSE(adam.Step({grads}, 1.0, 0.0).applied);
+  EXPECT_FALSE(moved()) << "skipped Adam::Step";
 
   ParameterStore other_layout;
   other_layout.CreateParameter(2, 3, &rng);

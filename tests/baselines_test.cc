@@ -137,6 +137,24 @@ TEST(FlatMlpTest, FitsAndPredicts) {
   EXPECT_GE(p.value().throughput_tps, 0.0);
 }
 
+TEST(FlatMlpTest, DivergedFitFails) {
+  // At this learning rate the first batch of epoch 25 overflows the loss
+  // (its gradient stays finite). Fit must fail there rather than return a
+  // model that predicts latency 0 and throughput 0.
+  const auto corpus = SmallCorpus(60);
+  FlatMlpModel::Options opts;
+  opts.epochs = 30;
+  opts.learning_rate = 1e6;
+  FlatMlpModel model(opts);
+  const Status status = model.Fit(corpus);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_NE(status.message().find("epoch 25, batch 1 has a non-finite"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(model.Predict(AnyPlan(corpus)).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(FlatMlpTest, PredictBeforeFitFails) {
   const auto corpus = SmallCorpus(2);
   FlatMlpModel model;

@@ -1,16 +1,21 @@
-// Trainer::Train's optimizer step against the serial step it replaced,
-// kept here as the oracle: merge the chunk gradients in chunk order
-// (GradStore::Merge), Scale by 1/batch, ClipGlobalNorm, AllFinite, then
-// Adam's scalar loop. The trainer does the same arithmetic in two passes
-// per parameter on its pool (GradStore::MergeAndScale, then Adam::Step on
-// kernels::AdamStepF64, the clip folded in), and its trained weights must
-// equal (==) the oracle's with no pool and with four threads.
+// Trainer::Train's optimizer step, nn::Adam::Step, against a serial
+// step kept here as the oracle: the chunk gradients merged, scaled and
+// clipped by plain loops (support/serial_step.h), finiteness checked
+// after the clip, then Adam's update as a scalar loop. Adam::Step merges
+// and scales per parameter on the trainer's pool, sums the norm serially
+// in the merged store's order, and applies the clip and Adam on the pool
+// through kernels::AdamStepF64; trained weights must equal (==) the
+// oracle's with no pool and with four threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +27,9 @@
 #include "core/train_batch.h"
 #include "core/trainer.h"
 #include "nn/autograd.h"
+#include "nn/kernels.h"
+#include "nn/optimizer.h"
+#include "support/serial_step.h"
 
 namespace zerotune::core {
 namespace {
@@ -29,7 +37,7 @@ namespace {
 using nn::GradStore;
 using nn::Matrix;
 
-/// Adam::Step as a scalar loop over its own moments, the update the
+/// Adam's update as a scalar loop over its own moments, the update the
 /// kernel must reproduce.
 class ReferenceAdam {
  public:
@@ -49,15 +57,16 @@ class ReferenceAdam {
   }
   void BackOff(double factor) { lr_ *= factor; }
 
-  void Step(const GradStore& grads) {
+  void Step(const std::map<int, Matrix>& grads) {
     const double beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8;
     ++step_count_;
     const double bc1 = 1.0 - std::pow(beta1, step_count_);
     const double bc2 = 1.0 - std::pow(beta2, step_count_);
     const auto& params = store_->parameters();
     for (size_t i = 0; i < params.size(); ++i) {
-      const Matrix* g = grads.Find(params[i]->param_id);
-      if (g == nullptr) continue;
+      const auto it = grads.find(params[i]->param_id);
+      if (it == grads.end()) continue;
+      const Matrix* g = &it->second;
       Matrix& value = params[i]->value;
       Matrix& m = m_[i];
       Matrix& v = v_[i];
@@ -147,17 +156,13 @@ ReferenceRun ReferenceTrain(ZeroTuneModel* model,
         pass.Backward(d_outputs, weights_t, &locals[c]);
       }
       double batch_loss = 0.0;
-      GradStore total;
-      for (size_t c = 0; c < chunks; ++c) {
-        total.Merge(std::move(locals[c]));
-        batch_loss += chunk_losses[c];
-      }
-      total.Scale(1.0 / static_cast<double>(batch));
-      if (opts.grad_clip_norm > 0.0 &&
-          total.ClipGlobalNorm(opts.grad_clip_norm) > opts.grad_clip_norm) {
+      for (size_t c = 0; c < chunks; ++c) batch_loss += chunk_losses[c];
+      const nn::oracle::SerialGradient step = nn::oracle::SerialGradients(
+          locals, 1.0 / static_cast<double>(batch), opts.grad_clip_norm);
+      if (opts.grad_clip_norm > 0.0 && step.norm > opts.grad_clip_norm) {
         ++run.clipped;
       }
-      if (!std::isfinite(batch_loss) || !total.AllFinite()) {
+      if (!std::isfinite(batch_loss) || !step.all_finite) {
         if (run.recoveries == opts.max_recovery_attempts) {
           ADD_FAILURE() << "recovery budget exhausted";
           break;
@@ -168,7 +173,7 @@ ReferenceRun ReferenceTrain(ZeroTuneModel* model,
         ++run.recoveries;
         continue;
       }
-      adam.Step(total);
+      adam.Step(step.grads);
       ++run.steps;
       if (run.recoveries > 0) ++run.steps_after_recovery;
       loss_sum += batch_loss;
@@ -283,6 +288,57 @@ TEST(OptimizerStepTest, TrainedWeightsEqualSerialStepAfterRollbacks) {
   EXPECT_GT(run.steps_after_recovery, 0u);
 }
 
+/// FNV-1a over the bits of every parameter value, in creation order.
+uint64_t WeightDigest(const nn::ParameterStore& params) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const nn::NodePtr& p : params.parameters()) {
+    for (size_t k = 0; k < p->value.size(); ++k) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, p->value.data() + k, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h = (h ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(OptimizerStepTest, TrainedWeightsMatchGoldenDigest) {
+  // The weights TrainedWeightsEqualSerialStepWhenClipping trains, pinned
+  // independently of the oracle: a change to the step's arithmetic or to
+  // the order it sums the norm in moves this digest, whatever the oracle
+  // does. The run needs no pool, a 4-thread pool and the scalar kernels
+  // to agree. The corpus and target statistics come from this libm, so
+  // another C library may train other weights.
+  constexpr uint64_t kGolden = 0xe13ca397a215d6efULL;
+  const workload::Dataset& train = Corpus();
+  ModelConfig cfg;
+  cfg.hidden_dim = 24;
+  cfg.seed = 4;
+  ThreadPool four(4);
+  struct Run {
+    const char* name;
+    ThreadPool* pool;
+    bool scalar;
+  };
+  for (const Run& run : {Run{"no pool", nullptr, false},
+                         Run{"4-thread pool", &four, false},
+                         Run{"scalar kernels", nullptr, true}}) {
+    SCOPED_TRACE(run.name);
+    nn::kernels::ForceScalar(run.scalar);
+    ZeroTuneModel model(cfg);
+    model.set_target_stats(StatsOf(train));
+    TrainOptions opts = OracleOptions();
+    opts.pool = run.pool;
+    const auto report =
+        Trainer(&model, opts).Train(train, workload::Dataset());
+    nn::kernels::ForceScalar(false);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(WeightDigest(model.params()), kGolden)
+        << std::hex << "0x" << WeightDigest(model.params());
+  }
+}
+
 TEST(OptimizerStepTest, TrainedWeightsEqualSerialStepWithoutClipping) {
   TrainOptions opts = OracleOptions();
   opts.grad_clip_norm = 0.0;
@@ -315,40 +371,49 @@ std::vector<GradStore> RaggedParts(size_t parts, size_t params,
   return out;
 }
 
+/// Two stores of `params` parameters shaped as RaggedParts' entries,
+/// with equal initial values.
+void RaggedStores(size_t params, nn::ParameterStore* a,
+                  nn::ParameterStore* b) {
+  Rng rng_a(41), rng_b(41);
+  for (size_t id = 0; id < params; ++id) {
+    const Matrix shape = RaggedShape(id);
+    a->CreateParameter(shape.rows(), shape.cols(), &rng_a);
+    b->CreateParameter(shape.rows(), shape.cols(), &rng_b);
+  }
+}
+
 TEST(OptimizerStepTest, MergeAndScaleEqualsMergeThenScale) {
+  // Adam::Step's merge-and-scale stage and norm against the serial ones.
+  // The magnitudes span twelve decades, so a norm summed in another order
+  // would round differently; the clip fires, so the norm reaches every
+  // weight through the clip factor.
   ThreadPool four(4);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
     SCOPED_TRACE(pool == nullptr ? "no pool" : "4-thread pool");
     const std::vector<GradStore> parts = RaggedParts(4, 40, 31);
-    GradStore want;
-    for (const GradStore& part : parts) want.Merge(part);
-    want.Scale(1.0 / 16.0);
-    GradStore got;
-    const GradStore::MergeStats stats =
-        got.MergeAndScale(parts, 1.0 / 16.0, pool);
-    ASSERT_EQ(got.size(), want.size());
-    for (int id = 0; id < 40; ++id) {
-      const Matrix* g = got.Find(id);
-      const Matrix* w = want.Find(id);
-      ASSERT_EQ(g == nullptr, w == nullptr) << "parameter " << id;
-      if (g == nullptr) continue;
-      ASSERT_TRUE(g->SameShape(*w));
-      for (size_t i = 0; i < g->size(); ++i) {
-        ASSERT_EQ(g->data()[i], w->data()[i]) << "parameter " << id;
-      }
-    }
-    // ClipGlobalNorm sums in the merged store's order; the magnitudes
-    // span twelve decades, so another order would round differently.
-    EXPECT_EQ(std::sqrt(stats.squared_norm),
-              want.ClipGlobalNorm(std::numeric_limits<double>::infinity()));
-    EXPECT_TRUE(stats.all_finite);
+    const nn::oracle::SerialGradient want =
+        nn::oracle::SerialGradients(parts, 1.0 / 16.0, 1.0);
+    ASSERT_TRUE(want.all_finite);
+    ASSERT_GT(want.norm, 1.0);
+    nn::ParameterStore got_store, want_store;
+    RaggedStores(40, &got_store, &want_store);
+    nn::Adam adam(&got_store);
+    const nn::Adam::StepResult got = adam.Step(parts, 1.0 / 16.0, 1.0, pool);
+    EXPECT_TRUE(got.applied);
+    EXPECT_EQ(got.grad_norm, want.norm);
+    ReferenceAdam reference(&want_store, nn::Adam::Options().learning_rate,
+                            0.0);
+    reference.Step(want.grads);
+    ExpectSameWeights(got_store.Snapshot(), want_store.Snapshot());
   }
 }
 
 TEST(OptimizerStepTest, MergeAndScaleReportsWhatAllFiniteWouldAfterClip) {
   // A NaN or an infinity makes the batch non-finite before and after the
-  // clip; finite entries whose squared norm overflows stay finite (the
-  // clip factor is then 0, which zeroes them).
+  // clip, and Adam::Step then writes no weight, moment or step count;
+  // finite entries whose squared norm overflows stay finite (the clip
+  // factor is then 0, which zeroes them) and the step applies.
   const double inf = std::numeric_limits<double>::infinity();
   for (const double bad : {std::nan(""), inf, -inf, 1e200}) {
     SCOPED_TRACE(std::to_string(bad));
@@ -358,17 +423,27 @@ TEST(OptimizerStepTest, MergeAndScaleReportsWhatAllFiniteWouldAfterClip) {
     g(0, 1) = bad;
     extra.Accumulate(2, std::move(g));
     parts.push_back(std::move(extra));
-    GradStore want;
-    for (const GradStore& part : parts) want.Merge(part);
-    want.Scale(0.25);
-    const double norm = want.ClipGlobalNorm(5.0);
-    GradStore got;
-    const GradStore::MergeStats stats = got.MergeAndScale(parts, 0.25, nullptr);
-    EXPECT_EQ(stats.all_finite, want.AllFinite());
-    EXPECT_EQ(stats.all_finite, bad == 1e200);
-    if (!std::isnan(norm)) {
-      EXPECT_EQ(std::sqrt(stats.squared_norm), norm);
+    const nn::oracle::SerialGradient want =
+        nn::oracle::SerialGradients(parts, 0.25, 5.0);
+    nn::ParameterStore got_store, want_store;
+    RaggedStores(8, &got_store, &want_store);
+    nn::Adam adam(&got_store);
+    std::stringstream state_before, state_after;
+    ASSERT_TRUE(adam.SaveState(state_before).ok());
+    const nn::Adam::StepResult got = adam.Step(parts, 0.25, 5.0);
+    ASSERT_TRUE(adam.SaveState(state_after).ok());
+    EXPECT_EQ(got.applied, want.all_finite);
+    EXPECT_EQ(got.applied, bad == 1e200);
+    if (!std::isnan(want.norm)) {
+      EXPECT_EQ(got.grad_norm, want.norm);
     }
+    if (want.all_finite) {
+      ReferenceAdam(&want_store, nn::Adam::Options().learning_rate, 0.0)
+          .Step(want.grads);
+    } else {
+      EXPECT_EQ(state_after.str(), state_before.str());
+    }
+    ExpectSameWeights(got_store.Snapshot(), want_store.Snapshot());
   }
 }
 

@@ -14,7 +14,6 @@
 #include "analysis/plan_analyzer.h"
 #include "analysis/plan_linter.h"
 #include "analysis/shape_checker.h"
-#include "core/features.h"
 #include "core/model.h"
 #include "dsp/cluster.h"
 #include "dsp/parallel_plan.h"
@@ -617,20 +616,6 @@ TEST(DiagnosticReportTest, JsonContainsCodesAndCounts) {
 }
 
 // --- shape checker ---------------------------------------------------
-
-TEST(ShapeCheckerTest, ForZeroTuneMatchesLiveModel) {
-  // If the model architecture drifts from the symbolic spec, this is the
-  // test that fails.
-  core::ModelConfig config;
-  config.hidden_dim = 8;
-  core::ZeroTuneModel model(config);
-  const GnnShapeSpec spec = GnnShapeSpec::ForZeroTune(
-      config.hidden_dim, core::FeatureEncoder::OperatorDim(),
-      core::FeatureEncoder::ResourceDim(), core::FeatureEncoder::MappingDim());
-  EXPECT_EQ(spec.num_tensors(), model.params().parameters().size());
-  const DiagnosticReport r = spec.VerifyStore(model.params());
-  EXPECT_TRUE(r.Clean()) << r.ToText();
-}
 
 TEST(ShapeCheckerTest, M001ParameterCountMismatch) {
   GnnShapeSpec spec;

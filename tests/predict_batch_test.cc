@@ -371,7 +371,7 @@ TEST(PredictBatchTest, PredictFollowsEveryWeightWrite) {
                      nn::Matrix(p->value.rows(), p->value.cols(), 1.0));
   }
   nn::Adam adam(model->mutable_params());
-  adam.Step(grads);
+  adam.Step({grads}, 1.0, 0.0);
   expect_follows("Adam::Step");
 
   other.seed = 41;

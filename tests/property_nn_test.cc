@@ -104,11 +104,11 @@ TEST_P(AdamLrProperty, ConvergesOnQuadratic) {
   // enough steps to cross the ±2 initialization gap.
   const int steps = std::max(3000, static_cast<int>(6.0 / GetParam()));
   for (int step = 0; step < steps; ++step) {
-    GradStore grads;
+    std::vector<GradStore> grads(1);
     Matrix grad(1, 4);
     loss = MseRow(w->value, 0, target, &grad);
-    grads.Accumulate(w->param_id, std::move(grad));
-    adam.Step(grads);
+    grads[0].Accumulate(w->param_id, std::move(grad));
+    adam.Step(std::move(grads), 1.0, 0.0);
   }
   EXPECT_LT(loss, 1e-3) << "lr=" << GetParam();
 }

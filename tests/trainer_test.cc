@@ -291,5 +291,33 @@ TEST(TrainerStandaloneTest, RejectsNonFiniteLabels) {
   EXPECT_NE(report.status().ToString().find("sample 3"), std::string::npos);
 }
 
+TEST(TrainerStandaloneTest, RejectsNonFiniteValidationLabels) {
+  // A NaN validation label would make every validation loss NaN, so early
+  // stopping would never see an improvement and Train would restore the
+  // untrained initial weights.
+  const workload::Dataset corpus = SmallCorpus(60, 31);
+  workload::Dataset train, val;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    workload::LabeledQuery q = corpus.sample(i);
+    if (i < 40) {
+      train.Add(std::move(q));
+      continue;
+    }
+    if (i == 42) q.latency_ms = std::nan("");
+    val.Add(std::move(q));
+  }
+  ZeroTuneModel model;
+  TrainOptions opts;
+  opts.epochs = 10;
+  opts.patience = 0;
+  const auto report = Trainer(&model, opts).Train(train, val);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find(
+                "validation sample 2 has a non-finite label"),
+            std::string::npos)
+      << report.status().ToString();
+}
+
 }  // namespace
 }  // namespace zerotune::core
