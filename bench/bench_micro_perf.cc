@@ -272,10 +272,11 @@ BENCHMARK(BM_TuneEndToEnd)
 // Emits a JSON document with one row per (stage, variant): the encoder /
 // message-passing / readout GNN blocks on a 128-row batch and the
 // end-to-end batched scoring path over 128 distinct candidates, each on
-// the fp32 engine, then the forward, backward and Adam step of one
-// 16-plan training chunk on the fp64 training pass and the trainer's
-// whole optimizer step after a 16-plan mini-batch, every stage under the
-// scalar and simd kernel implementations.
+// the fp32 engine, then the forward and backward of one 16-plan training
+// chunk on the fp64 training pass, the trainer's whole optimizer step
+// after a 16-plan mini-batch, and that whole mini-batch (four chunks,
+// then the step) on a 4-thread pool, every stage under the scalar and
+// simd kernel implementations.
 //
 // Methodology (the committed numbers must be trustworthy):
 //   - reps per sample are auto-calibrated so one sample spans at least a
@@ -477,17 +478,23 @@ int RunTrajectory() {
   // re-transposes each updated weight. Adam writes the weights, so it
   // steps a copy of the model; the step consumes its chunk gradients, so
   // each call gets fresh copies, made untimed.
-  std::vector<nn::GradStore> chunk_grads(kChunksPerBatch);
   const size_t per_chunk = kTrainChunk / kChunksPerBatch;
-  for (size_t c = 0; c < kChunksPerBatch; ++c) {
-    const std::span<const core::PlanGraph* const> ptrs(
+  const auto chunk_ptrs = [&](size_t c) {
+    return std::span<const core::PlanGraph* const>(
         chunk.ptrs.data() + c * per_chunk, per_chunk);
-    core::TrainBatch part(model, ptrs);
+  };
+  std::vector<nn::Matrix> chunk_targets;
+  for (size_t c = 0; c < kChunksPerBatch; ++c) {
     nn::Matrix targets(per_chunk, 2);
     std::copy(chunk.targets.data() + c * per_chunk * 2,
               chunk.targets.data() + (c + 1) * per_chunk * 2,
               targets.data());
-    part.Backward(MseGradient(part.outputs(), targets), weights_t,
+    chunk_targets.push_back(std::move(targets));
+  }
+  std::vector<nn::GradStore> chunk_grads(kChunksPerBatch);
+  for (size_t c = 0; c < kChunksPerBatch; ++c) {
+    core::TrainBatch part(model, chunk_ptrs(c));
+    part.Backward(MseGradient(part.outputs(), chunk_targets[c]), weights_t,
                   &chunk_grads[c]);
   }
   core::ZeroTuneModel stepped;
@@ -505,6 +512,31 @@ int RunTrajectory() {
           optimizer_step, copy_chunk_grads);
   measure("optimizer_step", "simd", /*force_scalar=*/false, n_train,
           optimizer_step, copy_chunk_grads);
+
+  // One whole kTrainChunk-plan mini-batch as Trainer::Train runs it on a
+  // 4-thread pool: the four chunks' forward and backward in one
+  // ParallelFor, then Adam::Step on the same pool. It trains its own copy
+  // of the model, one mini-batch after the other, as the trainer does.
+  ThreadPool pool(kChunksPerBatch);
+  core::ZeroTuneModel trained;
+  ZT_CHECK_OK(trained.mutable_params()->CopyFrom(model.params()));
+  nn::Adam trained_adam(trained.mutable_params(), nn::Adam::Options());
+  nn::TransposedWeights trained_t(trained.params());
+  const auto train_minibatch = [&] {
+    std::vector<nn::GradStore> parts(kChunksPerBatch);
+    ParallelFor(&pool, kChunksPerBatch, [&](size_t c) {
+      core::TrainBatch part(trained, chunk_ptrs(c));
+      part.Backward(MseGradient(part.outputs(), chunk_targets[c]), trained_t,
+                    &parts[c]);
+    });
+    trained_adam.Step(std::move(parts),
+                      1.0 / static_cast<double>(kTrainChunk), clip_norm,
+                      &pool, &trained_t);
+  };
+  measure("train_minibatch", "scalar", /*force_scalar=*/true, n_train,
+          train_minibatch);
+  measure("train_minibatch", "simd", /*force_scalar=*/false, n_train,
+          train_minibatch);
 
   const auto scalar_median = [&rows](const std::string& stage) {
     for (const TrajectoryRow& r : rows) {

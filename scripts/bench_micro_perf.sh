@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the micro-perf trajectory (encoder / message-passing / readout
 # blocks plus end-to-end PredictBatch on the fp32 engine, the forward and
-# backward of a 16-plan training chunk on the fp64 training pass, and the
-# trainer's optimizer step, Adam::Step, after a 16-plan mini-batch, each
-# under the scalar and simd kernels) and writes
+# backward of a 16-plan training chunk on the fp64 training pass, the
+# trainer's optimizer step, Adam::Step, after a 16-plan mini-batch, and
+# that whole mini-batch on a 4-thread pool, each under the scalar and simd
+# kernels) and writes
 # bench/BENCH_micro_perf.json.
 #
 # Usage: scripts/bench_micro_perf.sh [build-dir]

@@ -43,9 +43,8 @@ ZeroTuneModel::ZeroTuneModel(ModelConfig config) : config_(config) {
 Result<CostPrediction> ZeroTuneModel::Predict(
     const dsp::ParallelQueryPlan& plan) const {
   // Validate here so an invalid plan reports its own error rather than
-  // the batch's "plan #0 of 1" annotation. A one-plan batch runs inline
-  // (ParallelFor with n = 1), so callers on pool threads never nest
-  // pool waits.
+  // the batch's "plan #0 of 1" annotation. A one-plan batch runs on the
+  // calling thread: ParallelFor with n = 1 never dispatches to the pool.
   ZT_RETURN_IF_ERROR(plan.Validate());
   const dsp::ParallelQueryPlan* const one[] = {&plan};
   ZT_ASSIGN_OR_RETURN(const std::vector<CostPrediction> out,

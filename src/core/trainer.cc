@@ -348,7 +348,16 @@ Result<TrainReport> Trainer::Train(const Dataset& train, const Dataset& val) {
     val_targets.push_back(model_->EncodeTarget(q.latency_ms, q.throughput_tps));
   }
 
-  if (!resumed) best_params = model_->params().Snapshot();
+  if (!resumed) {
+    best_params = model_->params().Snapshot();
+    // With a validation set the start competes too, so a run in which no
+    // epoch beats the initial weights (every epoch diverged, say) keeps
+    // them. Without one there is nothing to score the start on.
+    if (!val_graphs.empty()) {
+      const double start_val = EpochLoss(val_graphs, val_targets);
+      if (std::isfinite(start_val)) best_val = start_val;
+    }
+  }
 
   // Checkpoint = everything the epoch loop mutates, written atomically so
   // a crash mid-write leaves the previous checkpoint intact. `epochs_done`

@@ -100,8 +100,11 @@ class Trainer {
   Trainer(ZeroTuneModel* model, TrainOptions options);
 
   /// Runs supervised training with early stopping on `val` (val may be
-  /// empty, disabling early stopping). Fails with InvalidArgument when a
-  /// training or validation label is NaN or infinite.
+  /// empty, disabling early stopping) and restores the weights with the
+  /// best validation loss. With a non-empty `val`, the initial weights are
+  /// scored before epoch 1 and kept if no epoch beats them. Fails with
+  /// InvalidArgument when a training or validation label is NaN or
+  /// infinite.
   Result<TrainReport> Train(const workload::Dataset& train,
                             const workload::Dataset& val);
 

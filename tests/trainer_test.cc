@@ -319,5 +319,39 @@ TEST(TrainerStandaloneTest, RejectsNonFiniteValidationLabels) {
       << report.status().ToString();
 }
 
+// `zerotune collect --count 200 --seed 5` then `zerotune train --epochs 3
+// --hidden 48 --lr 1e6`: every epoch diverges (three rollbacks). The run
+// used to keep the least-bad diverged epoch (best val loss 2.4e209,
+// held-out latency median q-error 7.4e11); the initial weights score
+// better than every epoch, so they are kept.
+TEST(TrainerStandaloneTest, KeepsInitialWeightsWhenNoEpochBeatsThem) {
+  const workload::Dataset corpus = SmallCorpus(200, 5);
+  Rng rng(1);
+  workload::Dataset train, val, test;
+  ASSERT_TRUE(corpus.Split(0.8, 0.1, &rng, &train, &val, &test).ok());
+  ModelConfig cfg;
+  cfg.hidden_dim = 48;
+  cfg.seed = 1;
+  ZeroTuneModel model(cfg);
+  const std::vector<nn::Matrix> initial = model.params().Snapshot();
+  TrainOptions opts;
+  opts.epochs = 3;
+  opts.learning_rate = 1e6;
+  const auto report = Trainer(&model, opts).Train(train, val);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().recovery_attempts, 3u);
+  EXPECT_LT(report.value().best_val_loss, 10.0);
+
+  const std::vector<nn::Matrix> kept = model.params().Snapshot();
+  ASSERT_EQ(kept.size(), initial.size());
+  for (size_t p = 0; p < kept.size(); ++p) {
+    for (size_t k = 0; k < kept[p].size(); ++k) {
+      ASSERT_EQ(kept[p].data()[k], initial[p].data()[k])
+          << "parameter " << p << ", entry " << k;
+    }
+  }
+  EXPECT_LT(Trainer::Evaluate(model, test).latency.median, 100.0);
+}
+
 }  // namespace
 }  // namespace zerotune::core
